@@ -41,10 +41,10 @@ void BM_BuildTrace(benchmark::State& state) {
   const auto& run = shared_run();
   for (auto _ : state) {
     const trace::Trace t = trace::build_standard_trace(run, four_events());
-    benchmark::DoNotOptimize(t.events().size());
+    benchmark::DoNotOptimize(t.columns().size());
   }
   state.counters["events"] = benchmark::Counter(static_cast<double>(
-      trace::build_standard_trace(run, four_events()).events().size()));
+      trace::build_standard_trace(run, four_events()).columns().size()));
 }
 BENCHMARK(BM_BuildTrace)->Unit(benchmark::kMillisecond);
 
@@ -66,7 +66,7 @@ void BM_DeserializeTrace(benchmark::State& state) {
   for (auto _ : state) {
     std::istringstream is(data);
     const trace::Trace loaded = trace::read_trace(is);
-    benchmark::DoNotOptimize(loaded.events().size());
+    benchmark::DoNotOptimize(loaded.columns().size());
   }
   state.counters["bytes"] = benchmark::Counter(static_cast<double>(data.size()));
 }

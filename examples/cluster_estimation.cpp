@@ -43,14 +43,13 @@ int main(int argc, char** argv) {
   const std::vector<workloads::Workload> all = workloads::all_workloads();
   struct Node {
     core::NodeId id;
-    sim::Engine engine;
     host::SimulatedCounterSource source;
   };
   std::vector<Node> nodes;
   nodes.reserve(node_count);
   const std::vector<double> freqs{2.0, 2.4, 2.6};
   for (std::size_t n = 0; n < node_count; ++n) {
-    sim::Engine engine = sim::Engine::haswell_ep(0x1000 + n);
+    const sim::Engine engine = sim::Engine::haswell_ep(0x1000 + n);
     sim::RunConfig rc;
     rc.frequency_ghz = freqs[n % freqs.size()];
     rc.threads = 24;
@@ -62,8 +61,7 @@ int main(int argc, char** argv) {
     std::printf("  node%02zu: %-12s @ %.1f GHz\n", n, workload.name.c_str(),
                 rc.frequency_ghz);
     // Intern once at node discovery; the telemetry loop is handle-based.
-    nodes.push_back(Node{fleet.intern("node" + std::to_string(n)),
-                         std::move(engine), std::move(source)});
+    nodes.push_back(Node{fleet.intern("node" + std::to_string(n)), std::move(source)});
   }
   for (Node& node : nodes) {
     node.source.start(model.spec().events);

@@ -45,7 +45,8 @@ int main() {
   for (const Split& split : splits) {
     acquire::Dataset train;
     for (double f : split.train_frequencies) {
-      for (const acquire::DataRow& row : all.filter_frequency(f).rows()) {
+      const acquire::Dataset at_f = all.filter_frequency(f);
+      for (const acquire::DataRow& row : at_f.rows()) {
         train.append(row);
       }
     }

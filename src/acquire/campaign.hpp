@@ -76,10 +76,9 @@ Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config);
 
 /// Ingestion knobs for ingest_trace_files: besides the batch-campaign
 /// parallel/merge switches this carries the zero-copy controls —
-/// `mmap = true` serves v4 trace files straight out of read-only memory
-/// mappings (v2/v3 fall back to the buffered reader transparently), and
-/// `verify_checksum = false` defers the integrity pass on the mapped path
-/// for latency-critical re-reads of known-good files.
+/// `mmap = true` serves trace files straight out of read-only memory
+/// mappings, and `verify_checksum = false` defers the integrity pass on the
+/// mapped path for latency-critical re-reads of known-good files.
 using IngestOptions = trace::ProfileCampaignOptions;
 
 /// Post-processing without re-acquisition: reduce already-recorded trace

@@ -91,7 +91,7 @@ std::string encode_delta(const FleetDelta& delta) {
     put_u64(out, rec.interned);
   }
   // Checksum over everything after the magic (header fields + records), the
-  // same FNV-1a lane fold the v3/v4 trace footers use.
+  // same FNV-1a lane fold the v4 trace footer uses.
   put_u64(out, trace::format::fnv1a_lanes(out.data() + sizeof(kDeltaMagic),
                                           out.size() - sizeof(kDeltaMagic)));
   return out;

@@ -25,7 +25,7 @@
 //                   u64 active, u64 interned
 //   40+72*S     8  u64 FNV-1a lane checksum over bytes [8, 40+72*S)
 //
-// Same robustness contract as the v3/v4 trace formats: structural and
+// Same robustness contract as the v4 trace format: structural and
 // semantic validation first, checksum last, every rejection a
 // pwx::IoError(Corruption) carrying the byte offset (and record index for
 // per-record faults) of the first invalid byte — identical across repeated

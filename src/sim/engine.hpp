@@ -73,6 +73,12 @@ public:
   Engine(cpu::MachineSpec spec, cpu::DvfsTable dvfs, power::GroundTruthPower truth,
          power::SensorSpec sensor_spec, std::uint64_t machine_seed);
 
+  /// Neither copyable nor movable: the voltage sensors point at this
+  /// engine's own DVFS table, so a copy or a move would read its source's.
+  /// Initialize from a prvalue (`const Engine e = Engine::haswell_ep();`).
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
   /// The paper's platform with default instrumentation.
   static Engine haswell_ep(std::uint64_t machine_seed = 0x5eed);
 

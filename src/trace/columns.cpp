@@ -43,17 +43,4 @@ void EventColumns::clear() {
   values.clear();
 }
 
-Event EventColumns::make_event(std::size_t i) const {
-  PWX_REQUIRE(i < size(), "event index ", i, " out of range (have ", size(), ")");
-  switch (static_cast<EventKind>(kinds[i])) {
-    case EventKind::Enter:
-      return RegionEnter{times[i], regions.at(ids[i])};
-    case EventKind::Exit:
-      return RegionExit{times[i], regions.at(ids[i])};
-    case EventKind::Metric:
-      break;
-  }
-  return MetricEvent{times[i], ids[i], values[i]};
-}
-
 }  // namespace pwx::trace

@@ -1,12 +1,11 @@
 // Columnar (structure-of-arrays) event storage for OTF2-lite traces.
 //
 // A trace's event stream is stored as parallel columns — time, kind, id,
-// value — plus an interned region-name table, instead of an array of
-// std::variant records. The hot consumers (serialization, phase-profile
-// generation, batch ingestion) operate directly on the columns as bulk
-// little-endian arrays and tight linear scans; the classic `Event` variant
-// API survives as a thin view that materializes records on demand, so
-// existing callers stay source-compatible.
+// value — plus an interned region-name table. Every consumer (serialization,
+// phase-profile generation, batch ingestion, the dump tool) operates
+// directly on the columns as bulk little-endian arrays and tight linear
+// scans. The typed records below are the append-side vocabulary only:
+// Trace::append turns each into one column entry.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 namespace pwx::trace {
@@ -36,10 +34,8 @@ struct MetricEvent {
   double value = 0.0;
 };
 
-using Event = std::variant<RegionEnter, RegionExit, MetricEvent>;
-
-/// Column tag for one event. The numeric values double as the on-disk
-/// record tags of both serialization formats.
+/// Column tag for one event. The numeric values are the on-disk bytes of
+/// the kinds column.
 enum class EventKind : std::uint8_t { Enter = 1, Exit = 2, Metric = 3 };
 
 /// Interned string table: names in first-intern order, O(1) id lookup.
@@ -90,9 +86,6 @@ struct EventColumns {
     push(time_ns, EventKind::Metric, metric, value);
   }
 
-  /// Materialize event `i` as the classic variant record.
-  Event make_event(std::size_t i) const;
-
 private:
   void push(std::uint64_t time_ns, EventKind kind, std::uint32_t id, double value) {
     times.push_back(time_ns);
@@ -100,51 +93,6 @@ private:
     ids.push_back(id);
     values.push_back(value);
   }
-};
-
-/// Read-only view presenting an EventColumns as a sequence of `Event`
-/// variants. Iteration and indexing materialize records on demand, so
-/// range-for loops and `events()[i]` keep working on columnar storage.
-class EventView {
-public:
-  explicit EventView(const EventColumns* columns) : columns_(columns) {}
-
-  class iterator {
-  public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = Event;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = Event;
-
-    iterator(const EventColumns* columns, std::size_t index)
-        : columns_(columns), index_(index) {}
-    Event operator*() const { return columns_->make_event(index_); }
-    iterator& operator++() {
-      ++index_;
-      return *this;
-    }
-    iterator operator++(int) {
-      iterator copy = *this;
-      ++index_;
-      return copy;
-    }
-    bool operator==(const iterator& other) const { return index_ == other.index_; }
-    bool operator!=(const iterator& other) const { return index_ != other.index_; }
-
-  private:
-    const EventColumns* columns_;
-    std::size_t index_;
-  };
-
-  std::size_t size() const { return columns_->size(); }
-  bool empty() const { return columns_->empty(); }
-  Event operator[](std::size_t i) const { return columns_->make_event(i); }
-  iterator begin() const { return iterator(columns_, 0); }
-  iterator end() const { return iterator(columns_, columns_->size()); }
-
-private:
-  const EventColumns* columns_;
 };
 
 }  // namespace pwx::trace

@@ -1,5 +1,6 @@
 #include "trace/format.hpp"
 
+#include <cctype>
 #include <cstring>
 #include <string>
 #include <unordered_set>
@@ -7,13 +8,6 @@
 #include "common/error.hpp"
 
 namespace pwx::trace::format {
-
-void fnv1a_update(std::uint64_t& hash, const char* data, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-}
 
 std::uint64_t fnv1a_lanes(const char* data, std::size_t size) {
   std::uint64_t hash = kFnvOffset;
@@ -35,12 +29,26 @@ std::uint64_t fnv1a_lanes(const char* data, std::size_t size) {
   return hash;
 }
 
+void check_magic(const char* data, std::size_t size) {
+  constexpr std::size_t kVersionByte = kMagicBytes - 1;
+  if (size >= kMagicBytes && std::memcmp(data, kMagicV4, kVersionByte) == 0) {
+    const char version = data[kVersionByte];
+    if (version == kMagicV4[kVersionByte]) {
+      return;
+    }
+    throw IoError(std::string("trace: unsupported OTF2-lite version v") +
+                      (std::isprint(static_cast<unsigned char>(version)) ? version : '?') +
+                      " (only v4 is read) (byte 0, record -1)",
+                  0, -1);
+  }
+  throw IoError("trace: bad magic (not an OTF2-lite file)", 0, -1);
+}
+
 namespace {
 
-/// Bounds-checked cursor over a v4 body. Identical twin of the v3 BufReader,
-/// except it reports offsets relative to the shared v4 frame (body starts at
-/// file offset kMagicBytes) and serves BOTH readers, which is what makes
-/// mapped and buffered rejection bit-identical.
+/// Bounds-checked cursor over a v4 body. It reports offsets relative to the
+/// file (the body starts at offset kMagicBytes) and serves BOTH readers,
+/// which is what makes mapped and buffered rejection bit-identical.
 class BodyCursor {
 public:
   BodyCursor(const char* data, std::size_t size) : data_(data), size_(size) {}
@@ -131,7 +139,7 @@ ParsedTraceV4 parse_trace_v4(const char* body, std::size_t body_size) {
   ParsedTraceV4 out;
 
   // Section table. A table that doesn't fit is an end-of-stream error at the
-  // cut, mirroring the v3 contract for truncated files.
+  // cut.
   const std::uint32_t section_count = cursor.u32();
   if (section_count != kSectionCount) {
     cursor.fail("unexpected section count " + std::to_string(section_count));
@@ -296,8 +304,8 @@ ParsedTraceV4 parse_trace_v4(const char* body, std::size_t body_size) {
   // Per-record validation in two phases: one branch-light accumulation pass
   // the compiler can vectorize (the overwhelmingly common all-valid case
   // costs a few simple ops per event), and only on failure a precise rescan
-  // that reports the first bad record with the v3 readers' exact precedence
-  // (chronology, then kind, then id) and per-column byte offsets.
+  // that reports the first bad record with a fixed precedence (chronology,
+  // then kind, then id) and per-column byte offsets.
   const auto region_count32 = static_cast<std::uint32_t>(region_count);
   const auto metric_count32 = static_cast<std::uint32_t>(metric_count);
   bool all_valid = true;

@@ -1,28 +1,22 @@
-// On-disk format internals shared by the OTF2-lite readers and writers.
+// On-disk format internals shared by the OTF2-lite reader and writer.
 //
-// Three generations share the magic/body/footer frame (8-byte magic, body,
-// u64 FNV-1a footer over the body):
+// One format, "OTF2LTv4": 8-byte magic, body, u64 lane-FNV-1a footer over
+// the body. The body is an alignment-safe section table the zero-copy
+// reader maps in place. The fixed-size header (section count + four 16-byte
+// table entries) is 72 bytes, so with the 8-byte magic the first section
+// starts at file offset 80; every section is zero-padded to a multiple of 8
+// and its *padded* size is what the table records. Inside the event section
+// the columns are ordered times (u64), values (f64), ids (u32), kinds (u8) —
+// widest first — so every column begins on an 8-byte boundary both in the
+// file and relative to any page-aligned mapping.
 //
-//   v4 ("OTF2LTv4", current) — the alignment-safe section-table format the
-//   zero-copy reader maps in place. The fixed-size header (section count +
-//   four 16-byte table entries) is 72 bytes, so with the 8-byte magic the
-//   first section starts at file offset 80; every section is zero-padded to
-//   a multiple of 8 and its *padded* size is what the table records. Inside
-//   the event section the columns are ordered times (u64), values (f64),
-//   ids (u32), kinds (u8) — widest first — so every column begins on an
-//   8-byte boundary both in the file and relative to any page-aligned
-//   mapping. That is the property v3 lacked: its variable-length string
-//   sections made column offsets effectively never 8-aligned, so aliasing
-//   them as typed arrays would be undefined behavior.
+// check_magic is the one gate in front of both readers: files carrying any
+// other OTF2-lite version magic ("OTF2LTv2", "OTF2LTv3", ...) are rejected
+// with the same "unsupported OTF2-lite version" IoError at byte 0.
 //
-//   v3 ("OTF2LTv3") — unpadded section table; still written via
-//   write_trace_v3 and read transparently (buffered only).
-//
-//   v2 ("OTF2LTv2") — per-record stream with a byte-wise FNV footer.
-//
-// parse_trace_v4 is the one structural validator for v4: the buffered
-// reader (serialize.cpp) and the mapped reader (mapped.cpp) both call it,
-// so hostile input is rejected *identically* — same IoError message, code,
+// parse_trace_v4 is the one structural validator: the buffered reader
+// (serialize.cpp) and the mapped reader (mapped.cpp) both call it, so
+// hostile input is rejected *identically* — same IoError message, code,
 // byte offset, and record index — no matter which path read the file.
 // Checks that the owned Trace builder would otherwise enforce on the
 // buffered path only (duplicate/empty metric names, duplicate regions,
@@ -43,15 +37,13 @@
 
 namespace pwx::trace::format {
 
-inline constexpr char kMagicV2[8] = {'O', 'T', 'F', '2', 'L', 'T', 'v', '2'};
-inline constexpr char kMagicV3[8] = {'O', 'T', 'F', '2', 'L', 'T', 'v', '3'};
 inline constexpr char kMagicV4[8] = {'O', 'T', 'F', '2', 'L', 'T', 'v', '4'};
 inline constexpr std::size_t kMagicBytes = 8;
 
 inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Section ids, in file order (shared by v3 and v4).
+/// Section ids, in file order.
 enum : std::uint32_t {
   kSectionAttributes = 1,
   kSectionMetrics = 2,
@@ -63,8 +55,6 @@ inline constexpr std::size_t kSectionCount = 4;
 /// Bytes per event across the four columns: u64 time + u8 kind + u32 id + f64.
 inline constexpr std::size_t kEventBytes = 8 + 1 + 4 + 8;
 
-/// v3 header: u32 section count + per section (u32 id + u64 size).
-inline constexpr std::size_t kHeaderBytesV3 = 4 + kSectionCount * 12;
 /// v4 header: u32 section count + u32 reserved + per section
 /// (u32 id + u32 reserved + u64 padded size). 72 bytes, a multiple of 8.
 inline constexpr std::size_t kHeaderBytesV4 = 8 + kSectionCount * 16;
@@ -72,14 +62,16 @@ inline constexpr std::size_t kHeaderBytesV4 = 8 + kSectionCount * 16;
 /// Round up to the next multiple of 8 (v4 section padding).
 inline constexpr std::size_t pad8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-/// Byte-wise FNV-1a (the v2 body hash).
-void fnv1a_update(std::uint64_t& hash, const char* data, std::size_t size);
-
 /// FNV-1a over 64-bit little-endian lanes: full words first, then the
-/// zero-padded tail, then the length — one multiply per 8 bytes, so bulk
-/// bodies hash ~8x faster than the v2 per-byte loop while still flipping
-/// on any corrupted or truncated bit. The v3/v4 body hash.
+/// zero-padded tail, then the length — one multiply per 8 bytes while still
+/// flipping on any corrupted or truncated bit. The body hash.
 std::uint64_t fnv1a_lanes(const char* data, std::size_t size);
+
+/// Accept the first `size` bytes of a trace only when they start with
+/// kMagicV4. Throws IoError at byte 0, record -1: "unsupported OTF2-lite
+/// version" for any other "OTF2LTv" magic, "bad magic" for anything else
+/// (including inputs shorter than the magic).
+void check_magic(const char* data, std::size_t size);
 
 /// One v4 section as validated from the table.
 struct SectionInfo {

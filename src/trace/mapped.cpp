@@ -1,96 +1,71 @@
 #include "trace/mapped.hpp"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "trace/serialize.hpp"
 
 namespace pwx::trace {
 
-namespace {
-
-/// Sniff the 8-byte magic without mapping; returns 0 for unknown bytes.
-/// Errors match read_trace_file so callers see one contract.
-int sniff_version(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("trace: cannot open '" + path + "' for reading");
-  }
-  char magic[8];
-  if (!in.read(magic, sizeof magic)) {
-    throw IoError("trace: bad magic (not an OTF2-lite file)", 0, -1);
-  }
-  if (std::memcmp(magic, format::kMagicV4, sizeof magic) == 0) {
-    return 4;
-  }
-  if (std::memcmp(magic, format::kMagicV3, sizeof magic) == 0) {
-    return 3;
-  }
-  if (std::memcmp(magic, format::kMagicV2, sizeof magic) == 0) {
-    return 2;
-  }
-  throw IoError("trace: bad magic (not an OTF2-lite file)", 0, -1);
-}
-
-}  // namespace
-
 MappedTraceFile MappedTraceFile::open(const std::string& path,
                                       const MapOptions& options) {
   MappedTraceFile out;
   out.path_ = path;
-  out.format_version_ = sniff_version(path);
 
-  if (out.format_version_ == 4) {
-    MappedFile map;
-    bool map_ok = true;
-    try {
-      map = MappedFile::map_readonly(path);
-    } catch (const IoError&) {
-      // mmap refused (special file, filesystem without mapping support):
-      // fall through to the buffered reader below.
-      map_ok = false;
-    }
+  MappedFile map;
+  bool map_ok = true;
+  try {
+    map = MappedFile::map_readonly(path);
+  } catch (const IoError&) {
+    // mmap refused (missing or non-regular file, filesystem without mapping
+    // support): the buffered reader below serves the file or reports why
+    // it cannot.
+    map_ok = false;
+  }
+  if (map_ok) {
+    format::check_magic(map.data(), map.size());
     // A page-aligned mapping puts the body (after the 8-byte magic) on an
     // 8-byte boundary; the defensive check keeps an exotic allocator from
     // turning the typed-column aliasing into undefined behavior.
-    if (map_ok &&
-        reinterpret_cast<std::uintptr_t>(map.data() + format::kMagicBytes) % 8 != 0) {
-      map_ok = false;
+    map_ok = reinterpret_cast<std::uintptr_t>(map.data() + format::kMagicBytes) % 8 == 0;
+  }
+  if (map_ok) {
+    if (map.size() < format::kMagicBytes + 8) {
+      // Same diagnostic the buffered reader emits for a body shorter than
+      // the footer: the offset is the total file size.
+      throw IoError("trace: truncated before checksum footer (byte " +
+                        std::to_string(map.size()) + ", record -1)",
+                    static_cast<std::int64_t>(map.size()), -1);
     }
-    if (map_ok) {
-      if (map.size() < format::kMagicBytes + 8) {
-        // Same diagnostic the buffered reader emits for a body shorter than
-        // the footer: the offset is the total file size.
-        throw IoError("trace: truncated before checksum footer (byte " +
-                          std::to_string(map.size()) + ", record -1)",
-                      static_cast<std::int64_t>(map.size()), -1);
-      }
-      const char* body = map.data() + format::kMagicBytes;
-      const std::size_t body_size = map.size() - format::kMagicBytes - 8;
-      out.parsed_ = format::parse_trace_v4(body, body_size);
-      if (options.verify_checksum) {
-        format::verify_checksum_v4(body, body_size, out.parsed_.event_count);
-        out.checksum_verified_ = true;
-      }
-      out.map_ = std::move(map);
-      out.view_ = out.parsed_.view();
-      return out;
+    const char* body = map.data() + format::kMagicBytes;
+    const std::size_t body_size = map.size() - format::kMagicBytes - 8;
+    out.parsed_ = format::parse_trace_v4(body, body_size);
+    if (options.verify_checksum) {
+      format::verify_checksum_v4(body, body_size, out.parsed_.event_count);
+      out.checksum_verified_ = true;
     }
+    out.map_ = std::move(map);
+    out.view_ = out.parsed_.view();
+    return out;
   }
 
-  // Buffered fallback: v2/v3 layouts are not alignment-safe, and mapping
-  // itself can fail — either way the owned reader produces the same trace,
-  // adapted to the same view type.
-  out.owned_ = std::make_unique<Trace>(read_trace_file(path));
+  // Buffered fallback: the file is read exactly once (a pipe cannot be
+  // reopened) and parsed by the owned reader — the same magic check and
+  // parser — then adapted to the same view type.
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw IoError("trace: cannot open '" + path + "' for reading");
+  }
+  std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  out.bytes_copied_ = bytes.size();
+  std::istringstream stream(std::move(bytes));
+  out.owned_ = std::make_unique<Trace>(read_trace(stream));
   out.adapter_ = std::make_unique<TraceViewAdapter>(*out.owned_);
   out.view_ = out.adapter_->view();
   out.checksum_verified_ = true;  // every buffered read verifies the footer
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (in) {
-    out.bytes_copied_ = static_cast<std::size_t>(in.tellg());
-  }
   return out;
 }
 

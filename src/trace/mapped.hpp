@@ -11,13 +11,13 @@
 // deferred until verify() is called, which lets latency-sensitive consumers
 // start scanning immediately.
 //
-// Inputs the zero-copy path cannot serve fall back transparently to the
-// buffered reader: v2/v3 files (their layouts are not alignment-safe), and
-// files mmap itself refuses (non-regular files, filesystems without mmap
-// support). The fallback materializes an owned Trace and adapts it to the
-// same TraceView type, so consumers never branch on how the bytes arrived —
-// and because both paths share one parser, hostile input is rejected with
-// the identical IoError either way.
+// Files mmap itself refuses (pipes and other non-regular files, filesystems
+// without mmap support) fall back transparently to the buffered reader. The
+// fallback reads the file once, materializes an owned Trace and adapts it
+// to the same TraceView type, so consumers never branch on how the bytes
+// arrived — and because both paths share one magic check and one parser,
+// hostile input (including files of an unsupported OTF2-lite version) is
+// rejected with the identical IoError either way.
 #pragma once
 
 #include <memory>
@@ -45,7 +45,7 @@ struct MapOptions {
 /// and heap vectors, whose addresses moving does not change.
 class MappedTraceFile {
 public:
-  /// Open `path`, preferring the zero-copy mapped path for v4 files.
+  /// Open `path`, preferring the zero-copy mapped path.
   /// Throws pwx::IoError on malformed, truncated, or corrupted input with
   /// the same message/byte-offset/record-index the buffered reader emits.
   static MappedTraceFile open(const std::string& path, const MapOptions& options = {});
@@ -69,9 +69,6 @@ public:
   /// True when the zero-copy mapped path served this file.
   bool mapped() const { return map_.data() != nullptr; }
 
-  /// On-disk format generation (2, 3, or 4).
-  int format_version() const { return format_version_; }
-
   /// Accounting for observability: bytes aliased in place vs. bytes that
   /// went through the buffered copying path. Exactly one of them is the
   /// file size; the other is zero.
@@ -88,7 +85,7 @@ private:
 
   std::string path_;
   MappedFile map_;
-  format::ParsedTraceV4 parsed_;  ///< views into map_ (mapped v4 path only)
+  format::ParsedTraceV4 parsed_;  ///< views into map_ (mapped path only)
 
   // Buffered fallback: an owned Trace adapted to the shared view type.
   // Heap-allocated so the adapter's address (which view_'s spans reference)
@@ -97,7 +94,6 @@ private:
   std::unique_ptr<TraceViewAdapter> adapter_;
 
   TraceView view_;
-  int format_version_ = 0;
   std::size_t bytes_copied_ = 0;
   bool checksum_verified_ = false;
 };

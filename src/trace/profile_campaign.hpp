@@ -21,8 +21,7 @@ namespace pwx::trace {
 struct ProfileCampaignOptions {
   bool parallel = true;  ///< profile input files concurrently (OpenMP)
   bool merge = true;     ///< merge same-key profiles across runs
-  bool mmap = false;     ///< zero-copy mapped ingestion (trace/mapped.hpp);
-                         ///< v2/v3 files fall back to the buffered reader
+  bool mmap = false;     ///< zero-copy mapped ingestion (trace/mapped.hpp)
   bool verify_checksum = true;  ///< verify checksum footers; only the mapped
                                 ///< path can skip them (buffered always does)
 };

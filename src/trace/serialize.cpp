@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "trace/format.hpp"
@@ -16,14 +15,9 @@ namespace pwx::trace {
 namespace {
 
 using format::fnv1a_lanes;
-using format::fnv1a_update;
 using format::kEventBytes;
-using format::kFnvOffset;
-using format::kHeaderBytesV3;
 using format::kHeaderBytesV4;
 using format::kMagicBytes;
-using format::kMagicV2;
-using format::kMagicV3;
 using format::kMagicV4;
 using format::kSectionAttributes;
 using format::kSectionCount;
@@ -32,36 +26,15 @@ using format::kSectionMetrics;
 using format::kSectionRegions;
 using format::pad8;
 
-void put_u8(std::ostream& out, std::uint8_t v) {
-  out.put(static_cast<char>(v));
-}
-
-void put_u32(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.write(buf, 4);
-}
-
 void put_u64(std::ostream& out, std::uint64_t v) {
   char buf[8];
   std::memcpy(buf, &v, 8);
   out.write(buf, 8);
 }
 
-void put_f64(std::ostream& out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
-}
-
-void put_string(std::ostream& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
 /// Attribute pairs sorted by key: the attribute map itself is unordered,
-/// but all formats serialize attributes in sorted order so identical
-/// traces always produce identical bytes.
+/// but the writer emits attributes in sorted order so identical traces
+/// always produce identical bytes.
 std::vector<std::pair<const std::string*, const std::string*>> sorted_attributes(
     const Trace& trace) {
   std::vector<std::pair<const std::string*, const std::string*>> attrs;
@@ -73,146 +46,6 @@ std::vector<std::pair<const std::string*, const std::string*>> sorted_attributes
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
   return attrs;
 }
-
-enum : std::uint8_t { kRegionEnter = 1, kRegionExit = 2, kMetric = 3 };
-
-/// Checksumming, position-tracking wrapper over the input stream (v2 path).
-/// Every failure it throws is an IoError carrying the byte offset where
-/// parsing stopped and the index of the event record being decoded (-1
-/// while still in the header), so a corrupt file is diagnosable down to
-/// the byte.
-class Reader {
-public:
-  explicit Reader(std::istream& in) : in_(in) {}
-
-  void begin_record(std::uint64_t index) { record_ = static_cast<std::int64_t>(index); }
-  std::uint64_t checksum() const { return checksum_; }
-  std::int64_t offset() const { return static_cast<std::int64_t>(offset_); }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw IoError("trace: " + what + " (byte " + std::to_string(offset_) +
-                      ", record " + std::to_string(record_) + ")",
-                  static_cast<std::int64_t>(offset_), record_);
-  }
-
-  std::uint8_t u8() {
-    char buf[1];
-    raw(buf, 1);
-    return static_cast<std::uint8_t>(buf[0]);
-  }
-
-  std::uint32_t u32() {
-    char buf[4];
-    raw(buf, 4);
-    std::uint32_t v = 0;
-    std::memcpy(&v, buf, 4);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    char buf[8];
-    raw(buf, 8);
-    std::uint64_t v = 0;
-    std::memcpy(&v, buf, 8);
-    return v;
-  }
-
-  double f64() {
-    char buf[8];
-    raw(buf, 8);
-    double v = 0;
-    std::memcpy(&v, buf, 8);
-    return v;
-  }
-
-  std::string string() {
-    const std::uint32_t len = u32();
-    if (len > (1u << 24)) {
-      fail("implausible string length " + std::to_string(len));
-    }
-    std::string s(len, '\0');
-    if (len > 0) {
-      raw(s.data(), len);
-    }
-    return s;
-  }
-
-  /// The footer is read outside the checksummed body.
-  std::uint64_t footer_u64() {
-    char buf[8];
-    if (!in_.read(buf, 8)) {
-      fail("truncated before checksum footer");
-    }
-    offset_ += 8;
-    std::uint64_t v = 0;
-    std::memcpy(&v, buf, 8);
-    return v;
-  }
-
-private:
-  void raw(char* buf, std::size_t size) {
-    if (!in_.read(buf, static_cast<std::streamsize>(size))) {
-      fail("unexpected end of stream");
-    }
-    fnv1a_update(checksum_, buf, size);
-    offset_ += size;
-  }
-
-  std::istream& in_;
-  std::uint64_t offset_ = kMagicBytes;   ///< bytes consumed, incl. magic
-  std::int64_t record_ = -1;             ///< current event record (-1: header)
-  std::uint64_t checksum_ = kFnvOffset;  ///< running FNV-1a over body bytes
-};
-
-}  // namespace
-
-// ------------------------------------------------------------------ writers
-
-void write_trace_v2(const Trace& trace, std::ostream& out) {
-  // Serialize the body to memory first so the checksum can be computed over
-  // exactly the bytes written.
-  std::ostringstream body;
-
-  const auto attrs = sorted_attributes(trace);
-  put_u32(body, static_cast<std::uint32_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    put_string(body, *key);
-    put_string(body, *value);
-  }
-
-  put_u32(body, static_cast<std::uint32_t>(trace.metrics().size()));
-  for (const MetricDefinition& metric : trace.metrics()) {
-    put_string(body, metric.name);
-    put_string(body, metric.unit);
-    put_u8(body, static_cast<std::uint8_t>(metric.mode));
-  }
-
-  const EventColumns& columns = trace.columns();
-  put_u64(body, columns.size());
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    put_u8(body, columns.kinds[i]);
-    put_u64(body, columns.times[i]);
-    if (static_cast<EventKind>(columns.kinds[i]) == EventKind::Metric) {
-      put_u32(body, columns.ids[i]);
-      put_f64(body, columns.values[i]);
-    } else {
-      put_string(body, columns.regions.at(columns.ids[i]));
-    }
-  }
-
-  const std::string bytes = body.str();
-  std::uint64_t checksum = kFnvOffset;
-  fnv1a_update(checksum, bytes.data(), bytes.size());
-
-  out.write(kMagicV2, sizeof kMagicV2);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put_u64(out, checksum);
-  if (!out) {
-    throw IoError("trace: write failed");
-  }
-}
-
-namespace {
 
 void append_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
@@ -325,74 +158,6 @@ void write_trace(const Trace& trace, std::ostream& out) {
   }
 }
 
-void write_trace_v3(const Trace& trace, std::ostream& out) {
-  const EventColumns& columns = trace.columns();
-  const auto attrs = sorted_attributes(trace);
-
-  // Exact section sizes up front, so the body is one preallocated buffer
-  // filled by bulk appends.
-  std::size_t attr_bytes = 4;
-  for (const auto& [key, value] : attrs) {
-    attr_bytes += 8 + key->size() + value->size();
-  }
-  std::size_t metric_bytes = 4;
-  for (const MetricDefinition& metric : trace.metrics()) {
-    metric_bytes += 9 + metric.name.size() + metric.unit.size();
-  }
-  std::size_t region_bytes = 4;
-  for (const std::string& region : columns.regions.names()) {
-    region_bytes += 4 + region.size();
-  }
-  const std::size_t event_bytes = 8 + columns.size() * kEventBytes;
-
-  std::string body;
-  body.reserve(kHeaderBytesV3 + attr_bytes + metric_bytes + region_bytes +
-               event_bytes);
-
-  append_u32(body, kSectionCount);
-  const std::pair<std::uint32_t, std::size_t> table[kSectionCount] = {
-      {kSectionAttributes, attr_bytes},
-      {kSectionMetrics, metric_bytes},
-      {kSectionRegions, region_bytes},
-      {kSectionEvents, event_bytes},
-  };
-  for (const auto& [id, size] : table) {
-    append_u32(body, id);
-    append_u64(body, size);
-  }
-
-  append_u32(body, static_cast<std::uint32_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    append_string(body, *key);
-    append_string(body, *value);
-  }
-
-  append_u32(body, static_cast<std::uint32_t>(trace.metrics().size()));
-  for (const MetricDefinition& metric : trace.metrics()) {
-    append_string(body, metric.name);
-    append_string(body, metric.unit);
-    append_u8(body, static_cast<std::uint8_t>(metric.mode));
-  }
-
-  append_u32(body, static_cast<std::uint32_t>(columns.regions.size()));
-  for (const std::string& region : columns.regions.names()) {
-    append_string(body, region);
-  }
-
-  append_u64(body, columns.size());
-  append_array(body, columns.times);
-  append_array(body, columns.kinds);
-  append_array(body, columns.ids);
-  append_array(body, columns.values);
-
-  out.write(kMagicV3, sizeof kMagicV3);
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  put_u64(out, fnv1a_lanes(body.data(), body.size()));
-  if (!out) {
-    throw IoError("trace: write failed");
-  }
-}
-
 void write_trace_file(const Trace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -405,141 +170,6 @@ void write_trace_file(const Trace& trace, const std::string& path) {
 
 namespace {
 
-Trace read_body_v2(Reader& reader) {
-  Trace trace;
-  const std::uint32_t attr_count = reader.u32();
-  if (attr_count > (1u << 20)) {
-    reader.fail("implausible attribute count " + std::to_string(attr_count));
-  }
-  for (std::uint32_t i = 0; i < attr_count; ++i) {
-    std::string key = reader.string();
-    std::string value = reader.string();
-    trace.set_attribute(key, value);
-  }
-
-  const std::uint32_t metric_count = reader.u32();
-  if (metric_count > (1u << 20)) {
-    reader.fail("implausible metric count " + std::to_string(metric_count));
-  }
-  for (std::uint32_t i = 0; i < metric_count; ++i) {
-    MetricDefinition metric;
-    metric.name = reader.string();
-    metric.unit = reader.string();
-    const std::uint8_t mode = reader.u8();
-    if (mode > static_cast<std::uint8_t>(MetricMode::CounterIncrement)) {
-      reader.fail("invalid metric mode " + std::to_string(mode));
-    }
-    metric.mode = static_cast<MetricMode>(mode);
-    trace.define_metric(std::move(metric));
-  }
-
-  const std::uint64_t event_count = reader.u64();
-  if (event_count > (1ull << 32)) {
-    reader.fail("implausible event count " + std::to_string(event_count));
-  }
-  for (std::uint64_t i = 0; i < event_count; ++i) {
-    reader.begin_record(i);
-    const std::uint8_t kind = reader.u8();
-    switch (kind) {
-      case kRegionEnter: {
-        RegionEnter e;
-        e.time_ns = reader.u64();
-        e.region = reader.string();
-        trace.append(std::move(e));
-        break;
-      }
-      case kRegionExit: {
-        RegionExit e;
-        e.time_ns = reader.u64();
-        e.region = reader.string();
-        trace.append(std::move(e));
-        break;
-      }
-      case kMetric: {
-        MetricEvent e;
-        e.time_ns = reader.u64();
-        e.metric = reader.u32();
-        if (e.metric >= trace.metrics().size()) {
-          reader.fail("metric id " + std::to_string(e.metric) +
-                      " out of range (have " +
-                      std::to_string(trace.metrics().size()) + ")");
-        }
-        e.value = reader.f64();
-        trace.append(e);
-        break;
-      }
-      default:
-        reader.fail("unknown event kind " + std::to_string(kind));
-    }
-  }
-
-  const std::uint64_t expected = reader.checksum();
-  const std::uint64_t stored = reader.footer_u64();
-  if (stored != expected) {
-    reader.fail("checksum mismatch (file corrupt)");
-  }
-  return trace;
-}
-
-/// Bounds-checked cursor over the in-memory v3 body. Offsets in errors are
-/// absolute file offsets (the 8-byte magic precedes the body).
-class BufReader {
-public:
-  BufReader(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return size_ - pos_; }
-
-  [[noreturn]] void fail(const std::string& what, std::int64_t record = -1,
-                         std::size_t at_pos = static_cast<std::size_t>(-1)) const {
-    const std::size_t pos = at_pos == static_cast<std::size_t>(-1) ? pos_ : at_pos;
-    const std::size_t offset = pos + kMagicBytes;
-    throw IoError("trace: " + what + " (byte " + std::to_string(offset) +
-                      ", record " + std::to_string(record) + ")",
-                  static_cast<std::int64_t>(offset), record);
-  }
-
-  const char* raw(std::size_t size, std::int64_t record = -1) {
-    if (size > remaining()) {
-      fail("unexpected end of stream", record, size_);
-    }
-    const char* ptr = data_ + pos_;
-    pos_ += size;
-    return ptr;
-  }
-
-  std::uint8_t u8(std::int64_t record = -1) {
-    std::uint8_t v = 0;
-    std::memcpy(&v, raw(1, record), 1);
-    return v;
-  }
-
-  std::uint32_t u32(std::int64_t record = -1) {
-    std::uint32_t v = 0;
-    std::memcpy(&v, raw(4, record), 4);
-    return v;
-  }
-
-  std::uint64_t u64(std::int64_t record = -1) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, raw(8, record), 8);
-    return v;
-  }
-
-  std::string string() {
-    const std::uint32_t len = u32();
-    if (len > (1u << 24)) {
-      fail("implausible string length " + std::to_string(len));
-    }
-    return std::string(raw(len), len);
-  }
-
-private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
 /// Drain the rest of `in` into one contiguous buffer (single-pass bulk read).
 std::string read_remaining(std::istream& in) {
   std::string data;
@@ -551,170 +181,6 @@ std::string read_remaining(std::istream& in) {
     }
   }
   return data;
-}
-
-template <typename T>
-std::vector<T> read_column(BufReader& reader, std::size_t count) {
-  std::vector<T> out(count);
-  const char* src = reader.raw(count * sizeof(T),
-                               static_cast<std::int64_t>(reader.remaining() / sizeof(T)));
-  if (count > 0) {
-    std::memcpy(out.data(), src, count * sizeof(T));
-  }
-  return out;
-}
-
-Trace read_body_v3(const std::string& buffer) {
-  if (buffer.size() < 8) {
-    throw IoError("trace: truncated before checksum footer (byte " +
-                      std::to_string(buffer.size() + kMagicBytes) + ", record -1)",
-                  static_cast<std::int64_t>(buffer.size() + kMagicBytes), -1);
-  }
-  const std::size_t body_size = buffer.size() - 8;
-  BufReader reader(buffer.data(), body_size);
-
-  // Section table.
-  const std::uint32_t section_count = reader.u32();
-  if (section_count != kSectionCount) {
-    reader.fail("unexpected section count " + std::to_string(section_count));
-  }
-  std::size_t section_sizes[kSectionCount] = {};
-  std::size_t total = kHeaderBytesV3;
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::uint32_t id = reader.u32();
-    if (id != s + 1) {
-      reader.fail("unexpected section id " + std::to_string(id));
-    }
-    const std::uint64_t size = reader.u64();
-    if (size > body_size) {
-      reader.fail("implausible section size " + std::to_string(size));
-    }
-    section_sizes[s] = static_cast<std::size_t>(size);
-    total += section_sizes[s];
-  }
-  // Trailing bytes beyond the declared sections are a structural error. A
-  // *shorter* body (truncated file) is not failed here: parsing continues so
-  // the eventual end-of-stream error points at the exact byte and — when the
-  // cut lands inside the event arrays — the exact record.
-  if (total < body_size) {
-    reader.fail("section sizes do not cover the body (" + std::to_string(total) +
-                " vs " + std::to_string(body_size) + ")");
-  }
-
-  Trace trace;
-
-  // Attributes.
-  std::size_t section_end = reader.pos() + section_sizes[0];
-  const std::uint32_t attr_count = reader.u32();
-  if (attr_count > (1u << 20)) {
-    reader.fail("implausible attribute count " + std::to_string(attr_count));
-  }
-  for (std::uint32_t i = 0; i < attr_count; ++i) {
-    std::string key = reader.string();
-    std::string value = reader.string();
-    trace.set_attribute(key, value);
-  }
-  if (reader.pos() != section_end) {
-    reader.fail("attribute section size mismatch");
-  }
-
-  // Metric definitions.
-  section_end = reader.pos() + section_sizes[1];
-  const std::uint32_t metric_count = reader.u32();
-  if (metric_count > (1u << 20)) {
-    reader.fail("implausible metric count " + std::to_string(metric_count));
-  }
-  for (std::uint32_t i = 0; i < metric_count; ++i) {
-    MetricDefinition metric;
-    metric.name = reader.string();
-    metric.unit = reader.string();
-    const std::uint8_t mode = reader.u8();
-    if (mode > static_cast<std::uint8_t>(MetricMode::CounterIncrement)) {
-      reader.fail("invalid metric mode " + std::to_string(mode));
-    }
-    metric.mode = static_cast<MetricMode>(mode);
-    trace.define_metric(std::move(metric));
-  }
-  if (reader.pos() != section_end) {
-    reader.fail("metric section size mismatch");
-  }
-
-  // Region string table.
-  section_end = reader.pos() + section_sizes[2];
-  const std::uint32_t region_count = reader.u32();
-  if (region_count > (1u << 20)) {
-    reader.fail("implausible region count " + std::to_string(region_count));
-  }
-  EventColumns columns;
-  for (std::uint32_t i = 0; i < region_count; ++i) {
-    const std::string region = reader.string();
-    if (columns.regions.intern(region) != i) {
-      reader.fail("duplicate region name '" + region + "'");
-    }
-  }
-  if (reader.pos() != section_end) {
-    reader.fail("region section size mismatch");
-  }
-
-  // Event columns: four bulk array copies.
-  const std::uint64_t event_count = reader.u64();
-  if (event_count > (1ull << 32)) {
-    reader.fail("implausible event count " + std::to_string(event_count));
-  }
-  const auto n = static_cast<std::size_t>(event_count);
-  if (section_sizes[3] != 8 + n * kEventBytes) {
-    reader.fail("event section size mismatch");
-  }
-  const std::size_t times_pos = reader.pos();
-  columns.times = read_column<std::uint64_t>(reader, n);
-  const std::size_t kinds_pos = reader.pos();
-  columns.kinds = read_column<std::uint8_t>(reader, n);
-  const std::size_t ids_pos = reader.pos();
-  columns.ids = read_column<std::uint32_t>(reader, n);
-  columns.values = read_column<double>(reader, n);
-
-  // Per-record validation: chronology, known kinds, ids in range. Errors
-  // point at the offending element inside its column.
-  std::uint64_t last_time = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (columns.times[i] < last_time) {
-      reader.fail("events must be chronological", static_cast<std::int64_t>(i),
-                  times_pos + i * 8);
-    }
-    last_time = columns.times[i];
-    switch (columns.kinds[i]) {
-      case kRegionEnter:
-      case kRegionExit:
-        if (columns.ids[i] >= region_count) {
-          reader.fail("region id " + std::to_string(columns.ids[i]) +
-                          " out of range (have " + std::to_string(region_count) + ")",
-                      static_cast<std::int64_t>(i), ids_pos + i * 4);
-        }
-        break;
-      case kMetric:
-        if (columns.ids[i] >= metric_count) {
-          reader.fail("metric id " + std::to_string(columns.ids[i]) +
-                          " out of range (have " + std::to_string(metric_count) + ")",
-                      static_cast<std::int64_t>(i), ids_pos + i * 4);
-        }
-        break;
-      default:
-        reader.fail("unknown event kind " + std::to_string(columns.kinds[i]),
-                    static_cast<std::int64_t>(i), kinds_pos + i);
-    }
-  }
-
-  // Integrity last, mirroring the v2 reader: structural diagnostics keep
-  // their precise positions, and any surviving bit flip is caught here.
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, buffer.data() + body_size, 8);
-  if (stored != fnv1a_lanes(buffer.data(), body_size)) {
-    reader.fail("checksum mismatch (file corrupt)",
-                n > 0 ? static_cast<std::int64_t>(n - 1) : -1, body_size);
-  }
-
-  trace.adopt_columns(std::move(columns));
-  return trace;
 }
 
 Trace read_body_v4(const std::string& buffer) {
@@ -734,46 +200,18 @@ Trace read_body_v4(const std::string& buffer) {
 }  // namespace
 
 Trace read_trace(std::istream& in) {
-  char magic[8];
-  if (!in.read(magic, sizeof magic)) {
-    throw IoError("trace: bad magic (not an OTF2-lite file)", 0, -1);
+  char magic[kMagicBytes];
+  in.read(magic, sizeof magic);
+  format::check_magic(magic, static_cast<std::size_t>(in.gcount()));
+  const std::string buffer = read_remaining(in);
+  try {
+    return read_body_v4(buffer);
+  } catch (const IoError&) {
+    throw;
+  } catch (const Error& e) {
+    throw IoError(std::string("trace: invalid record: ") + e.what(),
+                  static_cast<std::int64_t>(kMagicBytes), -1);
   }
-  if (std::memcmp(magic, kMagicV4, sizeof magic) == 0) {
-    const std::string buffer = read_remaining(in);
-    try {
-      return read_body_v4(buffer);
-    } catch (const IoError&) {
-      throw;
-    } catch (const Error& e) {
-      throw IoError(std::string("trace: invalid record: ") + e.what(),
-                    static_cast<std::int64_t>(sizeof magic), -1);
-    }
-  }
-  if (std::memcmp(magic, kMagicV3, sizeof magic) == 0) {
-    const std::string buffer = read_remaining(in);
-    try {
-      return read_body_v3(buffer);
-    } catch (const IoError&) {
-      throw;
-    } catch (const Error& e) {
-      throw IoError(std::string("trace: invalid record: ") + e.what(),
-                    static_cast<std::int64_t>(sizeof magic), -1);
-    }
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof magic) == 0) {
-    Reader reader(in);
-    // Trace's own mutators (append, define_metric) validate invariants like
-    // event chronology; a corrupt byte that violates one must still surface
-    // as a position-carrying IoError, not as the mutator's InvalidArgument.
-    try {
-      return read_body_v2(reader);
-    } catch (const IoError&) {
-      throw;
-    } catch (const Error& e) {
-      reader.fail(std::string("invalid record: ") + e.what());
-    }
-  }
-  throw IoError("trace: bad magic (not an OTF2-lite file)", 0, -1);
 }
 
 Trace read_trace_file(const std::string& path) {

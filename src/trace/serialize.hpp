@@ -1,28 +1,20 @@
 // Binary serialization of OTF2-lite traces.
 //
-// Three on-disk generations share one reader entry point:
+// One on-disk format, "OTF2LTv4" — the alignment-safe section-table format
+// (see trace/format.hpp for the exact layout). Sections are zero-padded to
+// 8-byte multiples and the event columns are ordered widest-first (times,
+// values, ids, kinds), so every column sits on an 8-byte boundary. That lets
+// the zero-copy reader (trace/mapped.hpp) alias the columns in place inside
+// a memory mapping; this buffered reader and the mapped one share a single
+// parser, so they accept and reject files identically. The body is covered
+// by a lane-FNV-1a checksum footer.
 //
-//   v4 ("OTF2LTv4", current writer) — the alignment-safe section-table
-//   format (see trace/format.hpp for the exact layout). Sections are
-//   zero-padded to 8-byte multiples and the event columns are ordered
-//   widest-first (times, values, ids, kinds), so every column sits on an
-//   8-byte boundary. That lets the zero-copy reader (trace/mapped.hpp)
-//   alias the columns in place inside a memory mapping; this buffered
-//   reader and the mapped one share a single parser, so they accept and
-//   reject files identically. The body is covered by a lane-FNV-1a
-//   checksum footer.
+// Files from older OTF2-lite generations (v2, v3) are rejected up front
+// with an "unsupported OTF2-lite version" IoError at byte 0.
 //
-//   v3 ("OTF2LTv3") — the unpadded section-table format. Still written by
-//   write_trace_v3() for compatibility tooling and read transparently, so
-//   archived traces stay readable.
-//
-//   v2 ("OTF2LTv2", legacy) — per-record little-endian stream with a
-//   byte-wise FNV-1a footer; write_trace_v2() keeps producing the legacy
-//   bytes for compatibility tooling and tests.
-//
-// All readers fully validate structure AND integrity, so any truncation
-// or bit flip — including ones inside numeric payloads that would parse
-// fine — fails loudly instead of producing silent garbage profiles.
+// The reader fully validates structure AND integrity, so any truncation or
+// bit flip — including ones inside numeric payloads that would parse fine —
+// fails loudly instead of producing silent garbage profiles.
 #pragma once
 
 #include <iosfwd>
@@ -37,18 +29,10 @@ namespace pwx::trace {
 void write_trace(const Trace& trace, std::ostream& out);
 void write_trace_file(const Trace& trace, const std::string& path);
 
-/// Serialize in the v3 unpadded section-table format (compatibility writer
-/// for archival tooling and read-compat tests).
-void write_trace_v3(const Trace& trace, std::ostream& out);
-
-/// Serialize in the legacy v2 per-record format (compatibility writer for
-/// archival tooling and read-compat tests).
-void write_trace_v2(const Trace& trace, std::ostream& out);
-
-/// Deserialize v4, v3, or v2 bytes; throws pwx::IoError on malformed,
-/// truncated, or corrupted input. The error carries the byte offset and
-/// event-record index where parsing stopped (IoError::byte_offset /
-/// record_index).
+/// Deserialize v4 bytes; throws pwx::IoError on an unsupported version or
+/// on malformed, truncated, or corrupted input. The error carries the byte
+/// offset and event-record index where parsing stopped
+/// (IoError::byte_offset / record_index).
 Trace read_trace(std::istream& in);
 Trace read_trace_file(const std::string& path);
 

@@ -27,10 +27,6 @@ bool Trace::has_metric(const std::string& name) const {
   return metric_by_name_.find(name) != metric_by_name_.end();
 }
 
-std::uint64_t Trace::event_time(const Event& event) {
-  return std::visit([](const auto& e) { return e.time_ns; }, event);
-}
-
 void Trace::check_time(std::uint64_t time_ns) {
   PWX_REQUIRE(time_ns >= last_time_ns_, "events must be chronological: ", time_ns,
               " after ", last_time_ns_);
@@ -52,10 +48,6 @@ void Trace::append(MetricEvent event) {
   PWX_REQUIRE(event.metric < metrics_.size(), "metric index ", event.metric,
               " not defined");
   events_.push_metric(event.time_ns, event.metric, event.value);
-}
-
-void Trace::append(const Event& event) {
-  std::visit([this](const auto& e) { append(e); }, event);
 }
 
 void Trace::adopt_columns(EventColumns columns) {

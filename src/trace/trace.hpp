@@ -10,8 +10,7 @@
 //
 // Storage is columnar (trace/columns.hpp): events live in SoA arrays with an
 // interned region table, which is what serialization and phase-profiling
-// scan. events() returns a view that materializes the classic Event variant
-// per record, so variant-based callers keep working unchanged.
+// scan through columns().
 #pragma once
 
 #include <cstdint>
@@ -50,20 +49,15 @@ public:
   bool has_metric(const std::string& name) const;
 
   /// Append an event. Events must be appended in non-decreasing time order
-  /// (chronological stream); violations throw. The typed overloads skip the
-  /// variant round-trip on hot append paths.
+  /// (chronological stream); violations throw.
   void append(RegionEnter event);
   void append(RegionExit event);
   void append(MetricEvent event);
-  void append(const Event& event);
 
   const std::vector<MetricDefinition>& metrics() const { return metrics_; }
 
-  /// The event stream as on-demand variant records (see EventView).
-  EventView events() const { return EventView(&events_); }
-
-  /// Direct access to the columnar store — the hot-path representation the
-  /// serializer and phase profiler scan.
+  /// The event stream: the columnar store the serializer and phase profiler
+  /// scan.
   const EventColumns& columns() const { return events_; }
 
   /// Adopt a fully-built columnar store (bulk deserialization). Validates
@@ -82,9 +76,6 @@ public:
   void set_attribute(const std::string& key, double value);
   const std::string& attribute(const std::string& key) const;
   double attribute_as_double(const std::string& key) const;
-
-  /// Timestamp of an event (for ordering checks and range queries).
-  static std::uint64_t event_time(const Event& event);
 
 private:
   void check_time(std::uint64_t time_ns);

@@ -77,8 +77,8 @@ private:
 };
 
 /// Materialize a view into an owned Trace (copying every column and string).
-/// For tools and tests that need the classic variant-event API on top of a
-/// mapped file; the hot paths consume the view directly instead.
+/// The buffered reader builds its result this way; the hot paths consume the
+/// view directly instead.
 Trace to_trace(const TraceView& view);
 
 }  // namespace pwx::trace

@@ -152,7 +152,6 @@ TEST(MappedTrace, V4IsServedZeroCopy) {
 
   const MappedTraceFile file = MappedTraceFile::open(path);
   EXPECT_TRUE(file.mapped());
-  EXPECT_EQ(file.format_version(), 4);
   EXPECT_TRUE(file.checksum_verified());
   EXPECT_EQ(file.bytes_mapped(), bytes.size());
   EXPECT_EQ(file.bytes_copied(), 0u);
@@ -199,32 +198,26 @@ TEST(MappedTrace, ViewSurvivesMove) {
   EXPECT_EQ(b.view().columns.size(), 8u);
 }
 
-TEST(MappedTrace, V3FallsBackToBufferedWithIdenticalProfiles) {
+TEST(MappedTrace, PipeFallsBackToBufferedWithIdenticalProfiles) {
+  // mmap refuses a pipe, so the buffered reader serves it — reading it once,
+  // since a pipe cannot be rewound.
   const Trace t = sim_trace("md", 11);
-  std::ostringstream os;
-  write_trace_v3(t, os);
-  const std::string path = write_bytes("fallback_v3.otf2l", os.str());
+  const std::string bytes = v4_bytes(t);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_LT(bytes.size(), 4096u);  // fits the pipe buffer: no writer thread
+  ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
 
-  const MappedTraceFile file = MappedTraceFile::open(path);
+  const MappedTraceFile file =
+      MappedTraceFile::open("/proc/self/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
   EXPECT_FALSE(file.mapped());
-  EXPECT_EQ(file.format_version(), 3);
   EXPECT_TRUE(file.checksum_verified());
   EXPECT_EQ(file.bytes_mapped(), 0u);
-  EXPECT_EQ(file.bytes_copied(), os.str().size());
+  EXPECT_EQ(file.bytes_copied(), bytes.size());
   EXPECT_TRUE(file.sections().empty());
-  expect_profiles_bit_identical(build_phase_profiles(file.view()),
-                                build_phase_profiles(t));
-}
-
-TEST(MappedTrace, V2FallsBackToBufferedWithIdenticalProfiles) {
-  const Trace t = sim_trace("compute", 12);
-  std::ostringstream os;
-  write_trace_v2(t, os);
-  const std::string path = write_bytes("fallback_v2.otf2l", os.str());
-
-  const MappedTraceFile file = MappedTraceFile::open(path);
-  EXPECT_FALSE(file.mapped());
-  EXPECT_EQ(file.format_version(), 2);
   expect_profiles_bit_identical(build_phase_profiles(file.view()),
                                 build_phase_profiles(t));
 }
@@ -334,28 +327,6 @@ TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
 #ifdef _OPENMP
   omp_set_num_threads(saved_threads);
 #endif
-}
-
-TEST(MappedEquivalence, V2AndV3FilesFlowThroughMmapCampaign) {
-  // A mixed-generation directory ingested with mmap enabled: v4 maps, v2/v3
-  // fall back — and the merge still matches the all-buffered reference.
-  const Trace a = sim_trace("md", 51);
-  const Trace b = sim_trace("compute", 52);
-  const Trace c = sim_trace("matmul", 53);
-  std::ostringstream v2os, v3os;
-  write_trace_v2(a, v2os);
-  write_trace_v3(b, v3os);
-  const std::vector<std::string> paths = {
-      write_bytes("mixed_a.otf2l", v2os.str()),
-      write_bytes("mixed_b.otf2l", v3os.str()),
-      write_bytes("mixed_c.otf2l", v4_bytes(c)),
-  };
-  ProfileCampaignOptions serial;
-  serial.parallel = false;
-  ProfileCampaignOptions mapped;
-  mapped.mmap = true;
-  expect_profiles_bit_identical(profile_trace_files(paths, mapped),
-                                profile_trace_files(paths, serial));
 }
 
 // ---------------------------------------------------- identical rejection
@@ -489,6 +460,30 @@ TEST(IdenticalRejection, HostileSectionTables) {
                                   table_size(good, 1) + table_size(good, 2);
     poke_u64(b, events_at, 1ull << 40);
     expect_identical_rejection(b, "implausible_events");
+  }
+}
+
+TEST(IdenticalRejection, OlderFormatVersions) {
+  // Files of the retired v2 and v3 generations, whether a bare magic or a
+  // full body behind it, are refused by the one magic check both readers
+  // share: same message, byte 0, record -1.
+  const std::string body = v4_bytes(make_small_trace()).substr(format::kMagicBytes);
+  for (const char version : {'2', '3'}) {
+    const std::string magic = std::string("OTF2LTv") + version;
+    for (const std::string& bytes : {magic, magic + body}) {
+      const std::string label = "v" + std::string(1, version) + "_" +
+                                std::to_string(bytes.size());
+      expect_identical_rejection(bytes, label);
+      const Outcome buffered = buffered_outcome(bytes);
+      EXPECT_FALSE(buffered.accepted) << label;
+      EXPECT_EQ(buffered.what, "trace: unsupported OTF2-lite version v" +
+                                   std::string(1, version) +
+                                   " (only v4 is read) (byte 0, record -1)")
+          << label;
+      EXPECT_EQ(buffered.byte_offset, 0) << label;
+      EXPECT_EQ(buffered.record_index, -1) << label;
+      EXPECT_EQ(buffered.code, ErrorCode::Corruption) << label;
+    }
   }
 }
 

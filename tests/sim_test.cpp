@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +13,11 @@
 
 namespace pwx::sim {
 namespace {
+
+// The voltage sensors point at the engine's own DVFS table, so an engine
+// must stay where it was built.
+static_assert(!std::is_copy_constructible_v<Engine>);
+static_assert(!std::is_move_constructible_v<Engine>);
 
 RunConfig quick_config(double f = 2.4, std::size_t threads = 24,
                        std::uint64_t seed = 1) {

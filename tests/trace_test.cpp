@@ -1,10 +1,11 @@
 // Tests for the OTF2-lite trace layer: records, the columnar event store,
-// serialization (v3 + legacy v2), metric plugins, phase-profile
-// post-processing, and batch campaign ingestion.
+// serialization (the v4 format, pinned byte for byte by a golden), metric
+// plugins, phase-profile post-processing, and batch campaign ingestion.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -104,12 +105,13 @@ TEST(Serialize, RoundTripPreservesEverything) {
     EXPECT_EQ(loaded.metrics()[i].unit, original.metrics()[i].unit);
     EXPECT_EQ(loaded.metrics()[i].mode, original.metrics()[i].mode);
   }
-  ASSERT_EQ(loaded.events().size(), original.events().size());
-  for (std::size_t i = 0; i < loaded.events().size(); ++i) {
-    EXPECT_EQ(Trace::event_time(loaded.events()[i]),
-              Trace::event_time(original.events()[i]));
-    EXPECT_EQ(loaded.events()[i].index(), original.events()[i].index());
-  }
+  const EventColumns& got = loaded.columns();
+  const EventColumns& want = original.columns();
+  EXPECT_EQ(got.times, want.times);
+  EXPECT_EQ(got.kinds, want.kinds);
+  EXPECT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.regions.names(), want.regions.names());
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -117,7 +119,7 @@ TEST(Serialize, FileRoundTrip) {
   const Trace original = make_small_trace();
   write_trace_file(original, path);
   const Trace loaded = read_trace_file(path);
-  EXPECT_EQ(loaded.events().size(), original.events().size());
+  EXPECT_EQ(loaded.columns().size(), original.columns().size());
   std::remove(path.c_str());
 }
 
@@ -142,10 +144,10 @@ TEST(Serialize, CorruptedEventKindRejected) {
   std::stringstream buffer;
   write_trace(original, buffer);
   std::string data = buffer.str();
-  // The final event is RegionExit{t, "phase_a"}: kind(1) + time(8) +
-  // length(4) + 7 characters = 20 bytes, followed by the 8-byte checksum
-  // footer; flip the event's kind byte to garbage.
-  data[data.size() - 28] = 99;
+  // The kinds column is the last column of the event section: 8 one-byte
+  // kinds, no padding, then the 8-byte checksum footer. Overwrite the final
+  // event's kind with garbage.
+  data[data.size() - 9] = 99;
   std::stringstream corrupted(data);
   EXPECT_THROW(read_trace(corrupted), IoError);
 }
@@ -155,11 +157,17 @@ TEST(Serialize, ChecksumCatchesPayloadBitFlip) {
   std::stringstream buffer;
   write_trace(original, buffer);
   std::string data = buffer.str();
-  // Flip one bit inside the last metric value's f64 payload — structurally
-  // valid, so only the checksum can catch it.
-  data[data.size() - 30] ^= 0x01;
+  // Flip one bit inside the values column (the 8 events' f64 payloads sit
+  // in [size-112, size-48)) — structurally valid, so only the checksum can
+  // catch it.
+  data[data.size() - 60] ^= 0x01;
   std::stringstream corrupted(data);
-  EXPECT_THROW(read_trace(corrupted), IoError);
+  try {
+    read_trace(corrupted);
+    FAIL() << "a flipped payload bit must not parse";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos);
+  }
 }
 
 TEST(Serialize, IoErrorCarriesByteOffsetAndRecordIndex) {
@@ -241,7 +249,7 @@ TEST(Plugins, EventCountMatchesIntervalsAndMetrics) {
   const Trace t = build_standard_trace(run, {pmc::Preset::TOT_CYC});
   // Per interval: power + voltage + 1 counter = 3 metric events; plus one
   // region enter and exit.
-  EXPECT_EQ(t.events().size(), run.intervals.size() * 3 + 2);
+  EXPECT_EQ(t.columns().size(), run.intervals.size() * 3 + 2);
 }
 
 TEST(Plugins, ApapiMetricNameUsesPapiPrefix) {
@@ -255,11 +263,10 @@ TEST(Plugins, ApapiRejectsEmptyEventSet) {
 TEST(Plugins, MultiPhaseRunProducesMultipleRegions) {
   const auto run = quick_run("md");
   const Trace t = build_standard_trace(run, {pmc::Preset::TOT_CYC});
-  std::size_t enters = 0;
-  for (const Event& e : t.events()) {
-    enters += std::holds_alternative<RegionEnter>(e);
-  }
-  EXPECT_EQ(enters, 2u);  // md has two phases
+  const auto& kinds = t.columns().kinds;
+  const auto enters =
+      std::count(kinds.begin(), kinds.end(), static_cast<std::uint8_t>(EventKind::Enter));
+  EXPECT_EQ(enters, 2);  // md has two phases
 }
 
 // ---------------------------------------------------------------- phase profiles
@@ -395,10 +402,19 @@ TEST(PhaseProfile, UnbalancedRegionsRejected) {
 
 // ---------------------------------------------------------------- columnar store
 
+/// One appended event as the test remembers it, independent of the store.
+struct AppendedEvent {
+  EventKind kind;
+  std::uint64_t time_ns;
+  std::string region;       ///< Enter/Exit only
+  std::uint32_t metric = 0;  ///< Metric only
+  double value = 0.0;        ///< Metric only
+};
+
 /// Appends `count` random (but chronological and well-formed) events to `t`
-/// and returns the same events as plain variant records.
-std::vector<Event> append_random_events(Trace& t, std::size_t count,
-                                        std::uint32_t seed) {
+/// and returns the same events as plain records.
+std::vector<AppendedEvent> append_random_events(Trace& t, std::size_t count,
+                                                std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> kind_dist(0, 2);
   std::uniform_int_distribution<std::uint64_t> dt_dist(0, 1000000);
@@ -406,27 +422,23 @@ std::vector<Event> append_random_events(Trace& t, std::size_t count,
   const char* regions[] = {"alpha", "beta", "gamma"};
   const std::uint32_t metrics[] = {t.define_metric({"m0", "W", MetricMode::AsyncAverage}),
                                    t.define_metric({"m1", "V", MetricMode::AsyncInstant})};
-  std::vector<Event> reference;
+  std::vector<AppendedEvent> reference;
   std::uint64_t time = 0;
   for (std::size_t i = 0; i < count; ++i) {
     time += dt_dist(rng);
     switch (kind_dist(rng)) {
-      case 0: {
-        RegionEnter e{time, regions[i % 3]};
-        t.append(e);
-        reference.emplace_back(e);
+      case 0:
+        t.append(RegionEnter{time, regions[i % 3]});
+        reference.push_back({EventKind::Enter, time, regions[i % 3]});
         break;
-      }
-      case 1: {
-        RegionExit e{time, regions[i % 3]};
-        t.append(e);
-        reference.emplace_back(e);
+      case 1:
+        t.append(RegionExit{time, regions[i % 3]});
+        reference.push_back({EventKind::Exit, time, regions[i % 3]});
         break;
-      }
       default: {
-        MetricEvent e{time, metrics[i % 2], value_dist(rng)};
+        const MetricEvent e{time, metrics[i % 2], value_dist(rng)};
         t.append(e);
-        reference.emplace_back(e);
+        reference.push_back({EventKind::Metric, time, "", e.metric, e.value});
         break;
       }
     }
@@ -434,28 +446,20 @@ std::vector<Event> append_random_events(Trace& t, std::size_t count,
   return reference;
 }
 
-void expect_events_equal(const Trace& t, const std::vector<Event>& reference) {
-  ASSERT_EQ(t.events().size(), reference.size());
-  std::size_t i = 0;
-  // Exercise the view's iterator and indexing simultaneously.
-  for (const Event& event : t.events()) {
-    ASSERT_EQ(event.index(), reference[i].index()) << "event " << i;
-    const Event indexed = t.events()[i];
-    ASSERT_EQ(indexed.index(), reference[i].index());
-    if (const auto* enter = std::get_if<RegionEnter>(&event)) {
-      EXPECT_EQ(enter->time_ns, std::get<RegionEnter>(reference[i]).time_ns);
-      EXPECT_EQ(enter->region, std::get<RegionEnter>(reference[i]).region);
-    } else if (const auto* exit = std::get_if<RegionExit>(&event)) {
-      EXPECT_EQ(exit->time_ns, std::get<RegionExit>(reference[i]).time_ns);
-      EXPECT_EQ(exit->region, std::get<RegionExit>(reference[i]).region);
+void expect_events_equal(const Trace& t, const std::vector<AppendedEvent>& reference) {
+  const EventColumns& columns = t.columns();
+  ASSERT_EQ(columns.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const AppendedEvent& expected = reference[i];
+    ASSERT_EQ(columns.kinds[i], static_cast<std::uint8_t>(expected.kind)) << "event " << i;
+    EXPECT_EQ(columns.times[i], expected.time_ns);
+    if (expected.kind == EventKind::Metric) {
+      EXPECT_EQ(columns.ids[i], expected.metric);
+      EXPECT_EQ(columns.values[i], expected.value);
     } else {
-      const auto& metric = std::get<MetricEvent>(event);
-      const auto& expected = std::get<MetricEvent>(reference[i]);
-      EXPECT_EQ(metric.time_ns, expected.time_ns);
-      EXPECT_EQ(metric.metric, expected.metric);
-      EXPECT_EQ(metric.value, expected.value);
+      EXPECT_EQ(columns.regions.at(columns.ids[i]), expected.region);
+      EXPECT_EQ(columns.values[i], 0.0);
     }
-    ++i;
   }
 }
 
@@ -464,7 +468,6 @@ TEST(Columns, ViewMatchesAppendedVariantsOnRandomTraces) {
     Trace t;
     const auto reference = append_random_events(t, 500, seed);
     expect_events_equal(t, reference);
-    EXPECT_EQ(t.columns().size(), reference.size());
   }
 }
 
@@ -513,100 +516,78 @@ TEST(Columns, AdoptColumnsValidatesInvariants) {
   }
 }
 
-// ---------------------------------------------------------------- v2 compatibility
+// ---------------------------------------------------------------- golden v4
 
-TEST(SerializeV2, RoundTripsThroughSharedReader) {
-  const Trace original = make_small_trace();
-  std::stringstream buffer;
-  write_trace_v2(original, buffer);
-  const Trace loaded = read_trace(buffer);
-  EXPECT_EQ(loaded.attributes(), original.attributes());
-  ASSERT_EQ(loaded.metrics().size(), original.metrics().size());
-  ASSERT_EQ(loaded.events().size(), original.events().size());
-  for (std::size_t i = 0; i < loaded.events().size(); ++i) {
-    EXPECT_EQ(Trace::event_time(loaded.events()[i]),
-              Trace::event_time(original.events()[i]));
-    EXPECT_EQ(loaded.events()[i].index(), original.events()[i].index());
-  }
-}
-
-// Golden v2 bytes of make_small_trace(), captured before the v3 format
-// landed. Guards two contracts at once: archived v2 files stay readable,
-// and write_trace_v2 keeps producing the exact legacy bytes.
-const unsigned char kGoldenV2[] = {
-    0x4f, 0x54, 0x46, 0x32, 0x4c, 0x54, 0x76, 0x32, 0x03, 0x00, 0x00, 0x00,
+// Golden v4 bytes of make_small_trace(). Guards two contracts at once: the
+// reader parses these exact bytes, and the writer reproduces them — so any
+// change to the on-disk layout, padding, column order or checksum fails
+// here first.
+const unsigned char kGoldenV4[] = {
+    0x4f, 0x54, 0x46, 0x32, 0x4c, 0x54, 0x76, 0x34, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x58, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x48, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xb0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
     0x0d, 0x00, 0x00, 0x00, 0x66, 0x72, 0x65, 0x71, 0x75, 0x65, 0x6e, 0x63,
     0x79, 0x5f, 0x67, 0x68, 0x7a, 0x0b, 0x00, 0x00, 0x00, 0x32, 0x2e, 0x34,
     0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x07, 0x00, 0x00, 0x00,
     0x74, 0x68, 0x72, 0x65, 0x61, 0x64, 0x73, 0x0b, 0x00, 0x00, 0x00, 0x34,
     0x2e, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x30, 0x08, 0x00,
     0x00, 0x00, 0x77, 0x6f, 0x72, 0x6b, 0x6c, 0x6f, 0x61, 0x64, 0x04, 0x00,
-    0x00, 0x00, 0x75, 0x6e, 0x69, 0x74, 0x03, 0x00, 0x00, 0x00, 0x05, 0x00,
-    0x00, 0x00, 0x70, 0x6f, 0x77, 0x65, 0x72, 0x01, 0x00, 0x00, 0x00, 0x57,
-    0x00, 0x0c, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x72, 0x65, 0x5f, 0x76, 0x6f,
-    0x6c, 0x74, 0x61, 0x67, 0x65, 0x01, 0x00, 0x00, 0x00, 0x56, 0x01, 0x0c,
-    0x00, 0x00, 0x00, 0x50, 0x41, 0x50, 0x49, 0x5f, 0x54, 0x4f, 0x54, 0x5f,
-    0x43, 0x59, 0x43, 0x06, 0x00, 0x00, 0x00, 0x65, 0x76, 0x65, 0x6e, 0x74,
-    0x73, 0x02, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x70,
-    0x68, 0x61, 0x73, 0x65, 0x5f, 0x61, 0x03, 0x00, 0xca, 0x9a, 0x3b, 0x00,
+    0x00, 0x00, 0x75, 0x6e, 0x69, 0x74, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x70, 0x6f, 0x77, 0x65,
+    0x72, 0x01, 0x00, 0x00, 0x00, 0x57, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x63,
+    0x6f, 0x72, 0x65, 0x5f, 0x76, 0x6f, 0x6c, 0x74, 0x61, 0x67, 0x65, 0x01,
+    0x00, 0x00, 0x00, 0x56, 0x01, 0x0c, 0x00, 0x00, 0x00, 0x50, 0x41, 0x50,
+    0x49, 0x5f, 0x54, 0x4f, 0x54, 0x5f, 0x43, 0x59, 0x43, 0x06, 0x00, 0x00,
+    0x00, 0x65, 0x76, 0x65, 0x6e, 0x74, 0x73, 0x02, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x70, 0x68, 0x61, 0x73,
+    0x65, 0x5f, 0x61, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xca, 0x9a, 0x3b,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xca, 0x9a, 0x3b, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xca, 0x9a, 0x3b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x94, 0x35, 0x77,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x94, 0x35, 0x77, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x94, 0x35, 0x77, 0x00, 0x00, 0x00, 0x00, 0x00, 0x94, 0x35, 0x77,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x59, 0x40, 0x03, 0x00, 0xca, 0x9a, 0x3b, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f,
-    0x03, 0x00, 0xca, 0x9a, 0x3b, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x20, 0x5f, 0xa0, 0xf2, 0x41, 0x03, 0x00, 0x94,
-    0x35, 0x77, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x80, 0x5b, 0x40, 0x03, 0x00, 0x94, 0x35, 0x77, 0x00,
-    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xcd, 0xcc, 0xcc, 0xcc, 0xcc,
-    0xcc, 0xec, 0x3f, 0x03, 0x00, 0x94, 0x35, 0x77, 0x00, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x1b, 0x5f, 0xf3, 0x41,
-    0x02, 0x00, 0x94, 0x35, 0x77, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
-    0x00, 0x70, 0x68, 0x61, 0x73, 0x65, 0x5f, 0x61, 0x90, 0xd5, 0xc7, 0x56,
-    0x6d, 0x76, 0xa7, 0xc9};
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x59, 0x40, 0xcd, 0xcc, 0xcc, 0xcc,
+    0xcc, 0xcc, 0xec, 0x3f, 0x00, 0x00, 0x00, 0x20, 0x5f, 0xa0, 0xf2, 0x41,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x5b, 0x40, 0xcd, 0xcc, 0xcc, 0xcc,
+    0xcc, 0xcc, 0xec, 0x3f, 0x00, 0x00, 0x00, 0x40, 0x1b, 0x5f, 0xf3, 0x41,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x03, 0x03, 0x03, 0x03, 0x03, 0x02,
+    0x12, 0xc7, 0x11, 0x6b, 0x86, 0x2e, 0x38, 0x64};
 
-TEST(SerializeV2, GoldenBytesStayReadable) {
-  const std::string data(reinterpret_cast<const char*>(kGoldenV2), sizeof kGoldenV2);
+TEST(Serialize, GoldenV4BytesStayReadable) {
+  const std::string data(reinterpret_cast<const char*>(kGoldenV4), sizeof kGoldenV4);
   std::stringstream in(data);
   const Trace loaded = read_trace(in);
   const Trace expected = make_small_trace();
   EXPECT_EQ(loaded.attributes(), expected.attributes());
   ASSERT_EQ(loaded.metrics().size(), 3u);
   EXPECT_EQ(loaded.metrics()[2].name, "PAPI_TOT_CYC");
-  ASSERT_EQ(loaded.events().size(), expected.events().size());
+  EXPECT_EQ(loaded.columns().times, expected.columns().times);
+  EXPECT_EQ(loaded.columns().kinds, expected.columns().kinds);
+  EXPECT_EQ(loaded.columns().ids, expected.columns().ids);
+  EXPECT_EQ(loaded.columns().values, expected.columns().values);
   const auto profiles = build_phase_profiles(loaded);
   ASSERT_EQ(profiles.size(), 1u);
   EXPECT_NEAR(profiles[0].avg_power_watts, 105.0, 1e-9);
 }
 
-TEST(SerializeV2, WriterReproducesGoldenBytes) {
+TEST(Serialize, WriterReproducesGoldenV4Bytes) {
   std::ostringstream os;
-  write_trace_v2(make_small_trace(), os);
+  write_trace(make_small_trace(), os);
   const std::string produced = os.str();
-  ASSERT_EQ(produced.size(), sizeof kGoldenV2);
+  ASSERT_EQ(produced.size(), sizeof kGoldenV4);
   EXPECT_EQ(produced,
-            std::string(reinterpret_cast<const char*>(kGoldenV2), sizeof kGoldenV2));
+            std::string(reinterpret_cast<const char*>(kGoldenV4), sizeof kGoldenV4));
 }
 
-TEST(SerializeV2, CorruptionSweepAlwaysFailsTyped) {
-  const auto run = quick_run("md");
-  const Trace original = build_standard_trace(run, {pmc::Preset::TOT_CYC});
-  std::stringstream buffer;
-  write_trace_v2(original, buffer);
-  const std::string data = buffer.str();
-  ASSERT_GT(data.size(), 128u);
-  for (std::size_t cut = 0; cut < data.size(); cut += 64) {
-    std::stringstream in(data.substr(0, cut));
-    EXPECT_THROW(read_trace(in), IoError) << "truncation at byte " << cut;
-  }
-  for (std::size_t pos = 0; pos < data.size(); pos += 64) {
-    std::string flipped = data;
-    flipped[pos] ^= 0x10;
-    std::stringstream in(flipped);
-    EXPECT_THROW(read_trace(in), IoError) << "bit flip at byte " << pos;
-  }
-}
-
-TEST(Serialize, V3RoundTripIsBitIdentical) {
+TEST(Serialize, RoundTripIsBitIdentical) {
   const auto run = quick_run("md");
   const Trace original = build_standard_trace(run, {pmc::Preset::TOT_CYC,
                                                     pmc::Preset::PRF_DM});
@@ -619,10 +600,10 @@ TEST(Serialize, V3RoundTripIsBitIdentical) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-// Every truncation of a v3 stream must carry a usable diagnosis: a byte
-// offset always, and — when the cut lands inside the bulk event arrays — a
+// Every truncation of a trace must carry a usable diagnosis: a byte offset
+// always, and — when the cut lands inside the bulk event arrays — a
 // non-negative record index (the first event that could not be recovered).
-TEST(Serialize, V3TruncationSweepKeepsOffsetContract) {
+TEST(Serialize, TruncationSweepKeepsOffsetContract) {
   const Trace original = make_small_trace();
   std::stringstream buffer;
   write_trace(original, buffer);

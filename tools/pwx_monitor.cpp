@@ -176,20 +176,18 @@ int run_fleet(pwx::core::PowerModel model, std::size_t fleet_nodes,
 
   struct Node {
     core::NodeId id;
-    sim::Engine engine;
     host::SimulatedCounterSource source;
   };
   std::vector<Node> nodes;
   nodes.reserve(fleet_nodes);
   for (std::size_t n = 0; n < fleet_nodes; ++n) {
-    sim::Engine engine = sim::Engine::haswell_ep(0x2000 + n);
+    const sim::Engine engine = sim::Engine::haswell_ep(0x2000 + n);
     sim::RunConfig rc;
     rc.threads = threads;
     rc.interval_s = 0.25;
     rc.seed = 2026 + n;
     host::SimulatedCounterSource source(engine, workload, rc);
-    nodes.push_back(Node{fleet.intern("node" + std::to_string(n)),
-                         std::move(engine), std::move(source)});
+    nodes.push_back(Node{fleet.intern("node" + std::to_string(n)), std::move(source)});
   }
   for (Node& node : nodes) {
     node.source.start(fleet.model().spec().events);

@@ -8,13 +8,13 @@
 //   pwx-trace-dump <trace.otf2l> --profile       # full phase-profile table
 //   pwx-trace-dump <trace.otf2l> --stat          # section table + I/O stats
 //
-// `--mmap` (combinable with any mode) ingests through the zero-copy mapped
-// reader instead of the buffered one; --stat always does. v2/v3 files fall
-// back to the buffered reader transparently, which --stat reports as
-// "buffered" with the copied byte count.
+// Every mode reads the file through the zero-copy mapped reader, which falls
+// back to the buffered one when mmap is refused; --stat reports which path
+// served the file.
 //
-// Exit codes: 0 ok, 1 generic error, 2 usage, 3 corrupt/truncated trace
-// (the IoError diagnosis — byte offset and record index — goes to stderr).
+// Exit codes: 0 ok, 1 generic error, 2 usage, 3 corrupt/truncated trace or
+// unsupported OTF2-lite version (the IoError diagnosis — byte offset and
+// record index — goes to stderr).
 //
 // The post-processing path is exactly the library's phase-profile builder,
 // so what this tool prints is what the modeling pipeline consumes.
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,34 +36,29 @@
 #include "trace/format.hpp"
 #include "trace/mapped.hpp"
 #include "trace/phase_profile.hpp"
-#include "trace/serialize.hpp"
 #include "trace/view.hpp"
 
 namespace {
 
 using namespace pwx;
 
-/// Attribute pairs sorted by key (the attribute map itself is unordered).
-std::vector<std::pair<std::string, std::string>> sorted_attributes(const trace::Trace& t) {
-  std::vector<std::pair<std::string, std::string>> attrs(t.attributes().begin(),
-                                                         t.attributes().end());
-  std::sort(attrs.begin(), attrs.end());
-  return attrs;
+const char* mode_name(trace::MetricMode mode) {
+  return mode == trace::MetricMode::AsyncAverage   ? "async-avg"
+         : mode == trace::MetricMode::AsyncInstant ? "async-inst"
+                                                   : "counter";
 }
 
-int print_summary(const trace::Trace& t) {
+int print_summary(const trace::TraceView& t) {
   std::puts("attributes:");
-  for (const auto& [key, value] : sorted_attributes(t)) {
-    std::printf("  %-16s %s\n", key.c_str(), value.c_str());
+  for (const auto& [key, value] : t.attributes) {
+    std::printf("  %-16s %s\n", std::string(key).c_str(), std::string(value).c_str());
   }
-  std::printf("\nmetrics (%zu):\n", t.metrics().size());
-  for (const trace::MetricDefinition& m : t.metrics()) {
-    const char* mode = m.mode == trace::MetricMode::AsyncAverage    ? "async-avg"
-                       : m.mode == trace::MetricMode::AsyncInstant  ? "async-inst"
-                                                                    : "counter";
-    std::printf("  %-24s [%s] %s\n", m.name.c_str(), m.unit.c_str(), mode);
+  std::printf("\nmetrics (%zu):\n", t.metrics.size());
+  for (const trace::MetricView& m : t.metrics) {
+    std::printf("  %-24s [%s] %s\n", std::string(m.name).c_str(),
+                std::string(m.unit).c_str(), mode_name(m.mode));
   }
-  std::printf("\nevents: %zu\n\n", t.events().size());
+  std::printf("\nevents: %zu\n\n", t.columns.size());
 
   std::puts("phase profiles:");
   TablePrinter table({"phase", "elapsed [s]", "avg power [W]", "avg V", "#counters"});
@@ -75,45 +71,46 @@ int print_summary(const trace::Trace& t) {
   return 0;
 }
 
-int print_events(const trace::Trace& t, std::size_t limit) {
-  std::size_t n = 0;
-  for (const trace::Event& event : t.events()) {
-    if (n++ >= limit) {
-      std::printf("... (%zu more events)\n", t.events().size() - limit);
-      break;
+int print_events(const trace::TraceView& t, std::size_t limit) {
+  const trace::EventColumnsView& events = t.columns;
+  for (std::size_t i = 0; i < std::min(limit, events.size()); ++i) {
+    const double time_s = units::ns_to_s(events.times[i]);
+    switch (static_cast<trace::EventKind>(events.kinds[i])) {
+      case trace::EventKind::Enter:
+        std::printf("%12.6f  ENTER  %s\n", time_s,
+                    std::string(events.regions[events.ids[i]]).c_str());
+        break;
+      case trace::EventKind::Exit:
+        std::printf("%12.6f  LEAVE  %s\n", time_s,
+                    std::string(events.regions[events.ids[i]]).c_str());
+        break;
+      case trace::EventKind::Metric:
+        std::printf("%12.6f  METRIC %-24s %g\n", time_s,
+                    std::string(t.metrics[events.ids[i]].name).c_str(), events.values[i]);
+        break;
     }
-    if (const auto* enter = std::get_if<trace::RegionEnter>(&event)) {
-      std::printf("%12.6f  ENTER  %s\n", units::ns_to_s(enter->time_ns),
-                  enter->region.c_str());
-    } else if (const auto* exit = std::get_if<trace::RegionExit>(&event)) {
-      std::printf("%12.6f  LEAVE  %s\n", units::ns_to_s(exit->time_ns),
-                  exit->region.c_str());
-    } else {
-      const auto& metric = std::get<trace::MetricEvent>(event);
-      std::printf("%12.6f  METRIC %-24s %g\n", units::ns_to_s(metric.time_ns),
-                  t.metrics()[metric.metric].name.c_str(), metric.value);
-    }
+  }
+  if (events.size() > limit) {
+    std::printf("... (%zu more events)\n", events.size() - limit);
   }
   return 0;
 }
 
-int print_json(const trace::Trace& t) {
+int print_json(const trace::TraceView& t) {
   Json out;
-  for (const auto& [key, value] : t.attributes()) {
-    out["attributes"][key] = value;
+  for (const auto& [key, value] : t.attributes) {
+    out["attributes"][key] = std::string(value);
   }
   Json::Array metrics;
-  for (const trace::MetricDefinition& m : t.metrics()) {
+  for (const trace::MetricView& m : t.metrics) {
     Json metric;
-    metric["name"] = m.name;
-    metric["unit"] = m.unit;
-    metric["mode"] = m.mode == trace::MetricMode::AsyncAverage    ? "async-avg"
-                     : m.mode == trace::MetricMode::AsyncInstant  ? "async-inst"
-                                                                  : "counter";
+    metric["name"] = std::string(m.name);
+    metric["unit"] = std::string(m.unit);
+    metric["mode"] = mode_name(m.mode);
     metrics.push_back(std::move(metric));
   }
   out["metrics"] = std::move(metrics);
-  out["events"] = t.events().size();
+  out["events"] = t.columns.size();
   Json::Array profiles;
   for (const trace::PhaseProfile& p : trace::build_phase_profiles(t)) {
     Json profile;
@@ -132,11 +129,10 @@ int print_json(const trace::Trace& t) {
 }
 
 /// --profile: the full phase-profile table the modeling pipeline consumes —
-/// one row per phase with its identification, plus every counter rate. The
-/// profiles come from the same columnar single-pass scan the library uses
-/// (callers pass the scan's output so mapped and buffered ingestion share
-/// this printer).
-int print_profiles(const std::vector<trace::PhaseProfile>& profiles) {
+/// one row per phase with its identification, plus every counter rate, from
+/// the same columnar single-pass scan the library uses.
+int print_profiles(const trace::TraceView& t) {
+  const std::vector<trace::PhaseProfile> profiles = trace::build_phase_profiles(t);
   TablePrinter table({"workload", "phase", "f [GHz]", "threads", "elapsed [s]",
                       "avg power [W]", "avg V"});
   for (const trace::PhaseProfile& p : profiles) {
@@ -159,11 +155,11 @@ int print_profiles(const std::vector<trace::PhaseProfile>& profiles) {
   return 0;
 }
 
-/// --stat: how the file was ingested — format generation, zero-copy vs
-/// buffered, byte accounting, and (for mapped v4 files) the validated
-/// section table with absolute offsets and padded sizes.
+/// --stat: how the file was ingested — zero-copy vs buffered, byte
+/// accounting, and (for mapped files) the validated section table with
+/// absolute offsets and padded sizes.
 int print_stat(const trace::MappedTraceFile& file) {
-  std::printf("format:          OTF2LTv%d\n", file.format_version());
+  std::puts("format:          OTF2LTv4");
   std::printf("ingestion:       %s\n", file.mapped() ? "mapped (zero-copy)" : "buffered");
   std::printf("bytes mapped:    %zu\n", file.bytes_mapped());
   std::printf("bytes copied:    %zu\n", file.bytes_copied());
@@ -184,14 +180,15 @@ int print_stat(const trace::MappedTraceFile& file) {
   return 0;
 }
 
-int print_csv(const trace::Trace& t) {
+int print_csv(const trace::TraceView& t) {
   CsvWriter csv(std::cout);
   csv.header({"time_s", "metric", "value"});
-  for (const trace::Event& event : t.events()) {
-    if (const auto* metric = std::get_if<trace::MetricEvent>(&event)) {
-      csv.row({format_double(units::ns_to_s(metric->time_ns), 6),
-               t.metrics()[metric->metric].name,
-               format_double(metric->value, 6)});
+  const trace::EventColumnsView& events = t.columns;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (static_cast<trace::EventKind>(events.kinds[i]) == trace::EventKind::Metric) {
+      csv.row({format_double(units::ns_to_s(events.times[i]), 6),
+               std::string(t.metrics[events.ids[i]].name),
+               format_double(events.values[i], 6)});
     }
   }
   return 0;
@@ -200,14 +197,11 @@ int print_csv(const trace::Trace& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Split args into the path, one mode word, and the --mmap toggle.
+  // Split args into the path and the mode words.
   const char* path = nullptr;
   std::vector<const char*> mode_args;
-  bool use_mmap = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mmap") == 0) {
-      use_mmap = true;
-    } else if (path == nullptr && argv[i][0] != '-') {
+    if (path == nullptr && argv[i][0] != '-') {
       path = argv[i];
     } else {
       mode_args.push_back(argv[i]);
@@ -215,7 +209,7 @@ int main(int argc, char** argv) {
   }
   if (path == nullptr) {
     std::fprintf(stderr,
-                 "usage: %s <trace.otf2l> [--mmap] "
+                 "usage: %s <trace.otf2l> "
                  "[--events [N] | --csv | --json | --profile | --stat]\n",
                  argv[0]);
     return 2;
@@ -224,20 +218,11 @@ int main(int argc, char** argv) {
     return !mode_args.empty() && std::strcmp(mode_args[0], flag) == 0;
   };
   try {
+    const auto file = pwx::trace::MappedTraceFile::open(path);
+    const pwx::trace::TraceView& t = file.view();
     if (mode("--stat")) {
-      return print_stat(pwx::trace::MappedTraceFile::open(path));
+      return print_stat(file);
     }
-    if (use_mmap && mode("--profile")) {
-      // The fully zero-copy route: profiles straight off the mapped view.
-      const auto file = pwx::trace::MappedTraceFile::open(path);
-      return print_profiles(pwx::trace::build_phase_profiles(file.view()));
-    }
-    // The record-oriented printers below want an owned Trace; with --mmap
-    // the bytes still arrive through the mapped reader (exercising the same
-    // parser and fallback the pipeline uses) before being materialized.
-    const pwx::trace::Trace t =
-        use_mmap ? pwx::trace::to_trace(pwx::trace::MappedTraceFile::open(path).view())
-                 : pwx::trace::read_trace_file(path);
     if (mode("--events")) {
       const std::size_t limit =
           mode_args.size() >= 2 ? std::strtoul(mode_args[1], nullptr, 10) : 50;
@@ -250,7 +235,7 @@ int main(int argc, char** argv) {
       return print_json(t);
     }
     if (mode("--profile")) {
-      return print_profiles(pwx::trace::build_phase_profiles(t));
+      return print_profiles(t);
     }
     return print_summary(t);
   } catch (const pwx::IoError& e) {

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     const trace::Trace t = trace::build_standard_trace(run, events);
     trace::write_trace_file(t, argv[2]);
     std::printf("wrote %s: %zu events, %.1f s wall time\n", argv[2],
-                t.events().size(), run.wall_time_s);
+                t.columns().size(), run.wall_time_s);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
