@@ -67,22 +67,4 @@ BENCHMARK(BM_SelectEventsByCandidates)
     ->Arg(54)
     ->Unit(benchmark::kMillisecond);
 
-// Serial vs parallel gating scan on the same problem. The two must return
-// identical SelectionStep sequences (scores come from candidate-independent
-// exact refits with a serial argmax); this pair exists to measure the
-// OpenMP overhead/benefit on the current machine.
-void BM_SelectEventsScanMode(benchmark::State& state) {
-  const acquire::Dataset& dataset = acquire::standard_selection_dataset();
-  const std::vector<pmc::Preset> candidates = pmc::haswell_ep_available_events();
-  core::SelectionOptions opt;
-  opt.count = 6;
-  opt.parallel_scan = state.range(0) != 0;
-  for (auto _ : state) {
-    const auto result = core::select_events(dataset, candidates, opt);
-    benchmark::DoNotOptimize(result.steps.back().r_squared);
-  }
-  state.SetLabel(opt.parallel_scan ? "parallel" : "serial");
-}
-BENCHMARK(BM_SelectEventsScanMode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/features.hpp"
-#include "regress/fast_fit.hpp"
+#include "regress/ols.hpp"
 #include "stats/metrics.hpp"
 
 namespace pwx::core {
@@ -51,8 +51,8 @@ LowoSummary leave_one_workload_out(const acquire::Dataset& dataset,
     }
     holdout.rows = validate_rows.size();
     try {
-      const regress::FastOls fit =
-          regress::fit_ols_fast(x.select_rows(train_rows), gather(y, train_rows));
+      const regress::OlsResult fit =
+          regress::fit_ols(x.select_rows(train_rows), gather(y, train_rows));
       const std::vector<double> predicted = fit.predict(x.select_rows(validate_rows));
       const std::vector<double> actual = gather(y, validate_rows);
       holdout.mape = stats::mape(actual, predicted);

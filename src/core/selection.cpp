@@ -1,15 +1,7 @@
 #include "core/selection.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/error.hpp"
-#include "common/log.hpp"
-#include "core/selection_engine.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-#include "regress/fast_fit.hpp"
+#include "core/selection_criteria.hpp"
 #include "regress/vif.hpp"
 
 namespace pwx::core {
@@ -34,140 +26,19 @@ double selected_events_mean_vif(const la::Matrix& rates) {
   return regress::mean_vif_qr(rates);
 }
 
-
 SelectionResult select_events(const acquire::Dataset& dataset,
                               const std::vector<pmc::Preset>& candidates,
                               const SelectionOptions& options) {
-  PWX_SPAN("selection.select_events");
-  static obs::Counter& c_calls =
-      obs::registry().counter("selection.calls", "select_events invocations");
-  static obs::Counter& c_scans = obs::registry().counter(
-      "selection.candidate_scans", "fast-gate candidate scores computed");
-  static obs::Counter& c_refits = obs::registry().counter(
-      "selection.exact_refits", "exact QR refits in the argmax pass");
-  static obs::Counter& c_gate_skips = obs::registry().counter(
-      "selection.gate_skips", "candidates skipped by the fast-score gate");
-  static obs::Histogram& h_step = obs::registry().histogram(
-      "selection.step_seconds", {}, "wall time of one greedy selection step");
-  c_calls.add(1);
-  PWX_REQUIRE(!candidates.empty(), "selection needs candidate events");
-  PWX_REQUIRE(options.count >= 1 && options.count <= candidates.size(),
-              "cannot select ", options.count, " events from ", candidates.size(),
-              " candidates");
-
-  const SelectionColumnPool pool(dataset, candidates, options.normalization);
-  regress::StepwiseOls fit(pool.base_features(), pool.power());
-  fit.register_candidates(pool.feature_columns(), pool.candidate_count());
-
-  const std::size_t n_candidates = pool.candidate_count();
+  // Algorithm 1 is the R² case of the one greedy loop; for R² the loop
+  // stops early only when the VIF veto leaves no candidate.
+  const CriterionSelectionResult greedy = select_events_with_criterion(
+      dataset, candidates, options, SelectionCriterion::RSquared);
+  PWX_CHECK(!greedy.stopped_early,
+            "no candidate event admits a full-rank fit within the VIF bound");
   SelectionResult result;
-  std::vector<std::size_t> selected;  // candidate indices, selection order
-  std::vector<char> used(n_candidates, 0);
-
-  if (options.init_with_cycle_counter) {
-    // Walker et al. seed the set with the cycle counter.
-    const auto it =
-        std::find(candidates.begin(), candidates.end(), pmc::Preset::TOT_CYC);
-    PWX_REQUIRE(it != candidates.end(),
-                "cycle-counter initialization requires TOT_CYC among the candidates");
-    const auto index =
-        static_cast<std::size_t>(std::distance(candidates.begin(), it));
-    const regress::R2Fit seeded = fit.score(pool.feature_column(index));
-    PWX_CHECK(seeded.full_rank && fit.push(pool.feature_column(index)),
-              "cycle-counter-only fit failed");
-    selected.push_back(index);
-    used[index] = 1;
-    SelectionStep step;
-    step.event = pmc::Preset::TOT_CYC;
-    step.r_squared = seeded.r_squared;
-    step.adj_r_squared = seeded.adj_r_squared;
-    result.steps.push_back(step);
-  }
-
-  const bool vif_veto = std::isfinite(options.max_mean_vif);
-  std::vector<double> fast(n_candidates);
-
-  while (selected.size() < options.count) {
-    const obs::ScopedTimer step_timer(h_step);
-    c_scans.add(n_candidates - selected.size());
-    // Gating pass: cheap approximate R² per remaining candidate. Each value
-    // depends only on the committed factor and that candidate's cached
-    // columns, so the loop parallelizes without changing any result.
-    const bool score_vif = vif_veto && !selected.empty();
-    const auto n = static_cast<std::ptrdiff_t>(n_candidates);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (options.parallel_scan)
-#endif
-    for (std::ptrdiff_t ii = 0; ii < n; ++ii) {
-      const auto i = static_cast<std::size_t>(ii);
-      thread_local regress::StepwiseOls::Scratch scratch;
-      fast[i] = used[i] ? -std::numeric_limits<double>::infinity()
-                        : fit.score_fast(i, scratch);
-    }
-
-    // Deterministic argmax over *exact* (bit-identical-to-fit_ols) refits,
-    // visiting candidates in index order with strict improvement — the
-    // arithmetic and tie-breaks of the all-serial exact scan. The fast pass
-    // only licenses skips: a candidate whose fast score trails the running
-    // best by more than kFastScoreGate cannot win (the gate exceeds the
-    // fast-vs-exact deviation by orders of magnitude), and skipping a loser
-    // never changes the running best, the VIF-veto decisions, or the winner.
-    regress::StepwiseOls::Scratch scratch;
-    double best_r2 = -std::numeric_limits<double>::infinity();
-    std::size_t best_index = n_candidates;
-    regress::R2Fit best_fit;
-    double best_vif = 0.0;
-    std::vector<std::size_t> trial_events;
-    std::size_t exact_refits = 0;
-    std::size_t gate_skips = 0;
-    for (std::size_t i = 0; i < n_candidates; ++i) {
-      if (used[i]) {
-        continue;
-      }
-      if (fast[i] + regress::kFastScoreGate <= best_r2) {
-        gate_skips += 1;
-        continue;
-      }
-      exact_refits += 1;
-      const regress::R2Fit trial = fit.score_registered(i, scratch);
-      if (!trial.full_rank || trial.r_squared <= best_r2) {
-        continue;  // collinear with the committed set, or no improvement
-      }
-      double trial_vif = 0.0;
-      if (score_vif) {
-        trial_events.assign(selected.begin(), selected.end());
-        trial_events.push_back(i);
-        trial_vif = pool.mean_vif(trial_events);
-        if (trial_vif > options.max_mean_vif) {
-          continue;  // stage-2 veto: event is too collinear to stay stable
-        }
-      }
-      best_r2 = trial.r_squared;
-      best_index = i;
-      best_fit = trial;
-      best_vif = trial_vif;
-    }
-    c_refits.add(exact_refits);
-    c_gate_skips.add(gate_skips);
-    PWX_CHECK(best_index < n_candidates,
-              "no candidate event admits a full-rank fit within the VIF bound");
-
-    PWX_CHECK(fit.push(pool.feature_column(best_index)),
-              "scored candidate no longer fits — inconsistent column pool");
-    selected.push_back(best_index);
-    used[best_index] = 1;
-
-    SelectionStep step;
-    step.event = pool.events()[best_index];
-    step.r_squared = best_fit.r_squared;
-    step.adj_r_squared = best_fit.adj_r_squared;
-    if (selected.size() >= 2) {
-      step.mean_vif = score_vif ? best_vif : pool.mean_vif(selected);
-    }
-    PWX_LOG_DEBUG("selection step ", selected.size(), ": ",
-                  std::string(pmc::preset_name(step.event)), " R2=", step.r_squared,
-                  " meanVIF=", step.mean_vif);
-    result.steps.push_back(step);
+  result.steps.reserve(greedy.steps.size());
+  for (const CriterionStep& step : greedy.steps) {
+    result.steps.push_back(step.base);
   }
   return result;
 }

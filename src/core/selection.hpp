@@ -11,6 +11,12 @@
 // paper's Table I/IV analysis — including the CA_SNP dilemma, where the
 // seventh event raises R² but explodes the mean VIF and no transformation
 // can fix it.
+//
+// select_events is the R² case of the one greedy loop behind
+// select_events_with_criterion (core/selection_criteria.hpp). Each step
+// gates the remaining candidates with an approximate score computed under
+// OpenMP, then picks the winner from exact fit_ols-identical refits in
+// candidate order, so the result never depends on the thread count.
 #pragma once
 
 #include <cstddef>
@@ -33,11 +39,6 @@ struct SelectionOptions {
   /// paper's "do not select CA_SNP" decision, applied at every step).
   /// Infinity disables the veto — the unmodified Algorithm 1.
   double max_mean_vif = std::numeric_limits<double>::infinity();
-  /// Scan the remaining candidates with OpenMP. Results are bit-identical to
-  /// the serial scan: every candidate's score is computed independently and
-  /// the argmax reduction is serial with an index tie-break, so thread count
-  /// and scheduling never influence the outcome.
-  bool parallel_scan = true;
 };
 
 /// One greedy step.
@@ -59,6 +60,8 @@ struct SelectionResult {
 /// Run Algorithm 1 over `candidates` on `dataset`. Candidates whose fit is
 /// numerically impossible (perfectly collinear with already-selected events)
 /// are skipped, mirroring what statsmodels' pinv fit would render useless.
+/// Throws pwx::Error when no candidate is left (all collinear, or all
+/// vetoed by `max_mean_vif`).
 SelectionResult select_events(const acquire::Dataset& dataset,
                               const std::vector<pmc::Preset>& candidates,
                               const SelectionOptions& options = {});

@@ -5,9 +5,12 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/log.hpp"
 #include "core/model.hpp"
 #include "core/pcc.hpp"
 #include "core/selection_engine.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "regress/fast_fit.hpp"
 #include "regress/lasso.hpp"
 #include "stats/correlation.hpp"
@@ -55,6 +58,18 @@ std::vector<pmc::Preset> CriterionSelectionResult::selected() const {
 CriterionSelectionResult select_events_with_criterion(
     const acquire::Dataset& dataset, const std::vector<pmc::Preset>& candidates,
     const SelectionOptions& options, SelectionCriterion criterion) {
+  PWX_SPAN("selection.select_events");
+  static obs::Counter& c_calls =
+      obs::registry().counter("selection.calls", "greedy selection invocations");
+  static obs::Counter& c_scans = obs::registry().counter(
+      "selection.candidate_scans", "fast-gate candidate scores computed");
+  static obs::Counter& c_refits = obs::registry().counter(
+      "selection.exact_refits", "exact QR refits in the argmax pass");
+  static obs::Counter& c_gate_skips = obs::registry().counter(
+      "selection.gate_skips", "candidates skipped by the fast-score gate");
+  static obs::Histogram& h_step = obs::registry().histogram(
+      "selection.step_seconds", {}, "wall time of one greedy selection step");
+  c_calls.add(1);
   PWX_REQUIRE(!candidates.empty(), "selection needs candidate events");
   PWX_REQUIRE(options.count >= 1 && options.count <= candidates.size(),
               "cannot select ", options.count, " events from ", candidates.size(),
@@ -62,6 +77,7 @@ CriterionSelectionResult select_events_with_criterion(
 
   CriterionSelectionResult result;
   result.criterion = criterion;
+  const bool information = is_information_criterion(criterion);
   const bool vif_veto = std::isfinite(options.max_mean_vif);
 
   const SelectionColumnPool pool(dataset, candidates, options.normalization);
@@ -71,21 +87,63 @@ CriterionSelectionResult select_events_with_criterion(
   const std::size_t n_candidates = pool.candidate_count();
   std::vector<std::size_t> selected;  // candidate indices, selection order
   std::vector<char> used(n_candidates, 0);
+  double current = 0.0;  // criterion value of the committed model
 
-  // Criterion value of the event-free model, the early-stop reference.
-  const regress::R2Fit base = fit.current();
-  PWX_CHECK(base.full_rank, "base design (V²f, V) is rank deficient");
-  double current = criterion_value(criterion, base, fit.rows());
+  // Commits candidate `index`, whose trial fit scored `value`; `vetted_vif`
+  // is the mean VIF the stage-2 veto already computed for the new set.
+  const auto commit = [&](std::size_t index, const regress::R2Fit& trial, double value,
+                          double vetted_vif) {
+    PWX_CHECK(fit.push(pool.feature_column(index)),
+              "scored candidate no longer fits — inconsistent column pool");
+    selected.push_back(index);
+    used[index] = 1;
+    current = value;
+
+    CriterionStep step;
+    step.base.event = pool.events()[index];
+    step.base.r_squared = trial.r_squared;
+    step.base.adj_r_squared = trial.adj_r_squared;
+    if (selected.size() >= 2) {
+      step.base.mean_vif = vif_veto ? vetted_vif : pool.mean_vif(selected);
+    }
+    step.criterion_value = information ? value : -value;
+    PWX_LOG_DEBUG("selection step ", selected.size(), ": ",
+                  std::string(pmc::preset_name(step.base.event)),
+                  " R2=", step.base.r_squared, " meanVIF=", step.base.mean_vif);
+    result.steps.push_back(step);
+  };
+
+  if (options.init_with_cycle_counter) {
+    // Walker et al. seed the set with the cycle counter; its fit is the
+    // reference the information criteria's early stop compares against.
+    const auto it =
+        std::find(candidates.begin(), candidates.end(), pmc::Preset::TOT_CYC);
+    PWX_REQUIRE(it != candidates.end(),
+                "cycle-counter initialization requires TOT_CYC among the candidates");
+    const auto index =
+        static_cast<std::size_t>(std::distance(candidates.begin(), it));
+    const regress::R2Fit seeded = fit.score(pool.feature_column(index));
+    PWX_CHECK(seeded.full_rank, "cycle-counter-only fit failed");
+    commit(index, seeded, criterion_value(criterion, seeded, fit.rows()), 0.0);
+  } else {
+    // The event-free model is the early-stop reference.
+    const regress::R2Fit base = fit.current();
+    PWX_CHECK(base.full_rank, "base design (V²f, V) is rank deficient");
+    current = criterion_value(criterion, base, fit.rows());
+  }
 
   std::vector<double> fast(n_candidates);
 
   while (selected.size() < options.count) {
-    // Gating pass: approximate R² per remaining candidate (parallel-safe,
-    // result-independent of threading).
+    const obs::ScopedTimer step_timer(h_step);
+    c_scans.add(n_candidates - selected.size());
+    // Gating pass: cheap approximate R² per remaining candidate. Each value
+    // depends only on the committed factor and that candidate's cached
+    // columns, so the loop parallelizes without changing any result.
     const bool score_vif = vif_veto && !selected.empty();
     const auto n = static_cast<std::ptrdiff_t>(n_candidates);
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (options.parallel_scan)
+#pragma omp parallel for schedule(static)
 #endif
     for (std::ptrdiff_t ii = 0; ii < n; ++ii) {
       const auto i = static_cast<std::size_t>(ii);
@@ -94,12 +152,16 @@ CriterionSelectionResult select_events_with_criterion(
                         : fit.score_fast(i, scratch);
     }
 
-    // Deterministic arg-min over exact refits (strict improvement: lowest
-    // candidate index wins ties), with the stage-2 VIF veto evaluated lazily
-    // on improving candidates only — the same order the serial loop always
-    // used. Every candidate in a scan adds the same parameter count, so all
-    // four criteria order candidates exactly as R² does and the fast-R² gate
-    // (see select_events) is equally valid here.
+    // Deterministic arg-min over *exact* (bit-identical-to-fit_ols) refits,
+    // visiting candidates in index order with strict improvement, so the
+    // lowest index wins ties. The stage-2 VIF veto is evaluated lazily, on
+    // improving candidates only. The fast pass only licenses skips: a
+    // candidate whose fast score trails the running best R² by more than
+    // kFastScoreGate cannot win (the gate exceeds the fast-vs-exact deviation
+    // by orders of magnitude), and skipping a loser never changes the running
+    // best, the veto decisions, or the winner. Every candidate in a scan adds
+    // the same parameter count, so all four criteria order candidates exactly
+    // as R² does and the gate holds for each of them.
     regress::StepwiseOls::Scratch scratch;
     double best_value = std::numeric_limits<double>::infinity();
     double best_r2 = -std::numeric_limits<double>::infinity();
@@ -107,17 +169,24 @@ CriterionSelectionResult select_events_with_criterion(
     regress::R2Fit best_fit;
     double best_vif = 0.0;
     std::vector<std::size_t> trial_events;
+    std::size_t exact_refits = 0;
+    std::size_t gate_skips = 0;
     for (std::size_t i = 0; i < n_candidates; ++i) {
-      if (used[i] || fast[i] + regress::kFastScoreGate <= best_r2) {
+      if (used[i]) {
         continue;
       }
+      if (fast[i] + regress::kFastScoreGate <= best_r2) {
+        gate_skips += 1;
+        continue;
+      }
+      exact_refits += 1;
       const regress::R2Fit trial = fit.score_registered(i, scratch);
       if (!trial.full_rank) {
-        continue;
+        continue;  // collinear with the committed set
       }
       const double value = criterion_value(criterion, trial, fit.rows());
       if (value >= best_value) {
-        continue;
+        continue;  // no improvement
       }
       double trial_vif = 0.0;
       if (score_vif) {
@@ -125,7 +194,7 @@ CriterionSelectionResult select_events_with_criterion(
         trial_events.push_back(i);
         trial_vif = pool.mean_vif(trial_events);
         if (trial_vif > options.max_mean_vif) {
-          continue;
+          continue;  // stage-2 veto: event is too collinear to stay stable
         }
       }
       best_value = value;
@@ -134,35 +203,17 @@ CriterionSelectionResult select_events_with_criterion(
       best_fit = trial;
       best_vif = trial_vif;
     }
-    PWX_CHECK(best_index < n_candidates ||
-                  is_information_criterion(criterion) || vif_veto,
-              "no candidate admits a full-rank fit");
-    if (best_index >= n_candidates) {
+    c_refits.add(exact_refits);
+    c_gate_skips.add(gate_skips);
+    PWX_CHECK(best_index < n_candidates || information || vif_veto,
+              "no candidate event admits a full-rank fit");
+    // The veto may leave no candidate, and the information criteria stop
+    // when the best candidate does not improve on the committed model.
+    if (best_index >= n_candidates || (information && best_value >= current)) {
       result.stopped_early = true;
       break;
     }
-    // Information criteria stop when the best candidate does not improve.
-    if (is_information_criterion(criterion) && best_value >= current) {
-      result.stopped_early = true;
-      break;
-    }
-    current = best_value;
-
-    PWX_CHECK(fit.push(pool.feature_column(best_index)),
-              "scored candidate no longer fits — inconsistent column pool");
-    selected.push_back(best_index);
-    used[best_index] = 1;
-
-    CriterionStep step;
-    step.base.event = pool.events()[best_index];
-    step.base.r_squared = best_fit.r_squared;
-    step.base.adj_r_squared = best_fit.adj_r_squared;
-    step.criterion_value =
-        is_information_criterion(criterion) ? best_value : -best_value;
-    if (selected.size() >= 2) {
-      step.base.mean_vif = score_vif ? best_vif : pool.mean_vif(selected);
-    }
-    result.steps.push_back(step);
+    commit(best_index, best_fit, best_value, best_vif);
   }
   return result;
 }
@@ -192,10 +243,9 @@ LassoSelectionResult select_events_lasso(const acquire::Dataset& dataset,
   PWX_REQUIRE(count >= 1 && count <= candidates.size(), "cannot take ", count,
               " of ", candidates.size(), " candidates");
 
-  // Pool columns are bit-identical to build_features' output, so the path
-  // (and everything printed from it) is unchanged by the shared engine.
+  // The pool's design is build_features' output over every candidate.
   const SelectionColumnPool pool(dataset, candidates, normalization);
-  const la::Matrix x = pool.feature_matrix();
+  const la::Matrix& x = pool.feature_matrix();
   const std::vector<double> y(pool.power().begin(), pool.power().end());
 
   // Walk the path from sparse to dense; read off the first fit whose active

@@ -5,9 +5,11 @@
 // regression based power models". This module provides them on top of the
 // same dataset/feature machinery as Algorithm 1:
 //
-//   * stepwise forward selection driven by Adjusted R², AIC, or BIC instead
-//     of raw R² (the information criteria can stop early when an additional
-//     event is not worth its degree of freedom);
+//   * stepwise forward selection driven by R², Adjusted R², AIC, or BIC.
+//     This is the one greedy loop in the library: Algorithm 1
+//     (select_events) is its R² case, with the same Walker seed, VIF veto
+//     and gated scan. The information criteria can stop early when an
+//     additional event is not worth its degree of freedom;
 //   * a correlation-ranking baseline (take the top-|PCC| counters) — the
 //     naive approach the paper's Section V implicitly argues against;
 //   * LASSO-path selection: the L1 path over all candidate events produces
@@ -33,10 +35,8 @@ enum class SelectionCriterion {
   Bic,                ///< minimize n·ln(SSR/n) + k·ln(n)
 };
 
-/// Stepwise forward selection under `criterion`. Behaves like Algorithm 1
-/// but may stop before `options.count` events when no candidate improves an
-/// information criterion; the returned steps record the criterion value in
-/// `SelectionStep::r_squared`-adjacent fields (R²/Adj.R² are always filled).
+/// One stepwise step: Algorithm 1's fields plus the criterion's value for
+/// the fitted set (R² or Adj.R² for those criteria, AIC/BIC otherwise).
 struct CriterionStep {
   SelectionStep base;
   double criterion_value = 0.0;
@@ -45,11 +45,18 @@ struct CriterionStep {
 struct CriterionSelectionResult {
   SelectionCriterion criterion = SelectionCriterion::RSquared;
   std::vector<CriterionStep> steps;
-  bool stopped_early = false;  ///< information criterion refused more events
+  bool stopped_early = false;  ///< criterion or VIF veto refused more events
 
   std::vector<pmc::Preset> selected() const;
 };
 
+/// Stepwise forward selection under `criterion`, honouring every
+/// SelectionOptions field. With `init_with_cycle_counter` TOT_CYC is
+/// committed first and its step carries the seeded fit's criterion value.
+/// Stops before `options.count` events when the VIF veto leaves no
+/// candidate, or when no candidate improves an information criterion on
+/// the committed model (at first the seeded fit, or the event-free
+/// [V²f, V] fit without a seed).
 CriterionSelectionResult select_events_with_criterion(
     const acquire::Dataset& dataset, const std::vector<pmc::Preset>& candidates,
     const SelectionOptions& options, SelectionCriterion criterion);

@@ -1,20 +1,21 @@
 // Column pool behind the selection algorithms.
 //
 // Algorithm 1 and the stepwise-criterion variants fit one model per remaining
-// candidate per step. Before this engine existed every such trial rebuilt its
-// feature matrix from Dataset's per-row std::map lookups and refactorized the
-// design from scratch. The engine extracts everything the trials need exactly
-// once per selection call:
+// candidate per step, and the stage-2 veto evaluates the mean VIF of many
+// trial sets. The pool builds everything those trials read exactly once per
+// selection call, from the same calls the rest of the pipeline uses:
 //
-//   * per-candidate feature columns  E_n·V²f  (normalization-dependent),
-//   * the base columns V²f and V and the power target y,
-//   * per-candidate per-cycle rate columns E_n — the space in which the
-//     paper's mean-VIF stability metric lives (always per-cycle, regardless
-//     of the feature normalization).
+//   * the Equation 1 design over every candidate, build_features'
+//     [E_n·V²f ... | V²f | V] in the requested normalization, also kept
+//     column-major so StepwiseOls scans contiguous candidate columns;
+//   * Dataset::event_rate_matrix over the candidates — the per-cycle rates
+//     in which the paper's mean-VIF stability metric lives (always per-cycle,
+//     regardless of the feature normalization);
+//   * Dataset::power(), the regression target.
 //
-// Trials then run on contiguous cached columns; the mean-VIF veto slices the
-// cached rate columns and computes all VIFs from a single QR (vif_all_qr)
-// instead of one auxiliary regression per selected event per check.
+// Trials then run on cached columns; the mean-VIF veto slices the cached
+// rates and computes all VIFs from a single QR (vif_all_qr) instead of one
+// auxiliary regression per selected event per check.
 #pragma once
 
 #include <cstddef>
@@ -34,23 +35,17 @@ public:
                       const std::vector<pmc::Preset>& candidates,
                       RateNormalization normalization);
 
-  std::size_t rows() const { return rows_; }
   std::size_t candidate_count() const { return events_.size(); }
   const std::vector<pmc::Preset>& events() const { return events_; }
 
-  /// Feature column of candidate i: rate·V²f, length rows().
-  std::span<const double> feature_column(std::size_t i) const {
-    return {features_.data() + i * rows_, rows_};
-  }
+  /// Feature column of candidate i: rate·V²f, one entry per dataset row.
+  std::span<const double> feature_column(std::size_t i) const { return columns_.row(i); }
 
   /// All candidate feature columns as one contiguous column-major block
-  /// (candidate i at [i·rows(), (i+1)·rows())) — the layout
+  /// (candidate i at [i·rows, (i+1)·rows)) — the layout
   /// StepwiseOls::register_candidates expects.
-  std::span<const double> feature_columns() const { return features_; }
-
-  /// Per-cycle rate column of candidate i (the VIF space), length rows().
-  std::span<const double> rate_column(std::size_t i) const {
-    return {rates_.data() + i * rows_, rows_};
+  std::span<const double> feature_columns() const {
+    return columns_.data().first(candidate_count() * design_.rows());
   }
 
   /// The m x 2 matrix [V²f, V] — the fixed trailing columns of Equation 1's
@@ -61,23 +56,18 @@ public:
   std::span<const double> power() const { return power_; }
 
   /// Mean VIF of the per-cycle rates of a candidate subset (indices into
-  /// events(), in selection order), from the cached rate columns — no
-  /// Dataset access. Subset size must be >= 2.
+  /// events(), in selection order), from the cached rates — no Dataset
+  /// access. Subset size must be >= 2.
   double mean_vif(std::span<const std::size_t> subset) const;
 
-  /// The cached rate columns of a subset as a matrix (rows() x subset size),
-  /// identical to Dataset::event_rate_matrix over the same presets.
-  la::Matrix rate_matrix(std::span<const std::size_t> subset) const;
-
-  /// The full design over every candidate in build_features' column layout
-  /// [E_n·V²f ... | V²f | V] — for whole-design consumers (LASSO path).
-  la::Matrix feature_matrix() const;
+  /// The full design over every candidate, build_features' output.
+  const la::Matrix& feature_matrix() const { return design_; }
 
 private:
-  std::size_t rows_ = 0;
   std::vector<pmc::Preset> events_;
-  std::vector<double> features_;  ///< column-major, candidate i at [i·m, (i+1)·m)
-  std::vector<double> rates_;     ///< column-major per-cycle rates
+  la::Matrix design_;   ///< build_features over every candidate
+  la::Matrix columns_;  ///< design_ transposed: row i is design column i
+  la::Matrix rates_;    ///< Dataset::event_rate_matrix over every candidate
   la::Matrix base_;
   std::vector<double> power_;
 };

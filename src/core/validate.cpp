@@ -7,7 +7,7 @@
 #include "core/features.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "regress/fast_fit.hpp"
+#include "regress/ols.hpp"
 #include "stats/kfold.hpp"
 #include "stats/metrics.hpp"
 
@@ -29,13 +29,12 @@ std::vector<double> gather(const std::vector<double>& values,
 
 CvSummary k_fold_cross_validation(const acquire::Dataset& dataset,
                                   const FeatureSpec& spec, std::size_t k,
-                                  std::uint64_t seed, regress::CovarianceType cov) {
+                                  std::uint64_t seed) {
   PWX_SPAN("cv.k_fold");
   static obs::Counter& c_folds =
       obs::registry().counter("cv.folds", "cross-validation folds evaluated");
   static obs::Histogram& h_fold = obs::registry().histogram(
       "cv.fold_seconds", {}, "wall time of one fold's fit + validation");
-  (void)cov;  // fold metrics never read the covariance matrix
   const std::vector<stats::Fold> folds = stats::k_fold_splits(dataset.size(), k, seed);
 
   // Each feature row depends only on its own DataRow, so slicing the
@@ -55,8 +54,8 @@ CvSummary k_fold_cross_validation(const acquire::Dataset& dataset,
   for (const stats::Fold& fold : folds) {
     const obs::ScopedTimer fold_timer(h_fold);
     c_folds.add(1);
-    const regress::FastOls fit =
-        regress::fit_ols_fast(x.select_rows(fold.train), gather(y, fold.train));
+    const regress::OlsResult fit =
+        regress::fit_ols(x.select_rows(fold.train), gather(y, fold.train));
     const std::vector<double> predicted = fit.predict(x.select_rows(fold.validate));
 
     FoldMetrics m;

@@ -6,7 +6,6 @@
 
 #include "acquire/dataset.hpp"
 #include "core/features.hpp"
-#include "regress/ols.hpp"
 
 namespace pwx::core {
 
@@ -26,12 +25,11 @@ struct CvSummary {
   FoldMetrics mean;
 };
 
-/// Run k-fold CV with random indexing (seeded). Throws if any fold's
-/// training split is too small for the spec.
+/// Run k-fold CV with random indexing (seeded). Each fold is fitted with
+/// regress::fit_ols; fold metrics read only its coefficients and R². Throws
+/// if any fold's training split is too small for the spec.
 CvSummary k_fold_cross_validation(const acquire::Dataset& dataset,
                                   const FeatureSpec& spec, std::size_t k,
-                                  std::uint64_t seed,
-                                  regress::CovarianceType cov =
-                                      regress::CovarianceType::HC3);
+                                  std::uint64_t seed);
 
 }  // namespace pwx::core

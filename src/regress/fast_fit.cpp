@@ -1,6 +1,5 @@
 #include "regress/fast_fit.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -12,19 +11,6 @@ namespace pwx::regress {
 
 namespace {
 
-// Same layout and arithmetic as fit_ols's intercept handling, so the two
-// paths factor identical matrices.
-la::Matrix with_intercept(const la::Matrix& x) {
-  la::Matrix out(x.rows(), x.cols() + 1);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    out(r, 0) = 1.0;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      out(r, c + 1) = x(r, c);
-    }
-  }
-  return out;
-}
-
 double centered_ss_tot(std::span<const double> y) {
   const double ybar = stats::mean(y);
   double ss_tot = 0.0;
@@ -33,105 +19,6 @@ double centered_ss_tot(std::span<const double> y) {
   }
   return ss_tot;
 }
-
-double tail_ss(std::span<const double> qty, std::size_t from) {
-  double ss = 0.0;
-  for (std::size_t i = from; i < qty.size(); ++i) {
-    ss += qty[i] * qty[i];
-  }
-  return ss;
-}
-
-}  // namespace
-
-R2Fit fit_r2(const la::Matrix& x, std::span<const double> y) {
-  PWX_REQUIRE(x.rows() == y.size(), "fit_r2: X has ", x.rows(), " rows but y has ",
-              y.size());
-  const la::Matrix design = with_intercept(x);
-  const std::size_t n = design.rows();
-  const std::size_t k = design.cols();
-  PWX_REQUIRE(n > k, "fit_r2 needs more observations (", n, ") than parameters (", k,
-              ")");
-
-  R2Fit res;
-  res.n_parameters = k;
-  const la::QrDecomposition qr(design);
-  if (!qr.full_rank()) {
-    return res;  // full_rank stays false; no exception on collinearity
-  }
-  const std::vector<double> qty = qr.apply_qt(y);
-  res.ss_res = tail_ss(qty, k);
-  const double ss_tot = centered_ss_tot(y);
-  res.r_squared = ss_tot > 0.0 ? 1.0 - res.ss_res / ss_tot : 1.0;
-  res.adj_r_squared = 1.0 - (1.0 - res.r_squared) * static_cast<double>(n - 1) /
-                                static_cast<double>(n - k);
-  res.full_rank = true;
-  return res;
-}
-
-FastOls fit_ols_fast(const la::Matrix& x_in, std::span<const double> y,
-                     bool add_intercept) {
-  PWX_REQUIRE(x_in.rows() == y.size(), "fit_ols_fast: X has ", x_in.rows(),
-              " rows but y has ", y.size());
-  const la::Matrix x = add_intercept ? with_intercept(x_in) : x_in;
-  const std::size_t n = x.rows();
-  const std::size_t k = x.cols();
-  PWX_REQUIRE(n > k, "fit_ols_fast needs more observations (", n,
-              ") than parameters (", k, ")");
-
-  const la::QrDecomposition qr(x);
-  if (!qr.full_rank()) {
-    throw NumericalError(
-        "fit_ols_fast: design matrix is rank deficient (perfectly collinear columns)");
-  }
-
-  FastOls res;
-  res.n_observations = n;
-  res.n_parameters = k;
-  res.has_intercept = add_intercept;
-  res.beta = qr.solve(y);
-
-  // Residual-based RSS, exactly as fit_ols computes it, so R²/Adj.R² match
-  // the full path bit for bit.
-  const std::vector<double> fitted = x.multiply(res.beta);
-  double ss_res = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = y[i] - fitted[i];
-    ss_res += e * e;
-  }
-  res.ss_res = ss_res;
-
-  double ss_tot = 0.0;
-  if (add_intercept) {
-    ss_tot = centered_ss_tot(y);
-  } else {
-    for (double yi : y) {
-      ss_tot += yi * yi;
-    }
-  }
-  res.r_squared = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
-  const double df_resid = static_cast<double>(n - k);
-  const double df_tot =
-      add_intercept ? static_cast<double>(n - 1) : static_cast<double>(n);
-  res.adj_r_squared = 1.0 - (1.0 - res.r_squared) * df_tot / df_resid;
-  return res;
-}
-
-std::vector<double> FastOls::predict(const la::Matrix& x) const {
-  const std::size_t expected = has_intercept ? n_parameters - 1 : n_parameters;
-  PWX_REQUIRE(x.cols() == expected, "predict: expected ", expected, " columns, got ",
-              x.cols());
-  std::vector<double> out(x.rows(), has_intercept ? beta[0] : 0.0);
-  const std::size_t offset = has_intercept ? 1 : 0;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      out[r] += beta[c + offset] * x(r, c);
-    }
-  }
-  return out;
-}
-
-namespace {
 
 la::Matrix intercept_column(std::size_t m) {
   la::Matrix out(m, 1);

@@ -1,22 +1,16 @@
-// R²-only and coefficients-only OLS fast paths.
+// Incremental OLS for greedy forward selection.
 //
-// Greedy forward selection (Algorithm 1) and cross-validation fit hundreds of
-// models per call but only ever consume R²/Adj.R² (selection) or
-// coefficients + predictions (CV folds). fit_ols computes the thin Q factor,
-// (XᵀX)⁻¹, leverage, and a covariance matrix for every fit — all dead weight
-// on those paths. This module provides:
+// Algorithm 1 and its stepwise-criterion variants fit one model per
+// remaining candidate per step but only ever read R²/Adj.R² (and the RSS the
+// information criteria need). StepwiseOls keeps the factor of the committed
+// prefix and extends it one column at a time, so each trial fit replicates
+// fit_ols bit for bit at O(mk) instead of a from-scratch O(mk²) refit, and
+// score_fast gives the approximate R² behind the selection loop's gating
+// pass. Every other fit (the final model, k-fold and LOWO folds) goes
+// through fit_ols.
 //
-//   * fit_r2       — one QR + one Qᵀy; RSS read off the tail of Qᵀy.
-//   * fit_ols_fast — coefficients, fitted values, R²; skips leverage,
-//                    covariance, and inference entirely.
-//   * StepwiseOls  — the engine behind greedy selection: a committed prefix
-//                    factor extended one column at a time, with per-candidate
-//                    trial fits that replicate fit_ols bit for bit at O(mk)
-//                    instead of a from-scratch O(mk²) refit.
-//
-// Rank handling is deliberate: the selection path asks `full_rank` flags (no
-// exceptions as control flow), while fit_ols_fast mirrors fit_ols and throws
-// pwx::NumericalError so existing callers keep their failure semantics.
+// Rank handling is deliberate: trial fits report collinearity through
+// `full_rank` flags (no exceptions as control flow).
 #pragma once
 
 #include <cstddef>
@@ -45,31 +39,6 @@ struct R2Fit {
   std::size_t n_parameters = 0;   ///< design columns incl. intercept
   bool full_rank = false;         ///< false => the other fields are meaningless
 };
-
-/// One-shot R²-only fit of y ~ [1 | x]. Never throws on collinearity — the
-/// rank verdict comes from the QR diagonal and is returned in `full_rank`.
-R2Fit fit_r2(const la::Matrix& x, std::span<const double> y);
-
-/// Coefficients + fit quality without the covariance/leverage machinery.
-struct FastOls {
-  std::vector<double> beta;  ///< intercept first when added
-  double r_squared = 0.0;
-  double adj_r_squared = 0.0;
-  double ss_res = 0.0;
-  std::size_t n_observations = 0;
-  std::size_t n_parameters = 0;  ///< columns incl. intercept
-  bool has_intercept = false;
-
-  /// Predict for a design with the same column layout as the fit input
-  /// (identical arithmetic to OlsResult::predict).
-  std::vector<double> predict(const la::Matrix& x) const;
-};
-
-/// Fit y ~ X (plus intercept when requested), computing only beta and R².
-/// beta, R², and Adj.R² are bit-identical to fit_ols on the same input.
-/// Requires n > k and full column rank; throws pwx::NumericalError otherwise.
-FastOls fit_ols_fast(const la::Matrix& x, std::span<const double> y,
-                     bool add_intercept = true);
 
 /// Stepwise refitter for greedy forward selection over designs of the form
 ///

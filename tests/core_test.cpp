@@ -6,10 +6,15 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <filesystem>
+#include <utility>
 
 #include <unistd.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "acquire/campaign.hpp"
 #include "common/error.hpp"
@@ -22,6 +27,7 @@
 #include "core/scenario.hpp"
 #include "core/selection.hpp"
 #include "core/validate.hpp"
+#include "regress/ols.hpp"
 
 namespace pwx::core {
 namespace {
@@ -258,40 +264,142 @@ void expect_identical_selections(const SelectionResult& a, const SelectionResult
   ASSERT_EQ(a.steps.size(), b.steps.size());
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
     EXPECT_EQ(a.steps[i].event, b.steps[i].event) << "step " << i;
-    // Bit-identical, not merely close: the parallel pass only gates which
-    // candidates reach the serial exact refit, so every reported number must
-    // come out of the same arithmetic regardless of scan mode.
+    // Bit-identical, not merely close: every reported number must come out
+    // of the same arithmetic, whatever the thread count or fitting path.
     EXPECT_EQ(a.steps[i].r_squared, b.steps[i].r_squared) << "step " << i;
     EXPECT_EQ(a.steps[i].adj_r_squared, b.steps[i].adj_r_squared) << "step " << i;
     EXPECT_EQ(a.steps[i].mean_vif, b.steps[i].mean_vif) << "step " << i;
   }
 }
 
+/// Runs OpenMP regions on one thread for its lifetime, then restores the
+/// previous thread count even if the guarded code throws.
+class SingleOmpThread {
+public:
+  SingleOmpThread() {
+#ifdef _OPENMP
+    threads_ = omp_get_max_threads();
+    omp_set_num_threads(1);
+#endif
+  }
+  ~SingleOmpThread() {
+#ifdef _OPENMP
+    omp_set_num_threads(threads_);
+#endif
+  }
+  SingleOmpThread(const SingleOmpThread&) = delete;
+  SingleOmpThread& operator=(const SingleOmpThread&) = delete;
+
+private:
+  [[maybe_unused]] int threads_ = 0;
+};
+
+/// Runs select_events once on a single OpenMP thread and once at the default
+/// thread count, so the gating pass runs serially and then in parallel.
+void expect_serial_scan_matches_parallel(const SelectionOptions& opt) {
+  const Dataset& ds = acquire::standard_selection_dataset();
+  const auto candidates = pmc::haswell_ep_available_events();
+  const SelectionResult serial = [&] {
+    const SingleOmpThread single;
+    return select_events(ds, candidates, opt);
+  }();
+  expect_identical_selections(serial, select_events(ds, candidates, opt));
+}
+
+/// Algorithm 1 written from scratch: every remaining candidate is scored by a
+/// full statsmodels-mirror fit_ols on build_features' design, candidates are
+/// visited in index order, a candidate is kept only on strict R² improvement,
+/// and the stage-2 veto goes through selected_events_mean_vif.
+SelectionResult naive_algorithm_one(const Dataset& ds,
+                                    const std::vector<pmc::Preset>& candidates,
+                                    const SelectionOptions& opt) {
+  const std::vector<double> power = ds.power();
+  const auto fit = [&](const std::vector<pmc::Preset>& events) {
+    FeatureSpec spec;
+    spec.events = events;
+    spec.normalization = opt.normalization;
+    return regress::fit_ols(build_features(ds, spec), power);
+  };
+  SelectionResult result;
+  std::vector<pmc::Preset> selected;
+  if (opt.init_with_cycle_counter) {
+    selected.push_back(pmc::Preset::TOT_CYC);
+    const regress::OlsResult seeded = fit(selected);
+    result.steps.push_back(
+        {pmc::Preset::TOT_CYC, seeded.r_squared, seeded.adj_r_squared, 0.0});
+  }
+  while (selected.size() < opt.count) {
+    SelectionStep best;
+    best.r_squared = -std::numeric_limits<double>::infinity();
+    for (pmc::Preset candidate : candidates) {
+      if (std::find(selected.begin(), selected.end(), candidate) != selected.end()) {
+        continue;
+      }
+      std::vector<pmc::Preset> trial = selected;
+      trial.push_back(candidate);
+      regress::OlsResult trial_fit;
+      try {
+        trial_fit = fit(trial);
+      } catch (const NumericalError&) {
+        continue;  // collinear with the selected set
+      }
+      if (trial_fit.r_squared <= best.r_squared) {
+        continue;
+      }
+      const double vif = trial.size() >= 2 ? selected_events_mean_vif(ds, trial) : 0.0;
+      if (vif > opt.max_mean_vif) {
+        continue;
+      }
+      best = {candidate, trial_fit.r_squared, trial_fit.adj_r_squared, vif};
+    }
+    if (best.event == pmc::Preset::kCount) {
+      ADD_FAILURE() << "no admissible candidate at step " << selected.size() + 1;
+      break;
+    }
+    selected.push_back(best.event);
+    result.steps.push_back(best);
+  }
+  return result;
+}
+
 }  // namespace
 
 TEST(Selection, ParallelScanMatchesSerialScan) {
-  const Dataset& ds = acquire::standard_selection_dataset();
-  SelectionOptions serial;
-  serial.count = 6;
-  serial.parallel_scan = false;
-  SelectionOptions parallel = serial;
-  parallel.parallel_scan = true;
-  const auto candidates = pmc::haswell_ep_available_events();
-  expect_identical_selections(select_events(ds, candidates, serial),
-                              select_events(ds, candidates, parallel));
+  SelectionOptions opt;
+  opt.count = 6;
+  expect_serial_scan_matches_parallel(opt);
 }
 
 TEST(Selection, ParallelScanMatchesSerialScanUnderVifVeto) {
+  SelectionOptions opt;
+  opt.count = 6;
+  opt.max_mean_vif = 8.0;
+  expect_serial_scan_matches_parallel(opt);
+}
+
+// The whole selection against from-scratch OLS, bit for bit: unconstrained,
+// under the VIF veto, and with the Walker seed. Besides the incremental QR
+// and the gated scan, this pins the first step's TOT_CYC vs REF_CYC near-tie
+// (DESIGN.md "Numerical conventions").
+TEST(Selection, MatchesFromScratchOls) {
   const Dataset& ds = acquire::standard_selection_dataset();
-  SelectionOptions serial;
-  serial.count = 6;
-  serial.max_mean_vif = 8.0;
-  serial.parallel_scan = false;
-  SelectionOptions parallel = serial;
-  parallel.parallel_scan = true;
   const auto candidates = pmc::haswell_ep_available_events();
-  expect_identical_selections(select_events(ds, candidates, serial),
-                              select_events(ds, candidates, parallel));
+  SelectionOptions unconstrained;
+  unconstrained.count = 8;
+  SelectionOptions vetoed;
+  vetoed.count = 6;
+  vetoed.max_mean_vif = 8.0;
+  SelectionOptions seeded = vetoed;
+  seeded.init_with_cycle_counter = true;
+  const std::pair<const char*, SelectionOptions> configurations[] = {
+      {"8 steps, no veto", unconstrained},
+      {"6 steps, mean VIF <= 8", vetoed},
+      {"TOT_CYC seed, 6 steps, mean VIF <= 8", seeded}};
+  for (const auto& [name, opt] : configurations) {
+    SCOPED_TRACE(name);
+    expect_identical_selections(select_events(ds, candidates, opt),
+                                naive_algorithm_one(ds, candidates, opt));
+  }
 }
 
 // ---------------------------------------------------------------- validation

@@ -96,7 +96,59 @@ TEST(CriterionSelection, RSquaredCriterionMatchesAlgorithmOne) {
   const auto a = select_events(ds, kCandidates, opt);
   const auto b =
       select_events_with_criterion(ds, kCandidates, opt, SelectionCriterion::RSquared);
-  EXPECT_EQ(a.selected(), b.selected());
+  EXPECT_FALSE(b.stopped_early);
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    EXPECT_EQ(a.steps[i].event, b.steps[i].base.event) << "step " << i;
+    EXPECT_EQ(a.steps[i].r_squared, b.steps[i].base.r_squared) << "step " << i;
+    EXPECT_EQ(a.steps[i].adj_r_squared, b.steps[i].base.adj_r_squared) << "step " << i;
+    EXPECT_EQ(a.steps[i].mean_vif, b.steps[i].base.mean_vif) << "step " << i;
+    EXPECT_EQ(b.steps[i].criterion_value, b.steps[i].base.r_squared) << "step " << i;
+  }
+}
+
+TEST(CriterionSelection, HonoursCycleCounterInitialization) {
+  // Without the seed every criterion picks PRF_DM first on this data.
+  const Dataset ds = synthetic_dataset();
+  SelectionOptions opt;
+  opt.count = 3;
+  opt.init_with_cycle_counter = true;
+  const auto algorithm_one = select_events(ds, kCandidates, opt);
+  ASSERT_EQ(algorithm_one.steps.front().event, pmc::Preset::TOT_CYC);
+  for (SelectionCriterion criterion :
+       {SelectionCriterion::RSquared, SelectionCriterion::AdjustedRSquared,
+        SelectionCriterion::Aic, SelectionCriterion::Bic}) {
+    SCOPED_TRACE(static_cast<int>(criterion));
+    const auto result = select_events_with_criterion(ds, kCandidates, opt, criterion);
+    ASSERT_FALSE(result.steps.empty());
+    const CriterionStep& seed = result.steps.front();
+    EXPECT_EQ(seed.base.event, pmc::Preset::TOT_CYC);
+    EXPECT_EQ(seed.base.r_squared, algorithm_one.steps.front().r_squared);
+    EXPECT_EQ(seed.base.adj_r_squared, algorithm_one.steps.front().adj_r_squared);
+    if (criterion == SelectionCriterion::RSquared) {
+      EXPECT_EQ(seed.criterion_value, seed.base.r_squared);
+    } else if (criterion == SelectionCriterion::AdjustedRSquared) {
+      EXPECT_EQ(seed.criterion_value, seed.base.adj_r_squared);
+    } else {
+      // The early stop compares against the seeded fit: every later step
+      // improved on the one before it.
+      EXPECT_TRUE(std::isfinite(seed.criterion_value));
+      for (std::size_t i = 1; i < result.steps.size(); ++i) {
+        EXPECT_LT(result.steps[i].criterion_value, result.steps[i - 1].criterion_value);
+      }
+    }
+  }
+
+  // Only noise events follow the seed. BR_MSP improves BIC over the
+  // event-free [V²f, V] fit but not over the seeded fit, so the seeded fit
+  // must be the reference the early stop compares against.
+  const std::vector<pmc::Preset> noise_after_seed{
+      pmc::Preset::TOT_CYC, pmc::Preset::BR_MSP, pmc::Preset::TLB_IM};
+  const auto bic = select_events_with_criterion(ds, noise_after_seed, opt,
+                                                SelectionCriterion::Bic);
+  EXPECT_TRUE(bic.stopped_early);
+  ASSERT_EQ(bic.steps.size(), 1u);
+  EXPECT_EQ(bic.steps.front().base.event, pmc::Preset::TOT_CYC);
 }
 
 TEST(CriterionSelection, CriterionValuesAreFinite) {

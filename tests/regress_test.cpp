@@ -492,73 +492,7 @@ TEST(Diagnostics, VarianceRatioNearOneForConstantNoise) {
   EXPECT_NEAR(variance_ratio_by_fitted(fitted, resid), 1.0, 0.25);
 }
 
-// ---------------------------------------------------------------- fast fits
-
-namespace {
-
-std::vector<double> noisy_response(const la::Matrix& x, Rng& rng) {
-  std::vector<double> y(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    double v = 1.5;
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      v += (static_cast<double>(j) + 1.0) * x(i, j);
-    }
-    y[i] = v + rng.normal(0.0, 0.3);
-  }
-  return y;
-}
-
-}  // namespace
-
-TEST(FastFit, R2FitMatchesFitOls) {
-  Rng rng(50);
-  const la::Matrix x = random_design(40, 5, rng);
-  const auto y = noisy_response(x, rng);
-  const OlsResult full = fit_ols(x, y);
-  const R2Fit fast = fit_r2(x, y);
-  ASSERT_TRUE(fast.full_rank);
-  EXPECT_NEAR(fast.r_squared, full.r_squared, 1e-12);
-  EXPECT_NEAR(fast.adj_r_squared, full.adj_r_squared, 1e-12);
-  EXPECT_EQ(fast.n_parameters, 6u);
-}
-
-TEST(FastFit, R2FitFlagsCollinearityWithoutThrowing) {
-  Rng rng(51);
-  la::Matrix x = random_design(20, 3, rng);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    x(i, 2) = 3.0 * x(i, 0);
-  }
-  const R2Fit fast = fit_r2(x, std::vector<double>(20, 1.0));
-  EXPECT_FALSE(fast.full_rank);
-}
-
-TEST(FastFit, FitOlsFastMatchesFitOlsBitwise) {
-  Rng rng(52);
-  const la::Matrix x = random_design(35, 4, rng);
-  const auto y = noisy_response(x, rng);
-  const OlsResult full = fit_ols(x, y);
-  const FastOls fast = fit_ols_fast(x, y);
-  ASSERT_EQ(fast.beta.size(), full.beta.size());
-  for (std::size_t j = 0; j < fast.beta.size(); ++j) {
-    // Identical design assembly, factorization, and solve arithmetic.
-    EXPECT_EQ(fast.beta[j], full.beta[j]) << "beta[" << j << "]";
-  }
-  EXPECT_EQ(fast.r_squared, full.r_squared);
-  EXPECT_EQ(fast.adj_r_squared, full.adj_r_squared);
-}
-
-TEST(FastFit, FastPredictMatchesOlsPredict) {
-  Rng rng(53);
-  const la::Matrix x = random_design(30, 3, rng);
-  const auto y = noisy_response(x, rng);
-  const la::Matrix x_new = random_design(7, 3, rng);
-  const auto p_full = fit_ols(x, y).predict(x_new);
-  const auto p_fast = fit_ols_fast(x, y).predict(x_new);
-  ASSERT_EQ(p_full.size(), p_fast.size());
-  for (std::size_t i = 0; i < p_full.size(); ++i) {
-    EXPECT_NEAR(p_fast[i], p_full[i], 1e-12);
-  }
-}
+// ---------------------------------------------------------------- stepwise fits
 
 TEST(FastFit, StepwiseScoreMatchesFitOlsBitwise) {
   // StepwiseOls trial fits must replicate fit_ols on the assembled design
