@@ -16,6 +16,12 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// Per-node staleness gauges ("fleet.node.<name>.staleness_s") are created at
+/// intern time for the first this-many nodes (while telemetry is enabled);
+/// later nodes get none, so the metric registry and snapshot cost stay
+/// bounded on large fleets. Aggregate fleet gauges are always maintained.
+constexpr std::size_t kPerNodeGaugeLimit = 1024;
+
 void fnv_mix(std::uint64_t& hash, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     hash ^= (value >> (8 * i)) & 0xFFu;
@@ -77,17 +83,7 @@ FleetEstimator::FleetEstimator(PowerModel node_model, double smoothing,
     : initial_(std::make_shared<const PublishedModel>(std::move(node_model), 1)),
       smoothing_(smoothing), staleness_horizon_s_(staleness_horizon_s),
       options_(options) {
-  PWX_REQUIRE(staleness_horizon_s_ > 0.0, "staleness horizon must be positive");
-  PWX_REQUIRE(smoothing_ >= 0.0 && smoothing_ < 1.0, "smoothing must be in [0,1)");
-  if (options_.shard_count == 0) {
-    options_.shard_count = 1;
-  }
-  shards_.reserve(options_.shard_count);
-  for (std::size_t s = 0; s < options_.shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->pub = initial_;
-  }
-  hash_slots_.assign(64, 0);
+  init_shards();
 }
 
 FleetEstimator::FleetEstimator(std::shared_ptr<LayoutEpoch> epoch, double smoothing,
@@ -95,9 +91,13 @@ FleetEstimator::FleetEstimator(std::shared_ptr<LayoutEpoch> epoch, double smooth
     : epoch_(std::move(epoch)), smoothing_(smoothing),
       staleness_horizon_s_(staleness_horizon_s), options_(options) {
   PWX_REQUIRE(epoch_ != nullptr, "fleet needs a non-null epoch");
+  initial_ = epoch_->current();
+  init_shards();
+}
+
+void FleetEstimator::init_shards() {
   PWX_REQUIRE(staleness_horizon_s_ > 0.0, "staleness horizon must be positive");
   PWX_REQUIRE(smoothing_ >= 0.0 && smoothing_ < 1.0, "smoothing must be in [0,1)");
-  initial_ = epoch_->current();
   if (options_.shard_count == 0) {
     options_.shard_count = 1;
   }
@@ -107,12 +107,6 @@ FleetEstimator::FleetEstimator(std::shared_ptr<LayoutEpoch> epoch, double smooth
     shards_.back()->pub = initial_;
   }
   hash_slots_.assign(64, 0);
-}
-
-FleetEstimator::~FleetEstimator() {
-  for (std::atomic<std::atomic<std::uint64_t>*>& chunk : loc_chunks_) {
-    delete[] chunk.load(std::memory_order_relaxed);
-  }
 }
 
 std::shared_ptr<const PublishedModel> FleetEstimator::publication() const {
@@ -128,25 +122,6 @@ const PublishedModel& FleetEstimator::acquire_publication(Shard& shard) {
     shard.pub = epoch_->current();
   }
   return *shard.pub;
-}
-
-void FleetEstimator::store_loc(NodeId id, Loc loc) {
-  const std::size_t c = id >> kLocChunkBits;
-  PWX_REQUIRE(c < kLocMaxChunks, "fleet node capacity exhausted");
-  const std::uint64_t packed =
-      (std::uint64_t{loc.shard} << 32) | std::uint64_t{loc.slot};
-  std::atomic<std::uint64_t>* chunk =
-      loc_chunks_[c].load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    // Fill the entry before publishing the chunk pointer; readers also
-    // synchronize through node_count_, but this keeps the chunk internally
-    // consistent on its own.
-    chunk = new std::atomic<std::uint64_t>[kLocChunkSize]();
-    chunk[id & (kLocChunkSize - 1)].store(packed, std::memory_order_relaxed);
-    loc_chunks_[c].store(chunk, std::memory_order_release);
-  } else {
-    chunk[id & (kLocChunkSize - 1)].store(packed, std::memory_order_relaxed);
-  }
 }
 
 NodeId FleetEstimator::intern(std::string_view node) {
@@ -184,7 +159,7 @@ NodeId FleetEstimator::intern(std::string_view node) {
   // Only while the fleet is small (and telemetry is on) — unbounded
   // per-node registry growth is exactly what large fleets must avoid.
   obs::Gauge* gauge = nullptr;
-  if (obs::enabled() && id < options_.per_node_gauge_limit) {
+  if (obs::enabled() && id < kPerNodeGaugeLimit) {
     gauge = &obs::registry().gauge(
         "fleet.node." + names_[id] + ".staleness_s",
         "seconds since this node last reported (-1 = never)");
@@ -206,10 +181,8 @@ NodeId FleetEstimator::intern(std::string_view node) {
     // Never-reported nodes stay off the seen list: they cost one counter in
     // the shard aggregate, not a list entry, so snapshot/repair walks scale
     // with the active set.
-    store_loc(id, Loc{shard_index, slot});
-    publish_aggregate(shard);
+    locs_.push_back(Loc{shard_index, slot});
   }
-  node_count_.store(id + 1, std::memory_order_release);
   return id;
 }
 
@@ -235,7 +208,16 @@ const std::string& FleetEstimator::node_name(NodeId node) const {
 }
 
 std::size_t FleetEstimator::node_count() const {
-  return node_count_.load(std::memory_order_acquire);
+  std::lock_guard lock(intern_mutex_);
+  return names_.size();
+}
+
+std::optional<FleetEstimator::Loc> FleetEstimator::locate(NodeId node) const {
+  std::lock_guard lock(intern_mutex_);
+  if (node >= locs_.size()) {
+    return std::nullopt;
+  }
+  return locs_[node];
 }
 
 void FleetEstimator::detach_seen(Shard& shard, std::uint32_t slot) {
@@ -306,37 +288,6 @@ void FleetEstimator::repair_minmax(const Shard& shard) const {
     }
   }
   shard.minmax_stale = false;
-}
-
-void FleetEstimator::publish_aggregate(const Shard& shard) const {
-  // Seqlock write: always under the shard mutex, so writes never race each
-  // other. Odd seq opens the window, payload stores are relaxed atomics
-  // (no torn reads possible), even seq closes it.
-  PublishedAggregate& a = shard.agg;
-  const std::uint64_t seq = a.seq.load(std::memory_order_relaxed);
-  a.seq.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  a.sum_watts.store(shard.sum_watts, std::memory_order_relaxed);
-  a.min_watts.store(shard.min_watts, std::memory_order_relaxed);
-  a.max_watts.store(shard.max_watts, std::memory_order_relaxed);
-  a.oldest_seen_s.store(shard.seen_head != kNil
-                            ? shard.nodes[shard.seen_head].last_seen_s
-                            : std::numeric_limits<double>::infinity(),
-                        std::memory_order_relaxed);
-  a.included.store(shard.included, std::memory_order_relaxed);
-  a.degraded.store(shard.degraded, std::memory_order_relaxed);
-  a.failed.store(shard.failed, std::memory_order_relaxed);
-  a.active.store(shard.active, std::memory_order_relaxed);
-  a.interned.store(shard.nodes.size(), std::memory_order_relaxed);
-  std::uint32_t flags = 0;
-  if (shard.min_slot != kNil) {
-    flags |= kMinMaxValid;
-  }
-  if (shard.minmax_stale) {
-    flags |= kMinMaxStale;
-  }
-  a.flags.store(flags, std::memory_order_relaxed);
-  a.seq.store(seq + 2, std::memory_order_release);
 }
 
 double FleetEstimator::ingest_locked(Shard& shard, std::uint32_t slot,
@@ -480,15 +431,12 @@ const DenseSample& FleetEstimator::remap_sample(Shard& shard,
 
 double FleetEstimator::ingest(NodeId node, const DenseSample& sample,
                               double now_s) {
-  PWX_REQUIRE(node < node_count_.load(std::memory_order_acquire),
-              "unknown node id ", node);
-  const Loc loc = loc_of(node);
-  Shard& shard = *shards_[loc.shard];
+  const std::optional<Loc> loc = locate(node);
+  PWX_REQUIRE(loc.has_value(), "unknown node id ", node);
+  Shard& shard = *shards_[loc->shard];
   std::lock_guard lock(shard.mutex);
   acquire_publication(shard);
-  const double estimate = ingest_locked(shard, loc.slot, sample, now_s);
-  publish_aggregate(shard);
-  return estimate;
+  return ingest_locked(shard, loc->slot, sample, now_s);
 }
 
 double FleetEstimator::ingest(NodeId node, const CounterSample& sample,
@@ -499,15 +447,11 @@ double FleetEstimator::ingest(NodeId node, const CounterSample& sample,
   // instead of misreading slots.
   const std::shared_ptr<const PublishedModel> pub = publication();
   pub->layout.to_dense_guarded(sample, scratch);
-  PWX_REQUIRE(node < node_count_.load(std::memory_order_acquire),
-              "unknown node id ", node);
-  const Loc loc = loc_of(node);
-  Shard& shard = *shards_[loc.shard];
+  const std::optional<Loc> loc = locate(node);
+  PWX_REQUIRE(loc.has_value(), "unknown node id ", node);
+  Shard& shard = *shards_[loc->shard];
   std::lock_guard lock(shard.mutex);
-  const double estimate =
-      ingest_sample_locked(shard, loc.slot, scratch, pub->generation, now_s);
-  publish_aggregate(shard);
-  return estimate;
+  return ingest_sample_locked(shard, loc->slot, scratch, pub->generation, now_s);
 }
 
 double FleetEstimator::ingest(const std::string& node, const CounterSample& sample,
@@ -544,24 +488,26 @@ std::size_t FleetEstimator::ingest_batch_impl(
     return *samples[k];
   };
 
-  // Validate handles and resolve (shard, slot) up front — lock-free against
-  // the intern index — so no error is raised inside the (possibly parallel)
-  // shard loop and each sample pays one index lookup.
-  const std::uint32_t known = node_count_.load(std::memory_order_acquire);
-  std::vector<std::uint64_t> locs(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    PWX_REQUIRE(samples[k] != nullptr, "null sample in batch");
-    const NodeSample& s = sample_at(k);
-    PWX_REQUIRE(s.node < known, "unknown node id ", s.node);
-    const Loc loc = loc_of(s.node);
-    locs[k] = (std::uint64_t{loc.shard} << 32) | std::uint64_t{loc.slot};
+  // Validate handles and resolve (shard, slot) up front, under one intern
+  // lock released before any shard lock is taken: no error is raised inside
+  // the (possibly parallel) shard loop, and the lock order stays intern ->
+  // shard.
+  std::vector<Loc> locs(count);
+  {
+    std::lock_guard lock(intern_mutex_);
+    for (std::size_t k = 0; k < count; ++k) {
+      PWX_REQUIRE(samples[k] != nullptr, "null sample in batch");
+      const NodeId node = sample_at(k).node;
+      PWX_REQUIRE(node < locs_.size(), "unknown node id ", node);
+      locs[k] = locs_[node];
+    }
   }
 
   // Stable counting sort by shard: each shard's group preserves batch order,
   // so repeated samples of one node apply in sequence.
   std::vector<std::uint32_t> offsets(shard_count + 1, 0);
   for (std::size_t k = 0; k < count; ++k) {
-    offsets[(locs[k] >> 32) + 1] += 1;
+    offsets[locs[k].shard + 1] += 1;
   }
   for (std::size_t s = 1; s <= shard_count; ++s) {
     offsets[s] += offsets[s - 1];
@@ -570,14 +516,14 @@ std::size_t FleetEstimator::ingest_batch_impl(
   {
     std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
     for (std::uint32_t k = 0; k < count; ++k) {
-      order[cursor[locs[k] >> 32]++] = k;
+      order[cursor[locs[k].shard]++] = k;
     }
   }
 
   // One lock acquisition per shard; shards are independent, so the parallel
-  // path is bit-identical to the serial one. The shard's aggregate is
-  // re-published once per group, even when the group throws mid-way — the
-  // partial application is visible exactly like a partial serial loop.
+  // path is bit-identical to the serial one. A group that throws mid-way
+  // leaves its partial application visible, exactly like a partial serial
+  // loop.
   //
   // Each shard's group runs fused: chunks of the group are packed into the
   // shard's SoA scratch batch, one vector predict evaluates all lanes, and
@@ -626,7 +572,7 @@ std::size_t FleetEstimator::ingest_batch_impl(
         for (std::uint32_t j = k; j < chunk_end; ++j) {
           const std::size_t lane = j - k;
           const NodeSample& ns = sample_at(order[j]);
-          const auto slot = static_cast<std::uint32_t>(locs[order[j]]);
+          const std::uint32_t slot = locs[order[j]].slot;
           const bool lane_valid = shard.valid_scratch[lane] != 0;
           invalid += lane_valid ? 0 : 1;
           ingest_locked_raw(shard, slot, lane_valid, shard.raw_scratch[lane],
@@ -638,7 +584,6 @@ std::size_t FleetEstimator::ingest_batch_impl(
     } catch (...) {
       errors[static_cast<std::size_t>(s)] = std::current_exception();
     }
-    publish_aggregate(shard);
   }
   for (const std::exception_ptr& error : errors) {
     if (error) {
@@ -648,11 +593,11 @@ std::size_t FleetEstimator::ingest_batch_impl(
   return count;
 }
 
-ShardDeltaRecord FleetEstimator::shard_delta_locked(const Shard& shard,
-                                                    double now_s) const {
+ShardDeltaRecord FleetEstimator::shard_delta(const Shard& shard,
+                                             double now_s) const {
+  std::lock_guard lock(shard.mutex);
   if (shard.minmax_stale) {
     repair_minmax(shard);
-    publish_aggregate(shard);
   }
 
   // Stale prefix: the last-seen list is sorted and holds only active nodes,
@@ -693,6 +638,9 @@ ShardDeltaRecord FleetEstimator::shard_delta_locked(const Shard& shard,
   rec.reporting = shard.included - stale_included;
   rec.degraded = shard.degraded - stale_degraded;
   rec.failed = shard.failed - stale_failed;
+  // With nothing reporting, fresh_sum stays exactly 0: the incremental sum
+  // may carry a floating-point residue from add/remove churn, and the wire
+  // decoder requires an empty shard's record to be zero.
   if (rec.reporting > 0) {
     rec.fresh_sum =
         stale_included > 0 ? shard.sum_watts - stale_sum : shard.sum_watts;
@@ -724,55 +672,6 @@ ShardDeltaRecord FleetEstimator::shard_delta_locked(const Shard& shard,
   return rec;
 }
 
-ShardDeltaRecord FleetEstimator::shard_delta(const Shard& shard,
-                                             double now_s) const {
-  // Lock-free fast path: a seqlock-consistent read of the published
-  // aggregate answers when every active node is fresh at `now_s` and no
-  // min/max repair is pending. A few failed attempts (concurrent ingest
-  // republishing) fall back to the mutex rather than spinning.
-  const PublishedAggregate& a = shard.agg;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const std::uint64_t s1 = a.seq.load(std::memory_order_acquire);
-    if ((s1 & 1) != 0) {
-      continue;
-    }
-    ShardDeltaRecord rec;
-    rec.fresh_sum = a.sum_watts.load(std::memory_order_relaxed);
-    const double min_watts = a.min_watts.load(std::memory_order_relaxed);
-    const double max_watts = a.max_watts.load(std::memory_order_relaxed);
-    const double oldest = a.oldest_seen_s.load(std::memory_order_relaxed);
-    rec.reporting = a.included.load(std::memory_order_relaxed);
-    rec.degraded = a.degraded.load(std::memory_order_relaxed);
-    rec.failed = a.failed.load(std::memory_order_relaxed);
-    rec.active = a.active.load(std::memory_order_relaxed);
-    rec.interned = a.interned.load(std::memory_order_relaxed);
-    const std::uint32_t flags = a.flags.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (a.seq.load(std::memory_order_relaxed) != s1) {
-      continue;  // torn by a concurrent publish: retry
-    }
-    if ((flags & kMinMaxStale) != 0) {
-      break;  // pending lazy repair: needs the mutex
-    }
-    if (rec.active > 0 && now_s - oldest > staleness_horizon_s_) {
-      break;  // a stale active node: needs the prefix walk
-    }
-    rec.stale = rec.interned - rec.active;  // never-reported interned nodes
-    if (rec.reporting > 0 && (flags & kMinMaxValid) != 0) {
-      rec.min_watts = min_watts;
-      rec.max_watts = max_watts;
-    } else {
-      // With nothing reporting the incremental sum may carry a tiny
-      // floating-point residue from add/remove churn; the canonical record
-      // for an empty shard is exactly zero (the wire decoder enforces it).
-      rec.fresh_sum = 0.0;
-    }
-    return rec;
-  }
-  std::lock_guard lock(shard.mutex);
-  return shard_delta_locked(shard, now_s);
-}
-
 void FleetEstimator::shard_deltas(double now_s,
                                   std::vector<ShardDeltaRecord>& out) const {
   out.reserve(out.size() + shards_.size());
@@ -786,12 +685,11 @@ void FleetEstimator::update_staleness_gauges(double now_s) const {
     const Shard& shard = *shard_ptr;
     std::lock_guard lock(shard.mutex);
     // Per-node staleness gauges exist only for nodes interned below
-    // FleetOptions::per_node_gauge_limit, so this loop is bounded by the
-    // limit, not the fleet size. Gauge-carrying slots are a prefix of each
-    // shard (ids grow with slots).
+    // kPerNodeGaugeLimit, so this loop is bounded by the limit, not the
+    // fleet size. Gauge-carrying slots are a prefix of each shard (ids grow
+    // with slots).
     for (std::uint32_t slot = 0;
-         slot < shard.nodes.size() &&
-         shard.nodes[slot].id < options_.per_node_gauge_limit;
+         slot < shard.nodes.size() && shard.nodes[slot].id < kPerNodeGaugeLimit;
          ++slot) {
       const NodeState& state = shard.nodes[slot];
       if (state.staleness_gauge == nullptr) {
@@ -833,13 +731,13 @@ FleetSnapshot FleetEstimator::snapshot(double now_s) const {
 }
 
 std::optional<double> FleetEstimator::node_estimate(NodeId node) const {
-  if (node >= node_count_.load(std::memory_order_acquire)) {
+  const std::optional<Loc> loc = locate(node);
+  if (!loc.has_value()) {
     return std::nullopt;
   }
-  const Loc loc = loc_of(node);
-  const Shard& shard = *shards_[loc.shard];
+  const Shard& shard = *shards_[loc->shard];
   std::lock_guard lock(shard.mutex);
-  const NodeState& state = shard.nodes[loc.slot];
+  const NodeState& state = shard.nodes[loc->slot];
   if (state.last_seen_s < 0.0) {
     return std::nullopt;
   }
@@ -852,13 +750,13 @@ std::optional<double> FleetEstimator::node_estimate(const std::string& node) con
 }
 
 std::optional<HealthState> FleetEstimator::node_health(NodeId node) const {
-  if (node >= node_count_.load(std::memory_order_acquire)) {
+  const std::optional<Loc> loc = locate(node);
+  if (!loc.has_value()) {
     return std::nullopt;
   }
-  const Loc loc = loc_of(node);
-  const Shard& shard = *shards_[loc.shard];
+  const Shard& shard = *shards_[loc->shard];
   std::lock_guard lock(shard.mutex);
-  const NodeState& state = shard.nodes[loc.slot];
+  const NodeState& state = shard.nodes[loc->slot];
   if (state.last_seen_s < 0.0) {
     return std::nullopt;
   }

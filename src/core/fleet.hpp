@@ -23,11 +23,12 @@
 //     list. Interned-but-never-reported nodes cost one counter, not a list
 //     entry, so aggregation scales with live nodes, not with the interned
 //     namespace (the sparse-directory idea Graphite uses for coherence).
-//   * Every shard publishes its aggregate through a seqlock next to the
-//     mutex. snapshot()/shard_deltas() read S small published aggregates
-//     lock-free; a shard only falls back to its mutex when the published
-//     state cannot answer (a stale active node at `now_s`, a min/max holder
-//     pending lazy repair, or a torn read under concurrent ingest).
+//   * Every read and write of a shard takes that shard's mutex, and every
+//     handle lookup takes the interner's mutex; a thread that needs both
+//     takes the intern mutex first. snapshot()/shard_deltas() lock each
+//     shard in turn and read its incremental aggregates, walking only the
+//     stale prefix of the seen list and, when an extremum holder moved, the
+//     active nodes.
 //   * ingest_batch() groups samples by shard and processes each shard's
 //     group under one lock acquisition; with FleetOptions::parallel_ingest
 //     the shard groups run under OpenMP. Samples of one node stay in batch
@@ -41,8 +42,6 @@
 // transfer error across simulated part variation.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -76,12 +75,6 @@ struct FleetOptions {
   /// Process ingest_batch shard groups in parallel (OpenMP; no-op without
   /// it). Results are bit-identical to serial ingestion.
   bool parallel_ingest = false;
-  /// Per-node staleness gauges ("fleet.node.<name>.staleness_s") are
-  /// created at intern time while the fleet has at most this many nodes
-  /// (and telemetry is enabled); nodes interned beyond the limit get no
-  /// per-node gauge, so the metric registry and snapshot cost stay bounded
-  /// on large fleets. Aggregate fleet gauges are always maintained.
-  std::size_t per_node_gauge_limit = 1024;
 };
 
 /// Aggregated view of the fleet at a point in time.
@@ -162,7 +155,6 @@ public:
                           double staleness_horizon_s = 10.0,
                           FleetOptions options = {});
 
-  ~FleetEstimator();
   FleetEstimator(const FleetEstimator&) = delete;
   FleetEstimator& operator=(const FleetEstimator&) = delete;
 
@@ -221,10 +213,9 @@ public:
   /// Aggregate over all known nodes at fleet time `now_s`. Nodes whose
   /// estimator reports FAILED are excluded from the total (counted in
   /// nodes_failed); DEGRADED nodes stay included but are counted.
-  /// Implemented as a fold of shard_deltas(): a lock-free read of S
-  /// published shard aggregates in the common case (every active node
-  /// fresh, no pending min/max repair), a per-shard mutex fallback
-  /// otherwise — never O(interned namespace).
+  /// Implemented as a fold of shard_deltas(): one lock per shard, cost
+  /// O(shards + stale active nodes) in the common case, never
+  /// O(interned namespace).
   FleetSnapshot snapshot(double now_s) const;
 
   /// The per-shard contributions snapshot() folds, in shard order. This is
@@ -232,12 +223,6 @@ public:
   /// its groups, a leaf daemon encodes them onto the wire (fleet/delta.hpp).
   /// Appends options().shard_count records to `out`.
   void shard_deltas(double now_s, std::vector<ShardDeltaRecord>& out) const;
-
-  /// Write per-node staleness gauges for gauge-carrying nodes (those
-  /// interned below FleetOptions::per_node_gauge_limit). Called by
-  /// snapshot() when telemetry is enabled; a fleet tree calls it on its
-  /// groups. Cost is bounded by the limit, not the fleet size.
-  void update_staleness_gauges(double now_s) const;
 
   /// Last estimate of one node (nullopt when the node never reported).
   std::optional<double> node_estimate(const std::string& node) const;
@@ -278,34 +263,10 @@ private:
     obs::Gauge* staleness_gauge = nullptr;  ///< preallocated at intern (or null)
   };
 
-  /// Seqlock-published shard aggregate: the lock-free face of a shard.
-  /// Writers (always under the shard mutex, so writes never race each
-  /// other) bump `seq` to odd, store the payload with relaxed atomics, and
-  /// bump back to even; readers retry on a seq change or an odd seq. All
-  /// payload fields are atomics, so a torn read window is a retry, never a
-  /// data race.
-  struct PublishedAggregate {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<double> sum_watts{0.0};
-    std::atomic<double> min_watts{0.0};
-    std::atomic<double> max_watts{0.0};
-    /// Oldest last_seen_s over active nodes (+inf when none): the one value
-    /// that decides "is any active node stale at now_s" without a walk.
-    std::atomic<double> oldest_seen_s{std::numeric_limits<double>::infinity()};
-    std::atomic<std::uint64_t> included{0};
-    std::atomic<std::uint64_t> degraded{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> active{0};
-    std::atomic<std::uint64_t> interned{0};
-    std::atomic<std::uint32_t> flags{0};  ///< kMinMaxValid | kMinMaxStale
-  };
-  static constexpr std::uint32_t kMinMaxValid = 1u << 0;
-  static constexpr std::uint32_t kMinMaxStale = 1u << 1;
-
   /// One shard: the states of its nodes (assigned by name hash), a
   /// last-seen-ordered intrusive list over *active* (ever-reported) nodes,
-  /// incremental aggregates over the included set, and the seqlock-published
-  /// copy snapshot readers consume without the mutex.
+  /// and incremental aggregates over the included set, all guarded by
+  /// `mutex`.
   struct Shard {
     mutable std::mutex mutex;
     /// Publication this shard currently serves; refreshed (under the shard
@@ -336,30 +297,17 @@ private:
     mutable std::uint32_t min_slot = kNil;   ///< holder of min_watts
     mutable std::uint32_t max_slot = kNil;   ///< holder of max_watts
     mutable bool minmax_stale = false;       ///< lazily repaired on snapshot
-    mutable PublishedAggregate agg;          ///< seqlock-published copy
   };
 
-  /// Lock-free append-only NodeId -> (shard, slot) index: fixed chunk table
-  /// with atomically published chunks of atomic entries, so the ingest hot
-  /// path resolves a handle with two loads and no lock while interns grow
-  /// the index concurrently.
+  /// Where an interned node lives.
   struct Loc {
     std::uint32_t shard;
     std::uint32_t slot;
   };
-  static constexpr std::size_t kLocChunkBits = 16;
-  static constexpr std::size_t kLocChunkSize = std::size_t{1} << kLocChunkBits;
-  static constexpr std::size_t kLocMaxChunks = 4096;  ///< 268M nodes
-
-  Loc loc_of(NodeId id) const {
-    const std::atomic<std::uint64_t>* chunk =
-        loc_chunks_[id >> kLocChunkBits].load(std::memory_order_acquire);
-    const std::uint64_t packed =
-        chunk[id & (kLocChunkSize - 1)].load(std::memory_order_relaxed);
-    return Loc{static_cast<std::uint32_t>(packed >> 32),
-               static_cast<std::uint32_t>(packed)};
-  }
-  void store_loc(NodeId id, Loc loc);  ///< under intern_mutex_
+  /// (shard, slot) of a handle, under the intern mutex (nullopt if unknown).
+  std::optional<Loc> locate(NodeId node) const;
+  /// Constructor tail shared by both constructors: validate, build shards.
+  void init_shards();
 
   double ingest_locked(Shard& shard, std::uint32_t slot, const DenseSample& sample,
                        double now_s);
@@ -386,12 +334,13 @@ private:
   void detach_seen(Shard& shard, std::uint32_t slot);
   void attach_seen_sorted(Shard& shard, std::uint32_t slot);
   void repair_minmax(const Shard& shard) const;
-  /// Re-publish the shard's aggregate through the seqlock (mutex held).
-  void publish_aggregate(const Shard& shard) const;
-  /// One shard's delta: lock-free via the published aggregate when it can
-  /// answer at `now_s`, per-shard-mutex walk otherwise.
+  /// One shard's delta at `now_s`, under the shard mutex.
   ShardDeltaRecord shard_delta(const Shard& shard, double now_s) const;
-  ShardDeltaRecord shard_delta_locked(const Shard& shard, double now_s) const;
+  /// Write per-node staleness gauges for gauge-carrying nodes (the first
+  /// nodes interned; see kPerNodeGaugeLimit in fleet.cpp). Called by
+  /// snapshot() when telemetry is enabled; cost is bounded by the limit,
+  /// not the fleet size.
+  void update_staleness_gauges(double now_s) const;
   bool stale_at(const NodeState& state, double now_s) const {
     return state.last_seen_s < 0.0 ||
            now_s - state.last_seen_s > staleness_horizon_s_;
@@ -405,15 +354,12 @@ private:
   FleetOptions options_;
 
   // Interner: open-addressed FNV-1a hash table over stable name storage
-  // (deque: node_name() references survive growth).
+  // (deque: node_name() references survive growth), plus each handle's
+  // location. All three are guarded by intern_mutex_.
   mutable std::mutex intern_mutex_;
   std::deque<std::string> names_;           ///< names_[id] = node name
   std::vector<std::uint32_t> hash_slots_;   ///< open addressing: id + 1, 0 = empty
-
-  /// Interned count, published after the node's Loc entry: the lock-free
-  /// bound ingest paths validate handles against.
-  std::atomic<std::uint32_t> node_count_{0};
-  std::array<std::atomic<std::atomic<std::uint64_t>*>, kLocMaxChunks> loc_chunks_{};
+  std::vector<Loc> locs_;                   ///< locs_[id] = node's shard and slot
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

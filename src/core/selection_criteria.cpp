@@ -243,10 +243,9 @@ LassoSelectionResult select_events_lasso(const acquire::Dataset& dataset,
   PWX_REQUIRE(count >= 1 && count <= candidates.size(), "cannot take ", count,
               " of ", candidates.size(), " candidates");
 
-  // The pool's design is build_features' output over every candidate.
-  const SelectionColumnPool pool(dataset, candidates, normalization);
-  const la::Matrix& x = pool.feature_matrix();
-  const std::vector<double> y(pool.power().begin(), pool.power().end());
+  const la::Matrix x = build_features(
+      dataset, FeatureSpec{.events = candidates, .normalization = normalization});
+  const std::vector<double> y = dataset.power();
 
   // Walk the path from sparse to dense; read off the first fit whose active
   // set covers `count` *event* columns (the trailing V²f and V columns do

@@ -11,13 +11,13 @@ SelectionColumnPool::SelectionColumnPool(const acquire::Dataset& dataset,
                                          const std::vector<pmc::Preset>& candidates,
                                          RateNormalization normalization)
     : events_(candidates),
-      design_(build_features(dataset, FeatureSpec{.events = candidates,
-                                                  .normalization = normalization})),
-      columns_(design_.transposed()),
       rates_(dataset.event_rate_matrix(candidates)),
       power_(dataset.power()) {
+  const la::Matrix design = build_features(
+      dataset, FeatureSpec{.events = candidates, .normalization = normalization});
   const std::array<std::size_t, 2> trailing{events_.size(), events_.size() + 1};
-  base_ = design_.select_columns(trailing);
+  base_ = design.select_columns(trailing);
+  columns_ = design.transposed();
 }
 
 double SelectionColumnPool::mean_vif(std::span<const std::size_t> subset) const {

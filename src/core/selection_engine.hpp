@@ -6,8 +6,9 @@
 // selection call, from the same calls the rest of the pipeline uses:
 //
 //   * the Equation 1 design over every candidate, build_features'
-//     [E_n·V²f ... | V²f | V] in the requested normalization, also kept
-//     column-major so StepwiseOls scans contiguous candidate columns;
+//     [E_n·V²f ... | V²f | V] in the requested normalization, stored
+//     column-major so StepwiseOls scans contiguous candidate columns, with
+//     its trailing [V²f, V] block kept as the base design;
 //   * Dataset::event_rate_matrix over the candidates — the per-cycle rates
 //     in which the paper's mean-VIF stability metric lives (always per-cycle,
 //     regardless of the feature normalization);
@@ -45,7 +46,7 @@ public:
   /// (candidate i at [i·rows, (i+1)·rows)) — the layout
   /// StepwiseOls::register_candidates expects.
   std::span<const double> feature_columns() const {
-    return columns_.data().first(candidate_count() * design_.rows());
+    return columns_.data().first(candidate_count() * columns_.cols());
   }
 
   /// The m x 2 matrix [V²f, V] — the fixed trailing columns of Equation 1's
@@ -60,15 +61,11 @@ public:
   /// access. Subset size must be >= 2.
   double mean_vif(std::span<const std::size_t> subset) const;
 
-  /// The full design over every candidate, build_features' output.
-  const la::Matrix& feature_matrix() const { return design_; }
-
 private:
   std::vector<pmc::Preset> events_;
-  la::Matrix design_;   ///< build_features over every candidate
-  la::Matrix columns_;  ///< design_ transposed: row i is design column i
+  la::Matrix columns_;  ///< build_features' design transposed: row i is column i
   la::Matrix rates_;    ///< Dataset::event_rate_matrix over every candidate
-  la::Matrix base_;
+  la::Matrix base_;     ///< the design's trailing [V²f, V] columns
   std::vector<double> power_;
 };
 

@@ -74,9 +74,8 @@ std::string encode_delta(const FleetDelta& delta);
 /// checksum fault.
 FleetDelta decode_delta(std::span<const char> bytes);
 
-/// Build a leaf's delta from its estimator at fleet time `now_s`
-/// (lock-free per shard when the estimator's published aggregates can
-/// answer; see FleetEstimator::shard_deltas).
+/// Build a leaf's delta from its estimator at fleet time `now_s` (one lock
+/// per shard; see FleetEstimator::shard_deltas).
 FleetDelta make_delta(const core::FleetEstimator& estimator,
                       std::uint32_t leaf_index, std::uint32_t leaf_count,
                       double now_s, std::uint64_t sequence);

@@ -1,12 +1,6 @@
 #include "fleet/tree.hpp"
 
 #include <exception>
-#include <thread>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/error.hpp"
 #include "obs/span.hpp"
@@ -16,28 +10,12 @@ namespace pwx::fleet {
 
 namespace {
 
-/// Best-effort pin of the calling worker thread to one CPU. Failure (no
-/// affinity support, cgroup-restricted CPU set, cpu >= online count) is
-/// silently ignored: pinning is a locality hint, never a correctness
-/// requirement.
-void pin_current_thread(std::size_t cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % CPU_SETSIZE, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
 core::FleetOptions group_options(const TreeOptions& options) {
   core::FleetOptions out;
   out.shard_count = options.shards_per_group;
   // Group-level OpenMP is the outer loop; each group's own batch path stays
   // serial so the tree never nests parallel regions.
   out.parallel_ingest = false;
-  out.per_node_gauge_limit = options.per_node_gauge_limit;
   return out;
 }
 
@@ -56,7 +34,7 @@ TreeOptions sanitize(TreeOptions options) {
 FleetTree::FleetTree(core::PowerModel node_model, double smoothing,
                      double staleness_horizon_s, TreeOptions options)
     : shards_per_group_((options = sanitize(options)).shards_per_group),
-      parallel_(options.parallel), pin_groups_(options.pin_groups) {
+      parallel_(options.parallel) {
   groups_.reserve(options.group_count);
   for (std::size_t g = 0; g < options.group_count; ++g) {
     groups_.push_back(std::make_unique<core::FleetEstimator>(
@@ -67,7 +45,7 @@ FleetTree::FleetTree(core::PowerModel node_model, double smoothing,
 FleetTree::FleetTree(std::shared_ptr<core::LayoutEpoch> epoch, double smoothing,
                      double staleness_horizon_s, TreeOptions options)
     : shards_per_group_((options = sanitize(options)).shards_per_group),
-      parallel_(options.parallel), pin_groups_(options.pin_groups) {
+      parallel_(options.parallel) {
   PWX_REQUIRE(epoch != nullptr, "fleet tree needs a non-null epoch");
   groups_.reserve(options.group_count);
   for (std::size_t g = 0; g < options.group_count; ++g) {
@@ -135,11 +113,6 @@ std::size_t FleetTree::ingest_batch(std::span<const TreeSample> batch) {
     const std::uint32_t end = offsets[static_cast<std::size_t>(g) + 1];
     if (begin == end) {
       continue;
-    }
-    if (parallel_ && pin_groups_) {
-      // Pin only OpenMP workers, never the caller's thread in serial mode.
-      const unsigned hw = std::thread::hardware_concurrency();
-      pin_current_thread(static_cast<std::size_t>(g) % (hw == 0 ? 1 : hw));
     }
     try {
       groups_[static_cast<std::size_t>(g)]->ingest_batch(

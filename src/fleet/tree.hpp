@@ -50,16 +50,6 @@ struct TreeOptions {
   /// Run ingest_batch's group loop in parallel (OpenMP; no-op without it).
   /// Bit-identical to the serial loop: groups are independent.
   bool parallel = false;
-  /// Pin each group's parallel-ingest worker to CPU `group %
-  /// hardware_concurrency()` (Linux pthread affinity). With one group per
-  /// socket/NUMA domain this keeps a group's shard state resident in its
-  /// domain's cache across batches. Best-effort: ignored when `parallel` is
-  /// off (the caller's thread affinity is never touched in serial mode) and
-  /// a graceful no-op where thread affinity is unavailable or denied.
-  /// Results are bit-identical either way — pinning moves work, not math.
-  bool pin_groups = false;
-  /// Forwarded to each group's FleetOptions::per_node_gauge_limit.
-  std::size_t per_node_gauge_limit = 1024;
 };
 
 /// A node handle inside a tree: which group holds it, and its id there.
@@ -107,7 +97,7 @@ public:
 
   /// Global snapshot: fold every group's shard deltas in (group, shard)
   /// order — bit-identical to a flat estimator with total_shards() shards
-  /// over the same sample stream. Lock-free per shard in the common case.
+  /// over the same sample stream. Takes each shard's lock in turn.
   core::FleetSnapshot snapshot(double now_s) const;
 
   /// Append all groups' shard deltas in canonical (group, shard) order.
@@ -133,7 +123,6 @@ public:
 private:
   std::size_t shards_per_group_;
   bool parallel_;
-  bool pin_groups_;
   std::vector<std::unique_ptr<core::FleetEstimator>> groups_;
 };
 

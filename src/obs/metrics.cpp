@@ -157,7 +157,8 @@ MetricsSnapshot MetricsSnapshot::filtered(std::string_view prefix) const {
 }
 
 MetricRegistry::Entry& MetricRegistry::entry(std::string_view name, MetricKind kind,
-                                             std::string_view help) {
+                                             std::string_view help,
+                                             std::vector<double> bounds) {
   PWX_REQUIRE(!name.empty(), "metric name must not be empty");
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = metrics_.find(name);
@@ -165,6 +166,13 @@ MetricRegistry::Entry& MetricRegistry::entry(std::string_view name, MetricKind k
     Entry fresh;
     fresh.kind = kind;
     fresh.help = std::string(help);
+    switch (kind) {
+      case MetricKind::Counter: fresh.counter = std::make_unique<Counter>(); break;
+      case MetricKind::Gauge: fresh.gauge = std::make_unique<Gauge>(); break;
+      case MetricKind::Histogram:
+        fresh.histogram = std::make_unique<Histogram>(std::move(bounds));
+        break;
+    }
     it = metrics_.emplace(std::string(name), std::move(fresh)).first;
   } else {
     PWX_REQUIRE(it->second.kind == kind, "metric '", std::string(name),
@@ -178,29 +186,17 @@ MetricRegistry::Entry& MetricRegistry::entry(std::string_view name, MetricKind k
 }
 
 Counter& MetricRegistry::counter(std::string_view name, std::string_view help) {
-  Entry& e = entry(name, MetricKind::Counter, help);
-  if (!e.counter) {
-    e.counter = std::make_unique<Counter>();
-  }
-  return *e.counter;
+  return *entry(name, MetricKind::Counter, help).counter;
 }
 
 Gauge& MetricRegistry::gauge(std::string_view name, std::string_view help) {
-  Entry& e = entry(name, MetricKind::Gauge, help);
-  if (!e.gauge) {
-    e.gauge = std::make_unique<Gauge>();
-  }
-  return *e.gauge;
+  return *entry(name, MetricKind::Gauge, help).gauge;
 }
 
 Histogram& MetricRegistry::histogram(std::string_view name,
                                      std::vector<double> bounds,
                                      std::string_view help) {
-  Entry& e = entry(name, MetricKind::Histogram, help);
-  if (!e.histogram) {
-    e.histogram = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *e.histogram;
+  return *entry(name, MetricKind::Histogram, help, std::move(bounds)).histogram;
 }
 
 MetricsSnapshot MetricRegistry::snapshot() const {

@@ -198,7 +198,11 @@ private:
     std::unique_ptr<Histogram> histogram;
   };
 
-  Entry& entry(std::string_view name, MetricKind kind, std::string_view help);
+  /// Get-or-create under mutex_: a new entry is inserted with its
+  /// instrument already built (histograms from `bounds`), so no caller can
+  /// see an entry without one.
+  Entry& entry(std::string_view name, MetricKind kind, std::string_view help,
+               std::vector<double> bounds = {});
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry, std::less<>> metrics_;

@@ -2,15 +2,17 @@
 // wire format must reproduce a flat FleetEstimator's snapshot bit-for-bit —
 // across tree shapes, OpenMP on/off, process boundaries (encode → decode →
 // merge), and model hot swaps mid-stream. Plus the decoder's hostile-input
-// contract (deterministic typed rejections with exact byte offsets) and the
+// contract (deterministic typed rejections with exact byte offsets), the
 // sparse active-set accounting that keeps snapshot cost proportional to live
-// nodes.
+// nodes, a golden digest chain that pins the shared arithmetic itself, and
+// snapshots and interning racing ingestion.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -159,12 +161,11 @@ std::vector<std::uint64_t> run_flat(std::size_t groups, std::size_t shards,
 
 /// The same stream through a two-level tree.
 std::vector<std::uint64_t> run_tree(std::size_t groups, std::size_t shards,
-                                    bool parallel, bool pin = false) {
+                                    bool parallel) {
   TreeOptions options;
   options.group_count = groups;
   options.shards_per_group = shards;
   options.parallel = parallel;
-  options.pin_groups = pin;
   FleetTree tree(test_model(), 0.0, kHorizon, options);
   std::vector<TreeNodeId> ids;
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -273,18 +274,6 @@ TEST(FleetTree, ParallelGroupIngestBitIdenticalToSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(FleetTree, PinnedGroupWorkersBitIdenticalToUnpinned) {
-  // pin_groups moves each group's worker onto a fixed CPU (best-effort; a
-  // denied affinity call is a silent no-op), so the only observable contract
-  // is that the math is untouched: identical digests every round, pinned or
-  // not, parallel or serial.
-  const auto unpinned = run_tree(4, 4, /*parallel=*/true, /*pin=*/false);
-  const auto pinned = run_tree(4, 4, /*parallel=*/true, /*pin=*/true);
-  EXPECT_EQ(unpinned, pinned);
-  const auto pinned_serial = run_tree(4, 4, /*parallel=*/false, /*pin=*/true);
-  EXPECT_EQ(unpinned, pinned_serial);
-}
-
 TEST(FleetTree, GroupDeltasMergeBackToTreeSnapshot) {
   TreeOptions options;
   options.group_count = 3;
@@ -371,6 +360,190 @@ TEST(FleetDeltaWire, MergerKeepsNewestSequencePerLeaf) {
   merger.add(old_delta);  // stale replay: silently ignored
   EXPECT_EQ(merger.leaf_sequence(0), std::optional<std::uint64_t>(2));
   EXPECT_EQ(snapshot_digest(merger.merge()), digest);
+}
+
+// ------------------------------------------------------- golden digests
+//
+// Every other bit-identity test compares two aggregation paths with each
+// other, so a change to the arithmetic they share (the guarded fold, the
+// incremental shard aggregates, the stale-prefix walk, min/max repair,
+// fold_shard_delta, the digest) would pass them all. This one runs one
+// seeded stream through every path at once and chains all their snapshot
+// digests into a constant.
+
+constexpr std::size_t kGoldenNodes = 2000;
+constexpr std::size_t kGoldenLateNodes = 200;  ///< interned mid-stream
+constexpr std::size_t kGoldenLateTick = 60;
+constexpr std::size_t kGoldenTicks = 150;
+constexpr std::size_t kGoldenGroups = 3;
+constexpr std::size_t kGoldenShards = 4;  ///< per group: 12 shards in all
+constexpr double kGoldenHorizon = 0.6;    ///< 2.4 ticks
+constexpr double kGoldenSmoothing = 0.25;
+/// Captured from the engine's earlier seqlock snapshot path. A mismatch
+/// means the shared fleet arithmetic changed, not just one path.
+constexpr std::uint64_t kGoldenChain = 0xb3a18a1a69dec532ULL;
+
+/// Fixed Eq. 1 coefficients, so the chain pins the fleet's arithmetic and
+/// not the trainer's.
+PowerModel golden_model() {
+  FeatureSpec spec;
+  spec.events = kEventsA;
+  regress::OlsResult fit;
+  fit.beta = {6.0, 11.5, 4.25, 17.75, 8.0, 12.0};  // δ, α×3, β, γ
+  fit.has_intercept = true;
+  return PowerModel(spec, fit);
+}
+
+/// Silent, late-joining and intermittently stale nodes.
+bool golden_reports(std::size_t i, std::size_t tick) {
+  if (i % 13 == 0) return false;                   // interned, never reports
+  if (i % 17 == 8) return tick >= 40;              // joins late
+  if (i % 7 == 2) return (tick / 4 + i) % 3 != 0;  // 4 silent ticks in 12
+  return true;
+}
+
+/// Fleet time of a node's reading: nodes within a tick report slightly out
+/// of step, so the last-seen lists see out-of-order inserts.
+double golden_time(std::size_t i, std::size_t tick) {
+  return 0.25 * static_cast<double>(tick) + 0.01 * static_cast<double>(i % 5);
+}
+
+core::DenseSample golden_sample(const core::ModelLayout& layout, std::size_t i,
+                                std::size_t tick) {
+  Rng rng(100003 * i + tick + 1);
+  CounterSample s;
+  s.elapsed_s = rng.uniform(0.1, 1.0);
+  s.frequency_ghz = rng.uniform(1.2, 3.4);
+  s.voltage = rng.uniform(0.75, 1.15);
+  const double cycles = s.elapsed_s * s.frequency_ghz * 1e9;
+  for (pmc::Preset p : kEventsA) {
+    s.counts[p] = rng.uniform(0.05, 3.0) * cycles;
+  }
+  // Persistently invalid for 60 ticks (FAILED, then recovers), or a one-tick
+  // glitch (DEGRADED while the last good estimate is held).
+  const bool failing = i % 29 == 4 && tick >= 30 && tick < 90;
+  const bool glitch = (i * 31 + tick * 7) % 23 == 0;
+  if (failing || glitch) {
+    s.counts[kEventsA[0]] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return layout.to_dense(s);
+}
+
+TEST(FleetTree, GoldenDigestChainAcrossAllPaths) {
+  const PowerModel model = golden_model();
+  FleetOptions flat_options;
+  flat_options.shard_count = kGoldenGroups * kGoldenShards;
+  FleetEstimator scalar(model, kGoldenSmoothing, kGoldenHorizon, flat_options);
+  FleetEstimator serial(model, kGoldenSmoothing, kGoldenHorizon, flat_options);
+  flat_options.parallel_ingest = true;
+  FleetEstimator parallel(model, kGoldenSmoothing, kGoldenHorizon, flat_options);
+  TreeOptions tree_options;
+  tree_options.group_count = kGoldenGroups;
+  tree_options.shards_per_group = kGoldenShards;
+  tree_options.parallel = true;
+  FleetTree tree(model, kGoldenSmoothing, kGoldenHorizon, tree_options);
+  FleetOptions leaf_options;
+  leaf_options.shard_count = kGoldenShards;
+  std::vector<std::unique_ptr<FleetEstimator>> leaves;
+  for (std::size_t l = 0; l < kGoldenGroups; ++l) {
+    leaves.push_back(std::make_unique<FleetEstimator>(model, kGoldenSmoothing,
+                                                      kGoldenHorizon, leaf_options));
+  }
+
+  std::vector<NodeId> flat_ids(kGoldenNodes);
+  std::vector<TreeNodeId> tree_ids(kGoldenNodes);
+  std::vector<NodeId> leaf_ids(kGoldenNodes);
+  const auto intern = [&](std::size_t i) {
+    const std::string name = "golden-" + std::to_string(i);
+    flat_ids[i] = serial.intern(name);
+    EXPECT_EQ(scalar.intern(name), flat_ids[i]);
+    EXPECT_EQ(parallel.intern(name), flat_ids[i]);
+    tree_ids[i] = tree.intern(name);
+    leaf_ids[i] = leaves[tree_ids[i].group]->intern(name);
+  };
+  const std::size_t early = kGoldenNodes - kGoldenLateNodes;
+  for (std::size_t i = 0; i < early; ++i) {
+    intern(i);
+  }
+
+  std::uint64_t chain = 1469598103934665603ULL;  // FNV-1a over the digests
+  const auto link = [&chain](std::uint64_t digest) {
+    chain = (chain ^ digest) * 1099511628211ULL;
+  };
+  bool saw_degraded = false;
+  bool saw_failed = false;
+  bool saw_stale_active = false;
+  const auto check_and_link = [&](double now, const DeltaMerger& merger) {
+    const FleetSnapshot snap = serial.snapshot(now);
+    saw_degraded |= snap.nodes_degraded > 0;
+    saw_failed |= snap.nodes_failed > 0;
+    saw_stale_active |= snap.nodes_stale > snap.nodes_interned - snap.nodes_active;
+    const std::uint64_t digests[] = {
+        snapshot_digest(snap), snapshot_digest(scalar.snapshot(now)),
+        snapshot_digest(parallel.snapshot(now)), snapshot_digest(tree.snapshot(now)),
+        snapshot_digest(merger.merge())};
+    for (const std::uint64_t digest : digests) {
+      EXPECT_EQ(digest, digests[0]) << "at fleet time " << now;
+      link(digest);
+    }
+  };
+
+  DeltaMerger merger;
+  double now = 0.0;
+  for (std::size_t tick = 0; tick < kGoldenTicks; ++tick) {
+    if (tick == kGoldenLateTick) {
+      for (std::size_t i = early; i < kGoldenNodes; ++i) {
+        intern(i);
+      }
+    }
+    const std::size_t known = tick < kGoldenLateTick ? early : kGoldenNodes;
+    std::vector<NodeSample> batch;
+    std::vector<TreeSample> tree_batch;
+    std::vector<std::vector<NodeSample>> leaf_batches(kGoldenGroups);
+    for (std::size_t i = 0; i < known; ++i) {
+      if (!golden_reports(i, tick)) continue;
+      NodeSample ns;
+      ns.node = flat_ids[i];
+      ns.now_s = golden_time(i, tick);
+      ns.sample = golden_sample(serial.layout(), i, tick);
+      batch.push_back(ns);
+      TreeSample ts;
+      ts.group = tree_ids[i].group;
+      ts.sample = ns;
+      ts.sample.node = tree_ids[i].local;
+      tree_batch.push_back(ts);
+      ns.node = leaf_ids[i];
+      leaf_batches[tree_ids[i].group].push_back(ns);
+    }
+    for (const NodeSample& ns : batch) {
+      scalar.ingest(ns.node, ns.sample, ns.now_s);
+    }
+    serial.ingest_batch(batch);
+    parallel.ingest_batch(batch);
+    tree.ingest_batch(tree_batch);
+    now = 0.25 * static_cast<double>(tick) + 0.04;
+    for (std::size_t l = 0; l < kGoldenGroups; ++l) {
+      leaves[l]->ingest_batch(leaf_batches[l]);
+      merger.add(decode_delta(encode_delta(
+          make_delta(*leaves[l], static_cast<std::uint32_t>(l),
+                     static_cast<std::uint32_t>(kGoldenGroups), now, tick + 1))));
+    }
+    check_and_link(now, merger);
+  }
+
+  // Past the horizon every active node is stale and the extremes are NaN.
+  now += 10.0;
+  DeltaMerger late;
+  for (std::size_t l = 0; l < kGoldenGroups; ++l) {
+    late.add(make_delta(*leaves[l], static_cast<std::uint32_t>(l),
+                        static_cast<std::uint32_t>(kGoldenGroups), now, 1));
+  }
+  check_and_link(now, late);
+
+  EXPECT_TRUE(saw_degraded);
+  EXPECT_TRUE(saw_failed);
+  EXPECT_TRUE(saw_stale_active);
+  EXPECT_EQ(chain, kGoldenChain) << std::hex << "chain 0x" << chain;
 }
 
 // ------------------------------------------------- hostile-input contract
@@ -571,7 +744,6 @@ TEST(FleetDeltaHostile, MergerRejectsTopologyMismatch) {
 TEST(FleetSparse, NeverReportedNodesAreStaleNotScanned) {
   FleetOptions options;
   options.shard_count = 8;
-  options.per_node_gauge_limit = 0;
   FleetEstimator est(test_model(), 0.0, kHorizon, options);
   constexpr std::size_t kInterned = 500;
   constexpr std::size_t kActive = 10;
@@ -608,7 +780,6 @@ TEST(FleetSparse, ActiveAndInternedGaugesPublished) {
   obs::set_enabled(true);
   FleetOptions options;
   options.shard_count = 4;
-  options.per_node_gauge_limit = 0;
   FleetEstimator est(test_model(), 0.0, kHorizon, options);
   Rng rng(23);
   for (std::size_t i = 0; i < 40; ++i) {
@@ -623,9 +794,9 @@ TEST(FleetSparse, ActiveAndInternedGaugesPublished) {
   EXPECT_EQ(obs::registry().gauge("fleet.nodes_interned").value(), 40.0);
 }
 
-// ------------------------------------------------ seqlock snapshot safety
+// ---------------------------------------------- snapshot and intern races
 
-TEST(FleetConcurrency, LockFreeSnapshotsRaceIngestWithoutTearing) {
+TEST(FleetConcurrency, SnapshotsRaceIngestWithoutTearing) {
   FleetOptions options;
   options.shard_count = 4;
   FleetEstimator est(test_model(), 0.0, 1e9, options);
@@ -670,6 +841,80 @@ TEST(FleetConcurrency, LockFreeSnapshotsRaceIngestWithoutTearing) {
   const FleetSnapshot final_snap = est.snapshot(1e6);
   EXPECT_EQ(final_snap.nodes_reporting, kRaceNodes);
   EXPECT_TRUE(std::isfinite(final_snap.total_watts));
+}
+
+TEST(FleetConcurrency, InternRacesIngestAndSnapshots) {
+  // One thread grows the namespace past 65,536 handles while this thread
+  // ingests into and reads back pre-interned nodes and a third takes
+  // snapshots. Handle lookups share the intern lock with interning; shard
+  // state is only touched under its shard lock.
+  FleetOptions options;
+  options.shard_count = 8;
+  FleetEstimator est(test_model(), 0.0, 1e9, options);
+  constexpr std::size_t kLive = 64;
+  constexpr std::size_t kLate = 70000;
+  std::vector<NodeId> ids;
+  std::vector<core::DenseSample> samples;
+  Rng rng(41);
+  for (std::size_t i = 0; i < kLive; ++i) {
+    ids.push_back(est.intern(node_name(i)));
+    samples.push_back(est.layout().to_dense(union_sample(rng)));
+  }
+
+  std::atomic<bool> interned_all{false};
+  std::atomic<std::size_t> bad{0};
+  std::thread interner([&] {
+    for (std::size_t i = 0; i < kLate; ++i) {
+      est.intern("late-" + std::to_string(i));
+    }
+    interned_all.store(true);
+  });
+  std::thread reader([&] {
+    std::size_t last_interned = 0;
+    do {
+      // With a 1e9 s horizon no active node is stale, so every stale node
+      // is a never-reported one, and the namespace only grows.
+      const FleetSnapshot snap = est.snapshot(1e6);
+      if (!std::isfinite(snap.total_watts) ||
+          snap.nodes_reporting > snap.nodes_active || snap.nodes_active > kLive ||
+          snap.nodes_interned < last_interned ||
+          snap.nodes_interned > kLive + kLate ||
+          snap.nodes_stale != snap.nodes_interned - snap.nodes_active ||
+          (snap.nodes_reporting > 0 &&
+           !(snap.min_node_watts <= snap.max_node_watts))) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+      }
+      last_interned = snap.nodes_interned;
+    } while (!interned_all.load());
+  });
+
+  std::size_t round = 0;
+  do {
+    std::vector<NodeSample> batch;
+    for (std::size_t k = 0; k < kLive; ++k) {
+      batch.push_back(NodeSample{ids[k], 1.0 + 0.001 * static_cast<double>(round),
+                                 samples[k]});
+    }
+    est.ingest_batch(batch);
+    for (const NodeId id : ids) {
+      const std::optional<double> estimate = est.node_estimate(id);
+      if (!estimate.has_value() || !std::isfinite(*estimate)) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    ++round;
+  } while (!interned_all.load());
+  interner.join();
+  reader.join();
+  EXPECT_EQ(bad.load(), 0u);
+
+  EXPECT_EQ(est.node_count(), kLive + kLate);
+  EXPECT_EQ(est.find("late-" + std::to_string(kLate - 1)),
+            std::optional<NodeId>(kLive + kLate - 1));
+  const FleetSnapshot final_snap = est.snapshot(1e6);
+  EXPECT_EQ(final_snap.nodes_interned, kLive + kLate);
+  EXPECT_EQ(final_snap.nodes_active, kLive);
+  EXPECT_EQ(final_snap.nodes_reporting, kLive);
 }
 
 // ------------------------------------------- hot swap mid-stream, via tree

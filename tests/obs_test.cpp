@@ -172,6 +172,16 @@ TEST_F(ObsTest, ConcurrentRegistrationReturnsOneHandlePerName) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
+TEST_F(ObsTest, RejectedHistogramRegistrationLeavesNoEntry) {
+  // The instrument is built before its entry is inserted, so a registration
+  // that throws leaves nothing a snapshot could dereference.
+  obs::MetricRegistry reg;
+  EXPECT_THROW(reg.histogram("bad", {2.0, 1.0}), InvalidArgument);
+  EXPECT_EQ(reg.size(), 0u);
+  EXPECT_TRUE(reg.snapshot().values.empty());
+  EXPECT_EQ(reg.histogram("bad", {1.0, 2.0}).snapshot().counts.size(), 3u);
+}
+
 // --------------------------------------------------------------- histogram
 
 TEST_F(ObsTest, HistogramBucketBoundsAreInclusive) {
