@@ -12,6 +12,7 @@
 #include "trace/mapped.hpp"
 #include "trace/phase_profile.hpp"
 #include "trace/plugins.hpp"
+#include "trace/profile_campaign.hpp"
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
@@ -135,15 +136,17 @@ BENCHMARK(BM_ProfileCampaign)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 // The zero-copy benches below are gated by bench_ingest_gate against
 // *buffered* timings captured under these names before the mmap path landed
 // (bench/perf_baseline.json), so the reported speedup is mapped-now vs
-// buffered-then on identical fixtures. Each fixture first asserts the mapped
-// output is bit-identical to the buffered output — a fast wrong answer must
-// never pass the gate.
+// buffered-then on identical fixtures. Each fixture first asserts that the
+// file reader's output is bit-identical to profiles built from the
+// in-memory traces that were written — a fast wrong answer must never pass
+// the gate.
 //
 // Fixtures are campaign-scale: the ROADMAP's target is multi-GB trace
 // directories, so the gated files carry hundreds of thousands of events
-// (multi-MB), where ingestion cost is dominated by moving bytes rather than
-// by per-open fixed costs. The sim-generated ~100 KB files above stay as the
-// fixtures for the (ungated) end-to-end acquire benches.
+// (multi-MB, over trace::kMapMinBytes, so the reader maps them), where
+// ingestion cost is dominated by moving bytes rather than by per-open fixed
+// costs. The sim-generated ~100 KB files above stay as the fixtures for the
+// end-to-end acquire benches.
 
 // A synthetic but structurally faithful campaign trace: phase regions with
 // async power/voltage samples and counter increments at a fixed cadence.
@@ -184,22 +187,30 @@ trace::Trace large_trace(const char* workload, double frequency_ghz,
   return t;
 }
 
+/// Gate fixture files plus, per file, the phase profiles of the in-memory
+/// trace that was written there: the reference the reader must reproduce.
+struct IngestFixture {
+  std::vector<std::string> paths;
+  std::vector<std::vector<trace::PhaseProfile>> expected;
+};
+
 // Single-file gate fixture: ~198k events, ~4 MB.
-const std::string& shared_trace_path() {
-  static const std::string path = [] {
+const IngestFixture& shared_trace_fixture() {
+  static const IngestFixture fixture = [] {
+    const trace::Trace t = large_trace("md", 2.4, four_events(), 110, 0);
     const std::string p =
         (std::filesystem::temp_directory_path() / "pwx_perf_ingest.otf2l").string();
-    trace::write_trace_file(large_trace("md", 2.4, four_events(), 110, 0), p);
-    return p;
+    trace::write_trace_file(t, p);
+    return IngestFixture{{p}, {trace::build_phase_profiles(t)}};
   }();
-  return path;
+  return fixture;
 }
 
 // Campaign gate fixture: 64 files x ~198k events (~4.2 MB each), multiplexed
 // counter-group pairs across workloads and frequencies so the merge stage
 // has real work to do.
-const std::vector<std::string>& mapped_campaign_files(std::size_t count) {
-  static std::map<std::size_t, std::vector<std::string>> cache;
+const IngestFixture& mapped_campaign_fixture(std::size_t count) {
+  static std::map<std::size_t, IngestFixture> cache;
   auto it = cache.find(count);
   if (it != cache.end()) {
     return it->second;
@@ -213,15 +224,16 @@ const std::vector<std::string>& mapped_campaign_files(std::size_t count) {
       std::filesystem::temp_directory_path() /
       ("pwx_perf_mapped_" + std::to_string(count));
   std::filesystem::create_directories(dir);
-  std::vector<std::string> paths;
+  IngestFixture fixture;
   for (std::size_t i = 0; i < count; ++i) {
     const trace::Trace t = large_trace(names[(i / 2) % 4], freqs[(i / 8) % 3],
                                        groups[i % 2], 110, i);
     const std::string path = (dir / ("trace_" + std::to_string(i) + ".otf2l")).string();
     trace::write_trace_file(t, path);
-    paths.push_back(path);
+    fixture.paths.push_back(path);
+    fixture.expected.push_back(trace::build_phase_profiles(t));
   }
-  return cache.emplace(count, std::move(paths)).first->second;
+  return cache.emplace(count, std::move(fixture)).first->second;
 }
 
 bool profiles_bit_identical(const std::vector<trace::PhaseProfile>& a,
@@ -235,37 +247,25 @@ bool profiles_bit_identical(const std::vector<trace::PhaseProfile>& a,
         a[i].elapsed_s != b[i].elapsed_s ||
         a[i].avg_power_watts != b[i].avg_power_watts ||
         a[i].avg_voltage != b[i].avg_voltage ||
-        a[i].counter_rates != b[i].counter_rates) {
+        a[i].counter_rates != b[i].counter_rates ||
+        a[i].runs_merged != b[i].runs_merged) {
       return false;
     }
   }
   return true;
 }
 
-// Live buffered reference on the same fixture (not gated — the gate compares
-// against the frozen pre-mmap numbers, this shows the current buffered cost).
-void BM_IngestToProfilesBuffered(benchmark::State& state) {
-  const std::string& path = shared_trace_path();
-  for (auto _ : state) {
-    const auto profiles = trace::build_phase_profiles(trace::read_trace_file(path));
-    benchmark::DoNotOptimize(profiles.size());
-  }
-  state.counters["bytes"] =
-      benchmark::Counter(static_cast<double>(std::filesystem::file_size(path)));
-}
-BENCHMARK(BM_IngestToProfilesBuffered)->Unit(benchmark::kMillisecond);
-
 // Single file, deserialize-to-profiles: the tentpole hot path. Checksum
 // verification is deferred (MapOptions) — integrity for this fixture is
-// covered by the buffered comparison pass below.
+// covered by the verified comparison pass below.
 void BM_IngestToProfilesMapped(benchmark::State& state) {
-  const std::string& path = shared_trace_path();
-  const auto buffered = trace::build_phase_profiles(trace::read_trace_file(path));
+  const IngestFixture& fixture = shared_trace_fixture();
+  const std::string& path = fixture.paths.front();
   {
-    const auto mapped = trace::MappedTraceFile::open(path);
-    if (!mapped.mapped() ||
-        !profiles_bit_identical(trace::build_phase_profiles(mapped.view()), buffered)) {
-      state.SkipWithError("mapped ingestion diverged from buffered");
+    const auto file = trace::MappedTraceFile::open(path);
+    if (!file.mapped() || !profiles_bit_identical(trace::build_phase_profiles(file.view()),
+                                                  fixture.expected.front())) {
+      state.SkipWithError("file ingestion diverged from the written trace");
       return;
     }
   }
@@ -282,7 +282,7 @@ BENCHMARK(BM_IngestToProfilesMapped)->Unit(benchmark::kMillisecond);
 // Same path with the checksum pass included, so the gate report shows what
 // deferral buys (not gated).
 void BM_IngestToProfilesMappedVerify(benchmark::State& state) {
-  const std::string& path = shared_trace_path();
+  const std::string& path = shared_trace_fixture().paths.front();
   for (auto _ : state) {
     const auto file = trace::MappedTraceFile::open(path);
     const auto profiles = trace::build_phase_profiles(file.view());
@@ -291,41 +291,22 @@ void BM_IngestToProfilesMappedVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestToProfilesMappedVerify)->Unit(benchmark::kMillisecond);
 
-// Live buffered reference for the campaign fixture (not gated).
-void BM_ProfileCampaignBuffered(benchmark::State& state) {
-  const auto& paths = mapped_campaign_files(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    const acquire::Dataset dataset = acquire::ingest_trace_files(paths);
-    benchmark::DoNotOptimize(dataset.size());
-  }
-}
-BENCHMARK(BM_ProfileCampaignBuffered)->Arg(64)->Unit(benchmark::kMillisecond);
-
 void BM_ProfileCampaignMapped(benchmark::State& state) {
-  const auto& paths = mapped_campaign_files(static_cast<std::size_t>(state.range(0)));
+  const IngestFixture& fixture =
+      mapped_campaign_fixture(static_cast<std::size_t>(state.range(0)));
   acquire::IngestOptions options;
-  options.mmap = true;
   options.verify_checksum = false;
   {
-    const acquire::Dataset mapped = acquire::ingest_trace_files(paths, options);
-    const acquire::Dataset buffered = acquire::ingest_trace_files(paths);
-    bool identical = mapped.size() == buffered.size();
-    for (std::size_t i = 0; identical && i < mapped.size(); ++i) {
-      const acquire::DataRow& m = mapped.rows()[i];
-      const acquire::DataRow& b = buffered.rows()[i];
-      identical = m.workload == b.workload && m.phase == b.phase &&
-                  m.frequency_ghz == b.frequency_ghz && m.threads == b.threads &&
-                  m.avg_power_watts == b.avg_power_watts &&
-                  m.avg_voltage == b.avg_voltage && m.elapsed_s == b.elapsed_s &&
-                  m.counter_rates == b.counter_rates;
-    }
-    if (!identical) {
-      state.SkipWithError("mapped campaign diverged from buffered");
+    acquire::IngestOptions verified = options;
+    verified.verify_checksum = true;
+    if (!profiles_bit_identical(trace::profile_trace_files(fixture.paths, verified),
+                                trace::merge_first_appearance(fixture.expected))) {
+      state.SkipWithError("campaign ingestion diverged from the written traces");
       return;
     }
   }
   for (auto _ : state) {
-    const acquire::Dataset dataset = acquire::ingest_trace_files(paths, options);
+    const acquire::Dataset dataset = acquire::ingest_trace_files(fixture.paths, options);
     benchmark::DoNotOptimize(dataset.size());
   }
 }

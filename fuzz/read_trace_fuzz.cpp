@@ -1,22 +1,28 @@
-// Fuzz harness for the OTF2-lite readers.
+// Fuzz harness for the OTF2-lite trace reader.
 //
-// Feeds arbitrary bytes through both ingestion paths — the buffered
-// read_trace and the zero-copy mapped parser — and enforces the invariants
-// the test suite's directed sweeps sample:
+// Feeds arbitrary bytes through the reader's own in-place entry point,
+// format::parse_trace_file — the function MappedTraceFile::open runs over a
+// mapping or a read() buffer — and through the stream entry point
+// read_trace, and enforces the invariants the test suite's directed sweeps
+// sample:
 //
 //   * no crash, no sanitizer finding, on any input;
 //   * the only escaping exception is pwx::IoError (typed rejection);
-//   * the two paths agree: both accept or both reject, and when they reject
-//     the diagnosis (message, byte offset, record index) is identical.
+//   * the entry points agree: both accept or both reject, and when they
+//     reject the diagnosis (message, byte offset, record index) is
+//     identical.
 //
 // Built under Clang this is a libFuzzer target (LLVMFuzzerTestOneInput);
 // under other toolchains fuzz/CMakeLists.txt compiles the same body into a
-// standalone replayer that runs every file passed on the command line —
-// useful for reproducing libFuzzer corpus findings under GCC+ASan/UBSan.
+// standalone replayer that runs every file passed on the command line and
+// additionally opens each one through MappedTraceFile::open, which must
+// reach the same verdict — useful for replaying libFuzzer findings and the
+// checked-in seed corpus under GCC+ASan/UBSan.
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -46,36 +52,34 @@ std::optional<Rejection> outcome(Fn&& read) {
   // Anything else escapes: that is the crash the fuzzer is hunting.
 }
 
-void check_one_input(const std::uint8_t* data, std::size_t size) {
-  const std::string bytes(reinterpret_cast<const char*>(data), size);
-
-  const auto buffered = outcome([&] {
-    std::istringstream in(bytes);
-    (void)pwx::trace::read_trace(in);
+/// The in-place verdict on `data`, after checking that the stream entry
+/// point agrees with it.
+std::optional<Rejection> check_one_input(const std::uint8_t* data, std::size_t size) {
+  // An aligned copy, as the reader's read() source holds the bytes.
+  pwx::trace::format::AlignedBuffer buffer(size);
+  const std::span<char> room = buffer.room();
+  if (size > 0) {
+    std::memcpy(room.data(), data, size);
+  }
+  buffer.commit(size);
+  const auto in_place = outcome([&] {
+    (void)pwx::trace::format::parse_trace_file(buffer.data(), buffer.size(), true);
   });
 
-  // The mapped path's v4 entry point, minus the mmap syscall: the shared
-  // parser over an aligned copy of the body, checksum last — byte-identical
-  // to what MappedTraceFile::open validates.
-  if (size >= 16 &&
-      std::memcmp(bytes.data(), pwx::trace::format::kMagicV4, 8) == 0) {
-    const auto mapped = outcome([&] {
-      const std::string body = bytes.substr(8);  // heap buffer: 8-aligned
-      const std::size_t body_size = body.size() - 8;
-      const auto parsed = pwx::trace::format::parse_trace_v4(body.data(), body_size);
-      pwx::trace::format::verify_checksum_v4(body.data(), body_size,
-                                             parsed.event_count);
-    });
-    if (buffered != mapped) {
-      __builtin_trap();  // divergent accept/reject between the two readers
-    }
+  const auto stream = outcome([&] {
+    std::istringstream in(std::string(buffer.data(), buffer.size()));
+    (void)pwx::trace::read_trace(in);
+  });
+  if (in_place != stream) {
+    __builtin_trap();  // divergent accept/reject between the entry points
   }
+  return in_place;
 }
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-  check_one_input(data, size);
+  (void)check_one_input(data, size);
   return 0;
 }
 
@@ -84,6 +88,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 #include <fstream>
 #include <iterator>
 #include <vector>
+
+#include "trace/mapped.hpp"
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -94,9 +100,16 @@ int main(int argc, char** argv) {
     }
     const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
-    check_one_input(reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                    bytes.size());
-    std::fprintf(stderr, "%s: ok (%zu bytes)\n", argv[i], bytes.size());
+    const auto in_place = check_one_input(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+    const auto file = outcome([&] { (void)pwx::trace::MappedTraceFile::open(argv[i]); });
+    if (file != in_place) {
+      std::fprintf(stderr, "%s: MappedTraceFile::open diverged from the in-place parse\n",
+                   argv[i]);
+      return 1;
+    }
+    std::fprintf(stderr, "%s: ok (%zu bytes, %s)\n", argv[i], bytes.size(),
+                 in_place ? "rejected" : "accepted");
   }
   return 0;
 }

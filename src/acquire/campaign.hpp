@@ -74,20 +74,20 @@ struct CampaignConfig {
 /// Throws only under FailurePolicy::Abort (or on invalid configuration).
 Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config);
 
-/// Ingestion knobs for ingest_trace_files: besides the batch-campaign
-/// parallel/merge switches this carries the zero-copy controls —
-/// `mmap = true` serves trace files straight out of read-only memory
-/// mappings, and `verify_checksum = false` defers the integrity pass on the
-/// mapped path for latency-critical re-reads of known-good files.
+/// Ingestion knobs for ingest_trace_files: the batch-campaign
+/// parallel/merge switches, and `verify_checksum = false` to defer the
+/// integrity pass for latency-critical re-reads of known-good files.
+/// `mmap` is ignored (see trace::ProfileCampaignOptions).
 using IngestOptions = trace::ProfileCampaignOptions;
 
 /// Post-processing without re-acquisition: reduce already-recorded trace
-/// files to a regression Dataset in one call. Every file is read and phase-
-/// profiled (OpenMP-parallel across files per `options`, zero-copy when
-/// `options.mmap` is set), same-key profiles are merged across runs, rows
-/// are sanitized, and the sanitize report lands in the Dataset's
-/// DataQuality. The result is bit-identical to a serial read/profile/merge
-/// loop over the same paths — mapped or buffered. Suites are resolved from
+/// files to a regression Dataset in one call. Every file is opened through
+/// trace::MappedTraceFile::open (mapped or read by size) and phase-profiled
+/// (OpenMP-parallel across files per `options`), same-key profiles are
+/// merged across runs, rows are sanitized, and the sanitize report lands in
+/// the Dataset's DataQuality. The result is bit-identical to a serial
+/// read/profile/merge loop over the same paths, and to the same pipeline
+/// over the in-memory traces that were written. Suites are resolved from
 /// the workload registry (unknown workload names default to Suite::Roco2).
 Dataset ingest_trace_files(const std::vector<std::string>& paths,
                            IngestOptions options = {});

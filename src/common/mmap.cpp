@@ -2,25 +2,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/error.hpp"
 
 namespace pwx {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& path, const char* op) {
-  throw IoError("mmap: cannot " + std::string(op) + " '" + path +
-                    "': " + std::strerror(errno),
-                ErrorCode::Io);
-}
-
-}  // namespace
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : data_(other.data_), size_(other.size_) {
@@ -49,28 +37,10 @@ void MappedFile::reset() {
   size_ = 0;
 }
 
-MappedFile MappedFile::map_readonly(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    fail(path, "open");
-  }
-  struct stat st = {};
-  if (::fstat(fd, &st) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    fail(path, "stat");
-  }
-  if (!S_ISREG(st.st_mode)) {
-    ::close(fd);
-    throw IoError("mmap: '" + path + "' is not a regular file", ErrorCode::Io);
-  }
-
+MappedFile MappedFile::map_descriptor(int fd, std::size_t size) {
   MappedFile out;
-  out.size_ = static_cast<std::size_t>(st.st_size);
-  if (out.size_ == 0) {
+  if (size == 0) {
     // mmap(length=0) is an error; an empty file is a valid (empty) mapping.
-    ::close(fd);
     return out;
   }
 
@@ -81,25 +51,22 @@ MappedFile MappedFile::map_readonly(const std::string& path) {
   // the parse/profile scan.
   flags |= MAP_POPULATE;
 #endif
-  void* addr = ::mmap(nullptr, out.size_, PROT_READ, flags, fd, 0);
+  void* addr = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);
 #ifdef MAP_POPULATE
   if (addr == MAP_FAILED) {
     // Some filesystems reject MAP_POPULATE; retry plain before giving up.
-    addr = ::mmap(nullptr, out.size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   }
 #endif
   if (addr == MAP_FAILED) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    out.size_ = 0;
-    fail(path, "mmap");
+    throw IoError(std::string("mmap: cannot map descriptor: ") + std::strerror(errno),
+                  ErrorCode::Io);
   }
-  ::close(fd);
   out.data_ = static_cast<const char*>(addr);
+  out.size_ = size;
 #ifdef POSIX_MADV_SEQUENTIAL
   // Best-effort readahead hint; ignore failures.
-  ::posix_madvise(addr, out.size_, POSIX_MADV_SEQUENTIAL);
+  ::posix_madvise(addr, size, POSIX_MADV_SEQUENTIAL);
 #endif
   return out;
 }

@@ -1,11 +1,12 @@
 // Read-only memory-mapped files (POSIX mmap behind RAII).
 //
-// MappedFile::map_readonly maps a whole file PROT_READ/MAP_PRIVATE and owns
-// the mapping for its lifetime; the file descriptor is closed immediately
-// after mapping, so a MappedFile holds exactly one kernel resource. The
-// mapped bytes alias the page cache — readers that validate structure once
-// and then scan the data in place (trace::MappedTraceFile) never copy the
-// file through userspace buffers at all.
+// MappedFile::map_descriptor maps a file the caller already opened, so one
+// open() can serve both a size check and the mapping. A MappedFile holds
+// exactly one kernel resource, the mapping: it keeps its own reference to
+// the file, so the descriptor may be closed as soon as the call returns.
+// The mapped bytes alias the page cache — readers that validate structure
+// once and then scan the data in place (trace::MappedTraceFile) never copy
+// the file through userspace buffers at all.
 //
 // Lifetime rule: every pointer, std::span, or std::string_view derived from
 // data() is valid exactly as long as the owning MappedFile (moves keep the
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace pwx {
 
@@ -31,11 +31,12 @@ public:
   MappedFile& operator=(const MappedFile&) = delete;
   ~MappedFile();
 
-  /// Map `path` read-only. Throws pwx::IoError (code Io) when the file
-  /// cannot be opened, stat'ed, or mapped — including filesystems without
-  /// mmap support, which callers treat as a signal to fall back to buffered
-  /// reads. A zero-byte file maps successfully with size() == 0.
-  static MappedFile map_readonly(const std::string& path);
+  /// Map the first `size` bytes of the open descriptor `fd` read-only. The
+  /// caller keeps ownership of `fd`. Throws pwx::IoError (code Io) when mmap
+  /// refuses — filesystems without mmap support, for instance, which
+  /// callers treat as a signal to read the descriptor instead. `size` 0
+  /// maps successfully as empty.
+  static MappedFile map_descriptor(int fd, std::size_t size);
 
   const char* data() const { return data_; }
   std::size_t size() const { return size_; }

@@ -1,5 +1,6 @@
 #include "trace/format.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <string>
@@ -46,9 +47,11 @@ void check_magic(const char* data, std::size_t size) {
 
 namespace {
 
+/// AlignedBuffer's smallest capacity after growing.
+constexpr std::size_t kMinGrowthBytes = 64 * 1024;
+
 /// Bounds-checked cursor over a v4 body. It reports offsets relative to the
-/// file (the body starts at offset kMagicBytes) and serves BOTH readers,
-/// which is what makes mapped and buffered rejection bit-identical.
+/// file (the body starts at offset kMagicBytes).
 class BodyCursor {
 public:
   BodyCursor(const char* data, std::size_t size) : data_(data), size_(size) {}
@@ -179,8 +182,8 @@ ParsedTraceV4 parse_trace_v4(const char* body, std::size_t body_size) {
   }
 
   // Attributes. Keys must be unique: the owned Trace's attribute map would
-  // silently fold duplicates, and the mapped view has no map to fold with —
-  // rejecting here keeps both paths identical.
+  // silently fold duplicates, and the in-place view has no map to fold
+  // with — rejecting here keeps to_trace(view) faithful to the view.
   std::size_t section_end = cursor.pos() + section_sizes[0];
   const std::uint32_t attr_count = cursor.u32();
   if (attr_count > (1u << 20)) {
@@ -205,7 +208,7 @@ ParsedTraceV4 parse_trace_v4(const char* body, std::size_t body_size) {
   cursor.skip_padding(section_end);
 
   // Metric definitions. Name checks (non-empty, unique) mirror what
-  // Trace::define_metric enforces on the buffered path.
+  // Trace::define_metric enforces, so to_trace(view) never throws.
   section_end = cursor.pos() + section_sizes[1];
   const std::uint32_t metric_count = cursor.u32();
   if (metric_count > (1u << 20)) {
@@ -369,6 +372,41 @@ void verify_checksum_v4(const char* body, std::size_t body_size,
                       ")",
                   static_cast<std::int64_t>(offset), record);
   }
+}
+
+ParsedTraceV4 parse_trace_file(const char* data, std::size_t size, bool verify_checksum) {
+  check_magic(data, size);
+  if (size < kMagicBytes + 8) {
+    // A body shorter than the footer: the offset is the total size.
+    throw IoError("trace: truncated before checksum footer (byte " +
+                      std::to_string(size) + ", record -1)",
+                  static_cast<std::int64_t>(size), -1);
+  }
+  const char* body = data + kMagicBytes;
+  const std::size_t body_size = size - kMagicBytes - 8;
+  ParsedTraceV4 parsed = parse_trace_v4(body, body_size);
+  if (verify_checksum) {
+    verify_checksum_v4(body, body_size, parsed.event_count);
+  }
+  return parsed;
+}
+
+AlignedBuffer::AlignedBuffer(std::size_t capacity) : capacity_(pad8(capacity)) {
+  if (capacity_ > 0) {
+    words_ = std::make_unique_for_overwrite<std::uint64_t[]>(capacity_ / 8);
+  }
+}
+
+std::span<char> AlignedBuffer::room() {
+  if (size_ == capacity_) {
+    AlignedBuffer grown(std::max(2 * capacity_, kMinGrowthBytes));
+    if (size_ > 0) {
+      std::memcpy(grown.words_.get(), words_.get(), size_);
+    }
+    grown.size_ = size_;
+    *this = std::move(grown);
+  }
+  return {reinterpret_cast<char*>(words_.get()) + size_, capacity_ - size_};
 }
 
 }  // namespace pwx::trace::format

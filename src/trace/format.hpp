@@ -1,28 +1,28 @@
 // On-disk format internals shared by the OTF2-lite reader and writer.
 //
 // One format, "OTF2LTv4": 8-byte magic, body, u64 lane-FNV-1a footer over
-// the body. The body is an alignment-safe section table the zero-copy
-// reader maps in place. The fixed-size header (section count + four 16-byte
-// table entries) is 72 bytes, so with the 8-byte magic the first section
-// starts at file offset 80; every section is zero-padded to a multiple of 8
-// and its *padded* size is what the table records. Inside the event section
-// the columns are ordered times (u64), values (f64), ids (u32), kinds (u8) —
+// the body. The body is an alignment-safe section table the reader parses
+// in place. The fixed-size header (section count + four 16-byte table
+// entries) is 72 bytes, so with the 8-byte magic the first section starts
+// at file offset 80; every section is zero-padded to a multiple of 8 and
+// its *padded* size is what the table records. Inside the event section the
+// columns are ordered times (u64), values (f64), ids (u32), kinds (u8) —
 // widest first — so every column begins on an 8-byte boundary both in the
-// file and relative to any page-aligned mapping.
+// file and relative to any 8-byte-aligned copy or page-aligned mapping.
 //
-// check_magic is the one gate in front of both readers: files carrying any
-// other OTF2-lite version magic ("OTF2LTv2", "OTF2LTv3", ...) are rejected
-// with the same "unsupported OTF2-lite version" IoError at byte 0.
-//
-// parse_trace_v4 is the one structural validator: the buffered reader
-// (serialize.cpp) and the mapped reader (mapped.cpp) both call it, so
-// hostile input is rejected *identically* — same IoError message, code,
-// byte offset, and record index — no matter which path read the file.
-// Checks that the owned Trace builder would otherwise enforce on the
-// buffered path only (duplicate/empty metric names, duplicate regions,
-// duplicate attribute keys) live here for exactly that reason: the mapped
-// path never materializes a Trace. Checksum verification is a separate
-// one-shot lane-FNV pass (verify_checksum_v4) so callers can keep the
+// parse_trace_file is the one entry point every reader goes through: the
+// file reader (trace/mapped.hpp) over a mapping or a read() buffer, the
+// stream reader read_trace (serialize.cpp) over an AlignedBuffer, and the
+// fuzz harness. It runs check_magic (any other OTF2-lite version magic —
+// "OTF2LTv2", "OTF2LTv3", ... — is rejected with the same "unsupported
+// OTF2-lite version" IoError at byte 0), the footer-length check,
+// parse_trace_v4 and, unless deferred, verify_checksum_v4. So hostile input
+// is rejected *identically* — same IoError message, code, byte offset, and
+// record index — whichever way the bytes arrived. Checks that the owned
+// Trace builder would otherwise enforce (duplicate/empty metric names,
+// duplicate regions, duplicate attribute keys) live in parse_trace_v4 for
+// the same reason: the file reader never materializes a Trace. Checksum
+// verification is a separate one-shot lane-FNV pass so callers keep the
 // structure-first / integrity-last error ordering, or defer integrity
 // entirely per MapOptions.
 #pragma once
@@ -30,6 +30,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,9 +111,36 @@ struct ParsedTraceV4 {
 ParsedTraceV4 parse_trace_v4(const char* body, std::size_t body_size);
 
 /// One-shot lane-FNV pass over the body, compared against the u64 footer
-/// stored at body + body_size. Throws the same "checksum mismatch" IoError
-/// the buffered readers produce (event_count positions the record index).
+/// stored at body + body_size. Throws the "checksum mismatch" IoError
+/// (event_count positions the record index).
 void verify_checksum_v4(const char* body, std::size_t body_size,
                         std::size_t event_count);
+
+/// Validate a whole trace file image in place: check_magic, the footer
+/// length, parse_trace_v4 over the body and — when `verify_checksum` —
+/// verify_checksum_v4. `data` must be 8-byte aligned so the body after the
+/// magic is too. The returned views alias `data`.
+ParsedTraceV4 parse_trace_file(const char* data, std::size_t size, bool verify_checksum);
+
+/// Growable 8-byte-aligned byte storage for trace bytes that are read, not
+/// mapped: the file reader's read() path and read_trace's stream. Storage
+/// is never zero-filled; growth doubles the capacity, to at least 64 KiB.
+class AlignedBuffer {
+public:
+  explicit AlignedBuffer(std::size_t capacity = 0);
+
+  const char* data() const { return reinterpret_cast<const char*>(words_.get()); }
+  std::size_t size() const { return size_; }
+
+  /// The free bytes after size(), doubling the capacity first when none are
+  /// left. Fill a prefix of it, then commit() what was written.
+  std::span<char> room();
+  void commit(std::size_t bytes) { size_ += bytes; }
+
+private:
+  std::unique_ptr<std::uint64_t[]> words_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
+};
 
 }  // namespace pwx::trace::format

@@ -12,7 +12,6 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "trace/mapped.hpp"
-#include "trace/serialize.hpp"
 
 namespace pwx::trace {
 
@@ -101,16 +100,11 @@ bool IncrementalCampaign::poll() {
     try {
       PWX_SPAN("ingest.file");
       obs::span_attr("path", path);
-      if (options_.campaign.mmap) {
-        const MappedTraceFile file = MappedTraceFile::open(
-            path, {.verify_checksum = options_.campaign.verify_checksum});
-        state.profiles = build_phase_profiles(file.view());
-        bytes_mapped += file.bytes_mapped();
-        bytes_copied += file.bytes_copied();
-      } else {
-        state.profiles = build_phase_profiles(read_trace_file(path));
-        bytes_copied += seen.size;
-      }
+      const MappedTraceFile file = MappedTraceFile::open(
+          path, {.verify_checksum = options_.campaign.verify_checksum});
+      state.profiles = build_phase_profiles(file.view());
+      bytes_mapped += file.bytes_mapped();
+      bytes_copied += file.bytes_copied();
       ingested += 1;
     } catch (const Error& e) {
       state.failed = true;
@@ -162,7 +156,7 @@ bool IncrementalCampaign::poll() {
     static obs::Counter& mapped_counter = reg.counter(
         "ingestd.bytes_mapped", "trace bytes served zero-copy from mappings");
     static obs::Counter& copied_counter = reg.counter(
-        "ingestd.bytes_copied", "trace bytes read through the buffered path");
+        "ingestd.bytes_copied", "trace bytes copied in by read()");
     static obs::Counter& republish_counter =
         reg.counter("ingestd.republishes", "merged profile tables republished");
     static obs::Histogram& republish_seconds = reg.histogram(

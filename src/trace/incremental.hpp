@@ -29,9 +29,9 @@
 namespace pwx::trace {
 
 struct IncrementalCampaignOptions {
-  /// Ingestion knobs (mmap / verify_checksum / parallel) reused from the
-  /// batch campaign. `merge` is ignored: the published table is always the
-  /// merged reduction.
+  /// Ingestion knobs reused from the batch campaign; only verify_checksum
+  /// applies. `merge` is ignored (the published table is always the merged
+  /// reduction), and so are `parallel` and `mmap`.
   ProfileCampaignOptions campaign;
   /// Only files with this extension are picked up ("" accepts everything).
   std::string extension = ".otf2l";
@@ -48,8 +48,8 @@ struct IncrementalCampaignStats {
   std::uint64_t files_ingested = 0;   ///< successful (re)ingestions
   std::uint64_t files_failed = 0;     ///< ingestions that threw
   std::uint64_t republishes = 0;
-  std::uint64_t bytes_mapped = 0;     ///< zero-copy bytes across ingestions
-  std::uint64_t bytes_copied = 0;     ///< buffered bytes across ingestions
+  std::uint64_t bytes_mapped = 0;     ///< mapped bytes across ingestions
+  std::uint64_t bytes_copied = 0;     ///< read() bytes across ingestions
   std::uint64_t last_republish_ns = 0;  ///< stopwatch time of the last merge
 };
 

@@ -1,89 +1,99 @@
 #include "trace/mapped.hpp"
 
-#include <cstdint>
-#include <fstream>
-#include <iterator>
-#include <sstream>
+#include <cerrno>
+#include <cstring>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/error.hpp"
-#include "trace/serialize.hpp"
 
 namespace pwx::trace {
+
+namespace {
+
+/// Owns one open descriptor; the mapping, once made, does not need it.
+class Descriptor {
+public:
+  explicit Descriptor(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) {
+      throw IoError("trace: cannot open '" + path + "' for reading");
+    }
+  }
+  ~Descriptor() { ::close(fd_); }
+  Descriptor(const Descriptor&) = delete;
+  Descriptor& operator=(const Descriptor&) = delete;
+
+  int get() const { return fd_; }
+
+private:
+  int fd_;
+};
+
+/// read() `fd` to EOF. A `capacity` one past the file size lets a regular
+/// file arrive in one read plus the zero-byte read that confirms EOF; 0
+/// (size unknown, as for a pipe) starts at the buffer's minimum growth.
+format::AlignedBuffer read_to_end(int fd, std::size_t capacity, const std::string& path) {
+  format::AlignedBuffer buffer(capacity);
+  for (;;) {
+    const std::span<char> room = buffer.room();
+    const ssize_t n = ::read(fd, room.data(), room.size());
+    if (n > 0) {
+      buffer.commit(static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      return buffer;
+    } else if (errno != EINTR) {
+      throw IoError("trace: cannot read '" + path + "': " + std::strerror(errno));
+    }
+  }
+}
+
+}  // namespace
 
 MappedTraceFile MappedTraceFile::open(const std::string& path,
                                       const MapOptions& options) {
   MappedTraceFile out;
   out.path_ = path;
 
-  MappedFile map;
-  bool map_ok = true;
-  try {
-    map = MappedFile::map_readonly(path);
-  } catch (const IoError&) {
-    // mmap refused (missing or non-regular file, filesystem without mapping
-    // support): the buffered reader below serves the file or reports why
-    // it cannot.
-    map_ok = false;
-  }
-  if (map_ok) {
-    format::check_magic(map.data(), map.size());
-    // A page-aligned mapping puts the body (after the 8-byte magic) on an
-    // 8-byte boundary; the defensive check keeps an exotic allocator from
-    // turning the typed-column aliasing into undefined behavior.
-    map_ok = reinterpret_cast<std::uintptr_t>(map.data() + format::kMagicBytes) % 8 == 0;
-  }
-  if (map_ok) {
-    if (map.size() < format::kMagicBytes + 8) {
-      // Same diagnostic the buffered reader emits for a body shorter than
-      // the footer: the offset is the total file size.
-      throw IoError("trace: truncated before checksum footer (byte " +
-                        std::to_string(map.size()) + ", record -1)",
-                    static_cast<std::int64_t>(map.size()), -1);
+  const Descriptor file(path);
+  struct stat st = {};
+  const bool regular = ::fstat(file.get(), &st) == 0 && S_ISREG(st.st_mode);
+  const auto size = regular ? static_cast<std::size_t>(st.st_size) : 0;
+  if (size >= kMapMinBytes) {
+    try {
+      out.map_ = MappedFile::map_descriptor(file.get(), size);
+    } catch (const IoError&) {
+      // mmap refused (a filesystem without mapping support): read instead.
     }
-    const char* body = map.data() + format::kMagicBytes;
-    const std::size_t body_size = map.size() - format::kMagicBytes - 8;
-    out.parsed_ = format::parse_trace_v4(body, body_size);
-    if (options.verify_checksum) {
-      format::verify_checksum_v4(body, body_size, out.parsed_.event_count);
-      out.checksum_verified_ = true;
-    }
-    out.map_ = std::move(map);
-    out.view_ = out.parsed_.view();
-    return out;
+  }
+  if (!out.mapped()) {
+    out.buffer_ = read_to_end(file.get(), regular ? size + 1 : 0, path);
   }
 
-  // Buffered fallback: the file is read exactly once (a pipe cannot be
-  // reopened) and parsed by the owned reader — the same magic check and
-  // parser — then adapted to the same view type.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("trace: cannot open '" + path + "' for reading");
-  }
-  std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  out.bytes_copied_ = bytes.size();
-  std::istringstream stream(std::move(bytes));
-  out.owned_ = std::make_unique<Trace>(read_trace(stream));
-  out.adapter_ = std::make_unique<TraceViewAdapter>(*out.owned_);
-  out.view_ = out.adapter_->view();
-  out.checksum_verified_ = true;  // every buffered read verifies the footer
+  const std::span<const char> bytes = out.bytes();
+  out.parsed_ = format::parse_trace_file(bytes.data(), bytes.size(), options.verify_checksum);
+  out.checksum_verified_ = options.verify_checksum;
+  out.view_ = out.parsed_.view();
   return out;
 }
 
 void MappedTraceFile::verify() {
-  if (checksum_verified_ || !mapped()) {
+  if (checksum_verified_) {
     return;
   }
-  format::verify_checksum_v4(map_.data() + format::kMagicBytes,
-                             map_.size() - format::kMagicBytes - 8,
-                             parsed_.event_count);
+  const std::span<const char> image = bytes();
+  format::verify_checksum_v4(image.data() + format::kMagicBytes,
+                             image.size() - format::kMagicBytes - 8, parsed_.event_count);
   checksum_verified_ = true;
 }
 
-std::span<const format::SectionInfo> MappedTraceFile::sections() const {
-  if (!mapped()) {
-    return {};
+std::span<const char> MappedTraceFile::bytes() const {
+  if (mapped()) {
+    return {map_.data(), map_.size()};
   }
-  return parsed_.sections;
+  return {buffer_.data(), buffer_.size()};
 }
 
 }  // namespace pwx::trace

@@ -46,9 +46,9 @@ struct PhaseProfile {
 std::vector<PhaseProfile> build_phase_profiles(const Trace& trace);
 
 /// The same scan over a TraceView — the shared implementation both the owned
-/// Trace overload and the zero-copy mapped reader (trace/mapped.hpp) feed,
-/// so the two ingestion paths produce bit-identical profiles by
-/// construction.
+/// Trace overload and the file reader (trace/mapped.hpp) feed, so an
+/// in-memory trace and the file it was written to produce bit-identical
+/// profiles by construction.
 std::vector<PhaseProfile> build_phase_profiles(const TraceView& trace);
 
 /// Merge profiles of the *same workload/phase/frequency/thread-count* from

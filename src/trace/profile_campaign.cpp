@@ -9,7 +9,6 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "trace/mapped.hpp"
-#include "trace/serialize.hpp"
 
 namespace pwx::trace {
 
@@ -51,13 +50,9 @@ std::vector<PhaseProfile> ProfileCampaign::run() const {
       // thread's ring, so a traced campaign shows the real parallel shape.
       PWX_SPAN("ingest.file");
       obs::span_attr("path", paths_[i]);
-      if (options_.mmap) {
-        const MappedTraceFile file =
-            MappedTraceFile::open(paths_[i], {.verify_checksum = options_.verify_checksum});
-        per_file[i] = build_phase_profiles(file.view());
-      } else {
-        per_file[i] = build_phase_profiles(read_trace_file(paths_[i]));
-      }
+      const MappedTraceFile file =
+          MappedTraceFile::open(paths_[i], {.verify_checksum = options_.verify_checksum});
+      per_file[i] = build_phase_profiles(file.view());
     } catch (...) {
       failures[i] = std::current_exception();
     }

@@ -3,11 +3,12 @@
 // The paper's calibration campaign leaves one OTF2 trace per (workload,
 // frequency, thread-count, counter-group) run; post-processing reduces the
 // whole directory to one phase-profile table. ProfileCampaign does that
-// reduction in a single call: every file is read and profiled independently
-// (OpenMP-parallel across files when enabled), then profiles with the same
-// (workload, phase, frequency, threads) key are merged across runs with
-// elapsed-time weights — exactly what a serial read/profile/merge loop over
-// the same files produces, bit for bit, regardless of thread count.
+// reduction in a single call: every file is opened through
+// MappedTraceFile::open and profiled independently (OpenMP-parallel across
+// files when enabled), then profiles with the same (workload, phase,
+// frequency, threads) key are merged across runs with elapsed-time weights
+// — exactly what a serial read/profile/merge loop over the same files
+// produces, bit for bit, regardless of thread count.
 #pragma once
 
 #include <cstddef>
@@ -21,9 +22,11 @@ namespace pwx::trace {
 struct ProfileCampaignOptions {
   bool parallel = true;  ///< profile input files concurrently (OpenMP)
   bool merge = true;     ///< merge same-key profiles across runs
-  bool mmap = false;     ///< zero-copy mapped ingestion (trace/mapped.hpp)
-  bool verify_checksum = true;  ///< verify checksum footers; only the mapped
-                                ///< path can skip them (buffered always does)
+  /// Ignored. Every file is opened through MappedTraceFile::open, which
+  /// maps or reads it by size (trace/mapped.hpp). The field stays only
+  /// because the end-to-end benchmark (perfbench/retrain.cpp) assigns it.
+  bool mmap = false;
+  bool verify_checksum = true;  ///< false defers checksum footers (MapOptions)
 };
 
 /// Accumulates trace-file paths and reduces them to phase profiles.

@@ -5,9 +5,11 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 
 #include "common/error.hpp"
 #include "trace/format.hpp"
+#include "trace/mapped.hpp"
 #include "trace/view.hpp"
 
 namespace pwx::trace {
@@ -17,7 +19,6 @@ namespace {
 using format::fnv1a_lanes;
 using format::kEventBytes;
 using format::kHeaderBytesV4;
-using format::kMagicBytes;
 using format::kMagicV4;
 using format::kSectionAttributes;
 using format::kSectionCount;
@@ -142,7 +143,7 @@ void write_trace(const Trace& trace, std::ostream& out) {
   append_padding(body, region_bytes);
 
   // Columns widest-first (times, values, ids, kinds) so each starts on an
-  // 8-byte boundary — the property the zero-copy reader aliases through.
+  // 8-byte boundary — the property the in-place reader aliases through.
   append_u64(body, columns.size());
   append_array(body, columns.times);
   append_array(body, columns.values);
@@ -168,58 +169,23 @@ void write_trace_file(const Trace& trace, const std::string& path) {
 
 // ------------------------------------------------------------------ readers
 
-namespace {
-
-/// Drain the rest of `in` into one contiguous buffer (single-pass bulk read).
-std::string read_remaining(std::istream& in) {
-  std::string data;
-  char chunk[1 << 16];
-  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
-    data.append(chunk, static_cast<std::size_t>(in.gcount()));
+Trace read_trace(std::istream& in) {
+  // The whole stream into aligned storage, then the file reader's in-place
+  // parse: magic, footer, structure, checksum.
+  format::AlignedBuffer buffer;
+  for (;;) {
+    const std::span<char> room = buffer.room();
+    in.read(room.data(), static_cast<std::streamsize>(room.size()));
+    buffer.commit(static_cast<std::size_t>(in.gcount()));
     if (!in) {
       break;
     }
   }
-  return data;
-}
-
-Trace read_body_v4(const std::string& buffer) {
-  if (buffer.size() < 8) {
-    throw IoError("trace: truncated before checksum footer (byte " +
-                      std::to_string(buffer.size() + kMagicBytes) + ", record -1)",
-                  static_cast<std::int64_t>(buffer.size() + kMagicBytes), -1);
-  }
-  const std::size_t body_size = buffer.size() - 8;
-  // Structure first (precise positions), integrity last — the same parser
-  // and checksum pass the mapped reader uses, so both reject identically.
-  const format::ParsedTraceV4 parsed = format::parse_trace_v4(buffer.data(), body_size);
-  format::verify_checksum_v4(buffer.data(), body_size, parsed.event_count);
-  return to_trace(parsed.view());
-}
-
-}  // namespace
-
-Trace read_trace(std::istream& in) {
-  char magic[kMagicBytes];
-  in.read(magic, sizeof magic);
-  format::check_magic(magic, static_cast<std::size_t>(in.gcount()));
-  const std::string buffer = read_remaining(in);
-  try {
-    return read_body_v4(buffer);
-  } catch (const IoError&) {
-    throw;
-  } catch (const Error& e) {
-    throw IoError(std::string("trace: invalid record: ") + e.what(),
-                  static_cast<std::int64_t>(kMagicBytes), -1);
-  }
+  return to_trace(format::parse_trace_file(buffer.data(), buffer.size(), true).view());
 }
 
 Trace read_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw IoError("trace: cannot open '" + path + "' for reading");
-  }
-  return read_trace(in);
+  return to_trace(MappedTraceFile::open(path).view());
 }
 
 }  // namespace pwx::trace

@@ -1,11 +1,11 @@
 // Non-owning views over OTF2-lite trace data.
 //
-// The zero-copy read path (trace/mapped.hpp) aliases a trace's columns and
-// string tables directly inside a memory-mapped file; the classic owned
+// The file reader (trace/mapped.hpp) aliases a trace's columns and string
+// tables in place, inside a memory mapping or a read() buffer; the owned
 // Trace keeps them in std::vectors. TraceView is the common shape both hand
 // to the hot consumers: build_phase_profiles and the campaign engines scan a
-// TraceView, so the owned and mapped paths run the exact same code and stay
-// bit-identical by construction.
+// TraceView, so in-memory traces and trace files run the exact same code
+// and stay bit-identical by construction.
 //
 // Views never own storage. A TraceView produced by MappedTraceFile is valid
 // as long as that file object lives; one produced by TraceViewAdapter is
@@ -77,8 +77,8 @@ private:
 };
 
 /// Materialize a view into an owned Trace (copying every column and string).
-/// The buffered reader builds its result this way; the hot paths consume the
-/// view directly instead.
+/// read_trace and read_trace_file build their result this way; the hot
+/// paths consume the view directly instead.
 Trace to_trace(const TraceView& view);
 
 }  // namespace pwx::trace

@@ -1,6 +1,5 @@
 // Tests for dataset assembly and acquisition campaigns.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <set>
@@ -14,8 +13,13 @@
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
+#include "test_support.hpp"
+
 namespace pwx::acquire {
 namespace {
+
+[[maybe_unused]] const auto* const kScratchCleanup =
+    test::remove_scratch_at_exit("pwx_acquire_ingest_test");
 
 DataRow make_row(const std::string& workload, workloads::Suite suite, double f,
                  std::size_t threads, double power) {
@@ -227,9 +231,7 @@ TEST(Campaign, IngestTraceFilesMergesMultiplexedRuns) {
   // Two runs of the same configuration, each recording a different event
   // group — the multiplexed-acquisition layout ingest_trace_files reduces.
   const sim::Engine engine = sim::Engine::haswell_ep();
-  // Pid-suffixed so parallel ctest processes never share fixture files.
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("pwx_acquire_ingest_test_" + std::to_string(::getpid()));
+  const auto dir = test::scratch_path("pwx_acquire_ingest_test");
   std::filesystem::create_directories(dir);
   const std::vector<pmc::Preset> groups[2] = {
       {pmc::Preset::TOT_CYC, pmc::Preset::TOT_INS},

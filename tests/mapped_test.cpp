@@ -1,10 +1,12 @@
-// Tests for the zero-copy ingestion path: the mmap RAII utility, the
-// MappedTraceFile reader and its buffered fallback, mapped<->buffered
-// equivalence (bit-identical profiles and campaign merges), the
-// identical-rejection contract on hostile section tables, and the
-// incremental streaming campaign.
+// Tests for trace file ingestion: the mmap RAII utility, the MappedTraceFile
+// reader on both byte sources (read() below trace::kMapMinBytes and for
+// pipes, mmap at or above it), bit-identity of what it reads with the
+// traces that were written (profiles, columns, campaign merges), the
+// identical-rejection contract between the file and stream entry points on
+// hostile section tables, and the incremental streaming campaign.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,9 +15,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifdef _OPENMP
@@ -37,12 +39,18 @@
 #include "trace/view.hpp"
 #include "workloads/registry.hpp"
 
+#include "test_support.hpp"
+
 namespace pwx::trace {
 namespace {
 
+[[maybe_unused]] const auto* const kScratchCleanup =
+    test::remove_scratch_at_exit("pwx_mapped_test");
+
+using test::expect_profiles_bit_identical;
+
 std::filesystem::path scratch_dir() {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("pwx_mapped_test_" + std::to_string(::getpid()));
+  const auto dir = test::scratch_path("pwx_mapped_test");
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -92,51 +100,76 @@ Trace sim_trace(const char* workload_name, std::uint64_t seed,
   return build_standard_trace(engine.run(*workload, rc), events);
 }
 
-void expect_profiles_bit_identical(const std::vector<PhaseProfile>& a,
-                                   const std::vector<PhaseProfile>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].workload, b[i].workload);
-    EXPECT_EQ(a[i].phase, b[i].phase);
-    EXPECT_EQ(a[i].frequency_ghz, b[i].frequency_ghz);  // exact, not NEAR
-    EXPECT_EQ(a[i].threads, b[i].threads);
-    EXPECT_EQ(a[i].start_s, b[i].start_s);
-    EXPECT_EQ(a[i].end_s, b[i].end_s);
-    EXPECT_EQ(a[i].elapsed_s, b[i].elapsed_s);
-    EXPECT_EQ(a[i].avg_power_watts, b[i].avg_power_watts);
-    EXPECT_EQ(a[i].avg_voltage, b[i].avg_voltage);
-    EXPECT_EQ(a[i].counter_rates, b[i].counter_rates);
-    EXPECT_EQ(a[i].runs_merged, b[i].runs_merged);
+/// The reader's view holds exactly what the written trace held: every
+/// column bit for bit, the region and metric tables, the attributes.
+void expect_view_matches(const TraceView& view, const Trace& t) {
+  const EventColumns& c = t.columns();
+  ASSERT_EQ(view.columns.size(), c.size());
+  EXPECT_TRUE(std::equal(view.columns.times.begin(), view.columns.times.end(),
+                         c.times.begin()));
+  EXPECT_TRUE(std::equal(view.columns.kinds.begin(), view.columns.kinds.end(),
+                         c.kinds.begin()));
+  EXPECT_TRUE(std::equal(view.columns.ids.begin(), view.columns.ids.end(), c.ids.begin()));
+  // Bit-exact double comparison via the raw representation.
+  EXPECT_EQ(std::memcmp(view.columns.values.data(), c.values.data(),
+                        c.values.size() * sizeof(double)),
+            0);
+  ASSERT_EQ(view.columns.regions.size(), c.regions.size());
+  for (std::size_t i = 0; i < view.columns.regions.size(); ++i) {
+    EXPECT_EQ(view.columns.regions[i], c.regions.at(static_cast<std::uint32_t>(i)));
+  }
+  ASSERT_EQ(view.metrics.size(), t.metrics().size());
+  for (std::size_t i = 0; i < view.metrics.size(); ++i) {
+    EXPECT_EQ(view.metrics[i].name, t.metrics()[i].name);
+    EXPECT_EQ(view.metrics[i].unit, t.metrics()[i].unit);
+    EXPECT_EQ(view.metrics[i].mode, t.metrics()[i].mode);
+  }
+  ASSERT_EQ(view.attributes.size(), t.attributes().size());
+  for (const auto& [key, value] : view.attributes) {
+    EXPECT_EQ(value, t.attribute(std::string(key)));
   }
 }
 
 // ---------------------------------------------------------------- mmap RAII
 
+/// Map a whole file through the descriptor API, as the trace reader does,
+/// and close the descriptor: the mapping keeps its own file reference.
+MappedFile map_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  EXPECT_GE(fd, 0) << path;
+  MappedFile map = MappedFile::map_descriptor(fd, std::filesystem::file_size(path));
+  ::close(fd);
+  return map;
+}
+
 TEST(MappedFile, MapsFileContents) {
-  const std::string path = write_bytes("plain.bin", "hello mapped world");
-  const MappedFile map = MappedFile::map_readonly(path);
+  const MappedFile map = map_file(write_bytes("plain.bin", "hello mapped world"));
   ASSERT_EQ(map.size(), 18u);
   EXPECT_EQ(std::string(map.data(), map.size()), "hello mapped world");
 }
 
 TEST(MappedFile, EmptyFileMapsAsEmpty) {
-  const std::string path = write_bytes("empty.bin", "");
-  const MappedFile map = MappedFile::map_readonly(path);
+  const MappedFile map = map_file(write_bytes("empty.bin", ""));
   EXPECT_EQ(map.size(), 0u);
   EXPECT_TRUE(map.empty());
 }
 
-TEST(MappedFile, MissingFileThrowsIoError) {
-  EXPECT_THROW(MappedFile::map_readonly("/nonexistent/file.bin"), IoError);
+TEST(MappedFile, InvalidDescriptorThrowsIoError) {
+  EXPECT_THROW(MappedFile::map_descriptor(-1, 16), IoError);
 }
 
-TEST(MappedFile, NonRegularFileThrowsIoError) {
-  EXPECT_THROW(MappedFile::map_readonly("/dev/null"), IoError);
+TEST(MappedFile, RefusedDescriptorMapThrowsIoError) {
+  // mmap refuses a pipe; the file reader relies on this IoError to fall
+  // back to read().
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  EXPECT_THROW(MappedFile::map_descriptor(fds[0], 4096), IoError);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(MappedFile, MoveKeepsMappingValid) {
-  const std::string path = write_bytes("moved.bin", "stable bytes");
-  MappedFile a = MappedFile::map_readonly(path);
+  MappedFile a = map_file(write_bytes("moved.bin", "stable bytes"));
   const char* data = a.data();
   MappedFile b = std::move(a);
   EXPECT_EQ(b.data(), data);  // the mapping itself does not move
@@ -145,31 +178,57 @@ TEST(MappedFile, MoveKeepsMappingValid) {
 
 // ------------------------------------------------------------- mapped reader
 
+// Both byte sources alias the columns in place; the file size picks which
+// one serves the file.
 TEST(MappedTrace, V4IsServedZeroCopy) {
-  const Trace t = make_small_trace();
-  const std::string bytes = v4_bytes(t);
-  const std::string path = write_bytes("zero_copy.otf2l", bytes);
+  const Trace small = make_small_trace();
+  const std::string small_bytes = v4_bytes(small);
+  ASSERT_LT(small_bytes.size(), kMapMinBytes);
+  const MappedTraceFile read =
+      MappedTraceFile::open(write_bytes("zero_copy.otf2l", small_bytes));
+  EXPECT_FALSE(read.mapped());
+  EXPECT_TRUE(read.checksum_verified());
+  EXPECT_EQ(read.bytes_copied(), small_bytes.size());
+  EXPECT_EQ(read.bytes_mapped(), 0u);
+  expect_view_matches(read.view(), small);
+  EXPECT_EQ(read.view().attribute("workload"), "unit");
+  EXPECT_EQ(read.view().attribute_as_double("frequency_ghz"), 2.4);
 
-  const MappedTraceFile file = MappedTraceFile::open(path);
-  EXPECT_TRUE(file.mapped());
-  EXPECT_TRUE(file.checksum_verified());
-  EXPECT_EQ(file.bytes_mapped(), bytes.size());
-  EXPECT_EQ(file.bytes_copied(), 0u);
+  const Trace large = test::large_trace(1);
+  const std::string large_bytes = v4_bytes(large);
+  ASSERT_GE(large_bytes.size(), kMapMinBytes);
+  const MappedTraceFile mapped =
+      MappedTraceFile::open(write_bytes("zero_copy_large.otf2l", large_bytes));
+  EXPECT_TRUE(mapped.mapped());
+  EXPECT_TRUE(mapped.checksum_verified());
+  EXPECT_EQ(mapped.bytes_mapped(), large_bytes.size());
+  EXPECT_EQ(mapped.bytes_copied(), 0u);
+  expect_view_matches(mapped.view(), large);
+}
 
-  const TraceView& view = file.view();
-  ASSERT_EQ(view.columns.size(), t.columns().size());
-  for (std::size_t i = 0; i < t.columns().size(); ++i) {
-    EXPECT_EQ(view.columns.times[i], t.columns().times[i]);
-    EXPECT_EQ(view.columns.kinds[i], t.columns().kinds[i]);
-    EXPECT_EQ(view.columns.ids[i], t.columns().ids[i]);
-    EXPECT_EQ(view.columns.values[i], t.columns().values[i]);
-  }
-  ASSERT_EQ(view.columns.regions.size(), t.columns().regions.size());
-  for (std::size_t i = 0; i < view.columns.regions.size(); ++i) {
-    EXPECT_EQ(view.columns.regions[i], t.columns().regions.at(static_cast<std::uint32_t>(i)));
-  }
-  EXPECT_EQ(view.attribute("workload"), "unit");
-  EXPECT_EQ(view.attribute_as_double("frequency_ghz"), 2.4);
+// The threshold is inclusive: a file of exactly kMapMinBytes is mapped, one
+// 8 bytes shorter (v4 files are multiples of 8) is read.
+TEST(MappedTrace, SizeThresholdPicksSource) {
+  const auto bytes_of_size = [](std::size_t size) {
+    Trace t = make_small_trace();
+    const std::size_t base = v4_bytes(t).size();
+    for (std::size_t pad = size - base - 16; pad < size - base + 16; ++pad) {
+      t.set_attribute("pad", std::string(pad, 'x'));
+      std::string bytes = v4_bytes(t);
+      if (bytes.size() == size) {
+        return bytes;
+      }
+    }
+    return std::string();
+  };
+  const std::string at = bytes_of_size(kMapMinBytes);
+  const std::string below = bytes_of_size(kMapMinBytes - 8);
+  ASSERT_EQ(at.size(), kMapMinBytes);
+  ASSERT_EQ(below.size(), kMapMinBytes - 8);
+  EXPECT_TRUE(MappedTraceFile::open(write_bytes("at_threshold.otf2l", at)).mapped());
+  const MappedTraceFile read = MappedTraceFile::open(write_bytes("below.otf2l", below));
+  EXPECT_FALSE(read.mapped());
+  EXPECT_EQ(read.bytes_copied(), below.size());
 }
 
 TEST(MappedTrace, SectionTableIsAlignedAndOrdered) {
@@ -199,27 +258,38 @@ TEST(MappedTrace, ViewSurvivesMove) {
 }
 
 TEST(MappedTrace, PipeFallsBackToBufferedWithIdenticalProfiles) {
-  // mmap refuses a pipe, so the buffered reader serves it — reading it once,
-  // since a pipe cannot be rewound.
-  const Trace t = sim_trace("md", 11);
-  const std::string bytes = v4_bytes(t);
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  ASSERT_LT(bytes.size(), 4096u);  // fits the pipe buffer: no writer thread
-  ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
-            static_cast<ssize_t>(bytes.size()));
-  ::close(fds[1]);
-
-  const MappedTraceFile file =
-      MappedTraceFile::open("/proc/self/fd/" + std::to_string(fds[0]));
-  ::close(fds[0]);
-  EXPECT_FALSE(file.mapped());
-  EXPECT_TRUE(file.checksum_verified());
-  EXPECT_EQ(file.bytes_mapped(), 0u);
-  EXPECT_EQ(file.bytes_copied(), bytes.size());
-  EXPECT_TRUE(file.sections().empty());
-  expect_profiles_bit_identical(build_phase_profiles(file.view()),
-                                build_phase_profiles(t));
+  // mmap cannot serve a pipe, whatever its size, so the read loop does —
+  // reading to EOF once, since a pipe cannot be rewound — and validates the
+  // section table as for any file. The large trace outgrows both the pipe
+  // buffer (hence the writer thread) and the read loop's first allocation.
+  for (const Trace& t : {sim_trace("md", 11), test::large_trace(4)}) {
+    const std::string bytes = v4_bytes(t);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const MappedTraceFile file = [&] {
+      // Joined when the lambda returns or throws; the reader drains the
+      // pipe to EOF first either way.
+      const std::jthread writer([&bytes, fd = fds[1]] {
+        for (std::size_t done = 0; done < bytes.size();) {
+          const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+          if (n <= 0) {
+            break;
+          }
+          done += static_cast<std::size_t>(n);
+        }
+        ::close(fd);
+      });
+      return MappedTraceFile::open("/proc/self/fd/" + std::to_string(fds[0]));
+    }();
+    ::close(fds[0]);
+    EXPECT_FALSE(file.mapped());
+    EXPECT_TRUE(file.checksum_verified());
+    EXPECT_EQ(file.bytes_mapped(), 0u);
+    EXPECT_EQ(file.bytes_copied(), bytes.size());
+    EXPECT_EQ(file.sections().size(), format::kSectionCount);
+    expect_profiles_bit_identical(build_phase_profiles(file.view()),
+                                  build_phase_profiles(t));
+  }
 }
 
 TEST(MappedTrace, DeferredChecksumVerifiesOnDemand) {
@@ -254,56 +324,56 @@ TEST(MappedTrace, DeferredChecksumStillCatchesBitFlip) {
   }
 }
 
-// ------------------------------------------------- mapped/buffered equivalence
+// ------------------------------------------- bit-identity with the source
 
 TEST(MappedEquivalence, PhaseProfilesBitIdentical) {
   for (const char* name : {"md", "compute", "matmul"}) {
     const Trace t = sim_trace(name, 21);
-    const std::string path =
-        write_bytes(std::string("equiv_") + name + ".otf2l", v4_bytes(t));
-    const auto buffered = build_phase_profiles(read_trace_file(path));
-    const MappedTraceFile file = MappedTraceFile::open(path);
-    ASSERT_TRUE(file.mapped());
-    expect_profiles_bit_identical(build_phase_profiles(file.view()), buffered);
+    const std::string bytes = v4_bytes(t);
+    const MappedTraceFile file =
+        MappedTraceFile::open(write_bytes(std::string("equiv_") + name + ".otf2l", bytes));
+    ASSERT_LT(bytes.size(), kMapMinBytes);
+    EXPECT_EQ(file.bytes_copied(), bytes.size());
+    expect_profiles_bit_identical(build_phase_profiles(file.view()),
+                                  build_phase_profiles(t));
   }
+  const Trace large = test::large_trace(21);
+  const MappedTraceFile file =
+      MappedTraceFile::open(write_bytes("equiv_large.otf2l", v4_bytes(large)));
+  ASSERT_TRUE(file.mapped());
+  expect_profiles_bit_identical(build_phase_profiles(file.view()),
+                                build_phase_profiles(large));
 }
 
 TEST(MappedEquivalence, EventColumnsBitIdentical) {
-  const Trace t = sim_trace("md", 22);
-  const std::string path = write_bytes("equiv_columns.otf2l", v4_bytes(t));
-  const Trace buffered = read_trace_file(path);
-  const MappedTraceFile file = MappedTraceFile::open(path);
-  const EventColumnsView& m = file.view().columns;
-  const EventColumns& b = buffered.columns();
-  ASSERT_EQ(m.size(), b.size());
-  EXPECT_TRUE(std::equal(m.times.begin(), m.times.end(), b.times.begin()));
-  EXPECT_TRUE(std::equal(m.kinds.begin(), m.kinds.end(), b.kinds.begin()));
-  EXPECT_TRUE(std::equal(m.ids.begin(), m.ids.end(), b.ids.begin()));
-  // Bit-exact double comparison via the raw representation.
-  ASSERT_EQ(m.values.size(), b.values.size());
-  EXPECT_EQ(std::memcmp(m.values.data(), b.values.data(),
-                        m.values.size() * sizeof(double)),
-            0);
+  for (const Trace& t : {sim_trace("md", 22), test::large_trace(22)}) {
+    const MappedTraceFile file =
+        MappedTraceFile::open(write_bytes("equiv_columns.otf2l", v4_bytes(t)));
+    expect_view_matches(file.view(), t);
+    // read_trace_file copies the same view into an owned Trace.
+    const Trace owned = read_trace_file(file.path());
+    const TraceViewAdapter adapter(owned);
+    expect_view_matches(adapter.view(), t);
+  }
 }
 
-// Campaign merges must match across thread counts and OpenMP on/off, mapped
-// vs buffered — the determinism contract the batch engine already makes,
-// now extended over the ingestion mode.
+// Campaign merges must match the written traces' profiles merged serially,
+// across thread counts and OpenMP on/off — the determinism contract the
+// batch engine makes — with one file over the mapping threshold in the mix.
 TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
   std::vector<std::string> paths;
+  std::vector<std::vector<PhaseProfile>> written;
   const char* names[] = {"md", "md", "compute", "compute", "matmul", "matmul"};
   const std::vector<pmc::Preset> groups[2] = {
       {pmc::Preset::TOT_CYC, pmc::Preset::TOT_INS},
       {pmc::Preset::PRF_DM, pmc::Preset::BR_MSP}};
-  for (std::size_t i = 0; i < 6; ++i) {
-    const Trace t = sim_trace(names[i], 40 + i, groups[i % 2]);
+  for (std::size_t i = 0; i < 7; ++i) {
+    const Trace t = i < 6 ? sim_trace(names[i], 40 + i, groups[i % 2]) : test::large_trace(46);
     paths.push_back(
         write_bytes("campaign_" + std::to_string(i) + ".otf2l", v4_bytes(t)));
+    written.push_back(build_phase_profiles(t));
   }
-
-  ProfileCampaignOptions serial;
-  serial.parallel = false;
-  const auto reference = profile_trace_files(paths, serial);
+  const auto reference = merge_first_appearance(written);
 
 #ifdef _OPENMP
   const int saved_threads = omp_get_max_threads();
@@ -315,13 +385,9 @@ TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
     (void)threads;
 #endif
     for (const bool parallel : {false, true}) {
-      for (const bool mmap : {false, true}) {
-        ProfileCampaignOptions options;
-        options.parallel = parallel;
-        options.mmap = mmap;
-        expect_profiles_bit_identical(profile_trace_files(paths, options),
-                                      reference);
-      }
+      ProfileCampaignOptions options;
+      options.parallel = parallel;
+      expect_profiles_bit_identical(profile_trace_files(paths, options), reference);
     }
   }
 #ifdef _OPENMP
@@ -339,7 +405,7 @@ struct Outcome {
   ErrorCode code = ErrorCode::Unknown;
 };
 
-Outcome buffered_outcome(const std::string& bytes) {
+Outcome stream_outcome(const std::string& bytes) {
   Outcome out;
   try {
     std::istringstream in(bytes);
@@ -354,7 +420,7 @@ Outcome buffered_outcome(const std::string& bytes) {
   return out;
 }
 
-Outcome mapped_outcome(const std::string& bytes, const std::string& name) {
+Outcome file_outcome(const std::string& bytes, const std::string& name) {
   Outcome out;
   const std::string path = write_bytes(name, bytes);
   try {
@@ -370,18 +436,20 @@ Outcome mapped_outcome(const std::string& bytes, const std::string& name) {
   return out;
 }
 
-/// Both readers must agree byte-for-byte on the verdict: same accept/reject,
-/// and on reject the same message, byte offset, record index, and code.
-void expect_identical_rejection(const std::string& bytes, const std::string& label) {
-  const Outcome buffered = buffered_outcome(bytes);
-  const Outcome mapped = mapped_outcome(bytes, "reject_" + label + ".otf2l");
-  EXPECT_EQ(buffered.accepted, mapped.accepted) << label;
-  EXPECT_EQ(buffered.what, mapped.what) << label;
-  EXPECT_EQ(buffered.byte_offset, mapped.byte_offset) << label;
-  EXPECT_EQ(buffered.record_index, mapped.record_index) << label;
-  if (!buffered.accepted) {
-    EXPECT_EQ(buffered.code, mapped.code) << label;
+/// The stream and file entry points must agree byte-for-byte on the
+/// verdict: same accept/reject, and on reject the same message, byte offset,
+/// record index, and code. Returns the file reader's verdict.
+Outcome expect_identical_rejection(const std::string& bytes, const std::string& label) {
+  const Outcome stream = stream_outcome(bytes);
+  const Outcome file = file_outcome(bytes, "reject_" + label + ".otf2l");
+  EXPECT_EQ(stream.accepted, file.accepted) << label;
+  EXPECT_EQ(stream.what, file.what) << label;
+  EXPECT_EQ(stream.byte_offset, file.byte_offset) << label;
+  EXPECT_EQ(stream.record_index, file.record_index) << label;
+  if (!stream.accepted) {
+    EXPECT_EQ(stream.code, file.code) << label;
   }
+  return file;
 }
 
 // Little-endian field pokes into a serialized v4 byte string. The header
@@ -465,8 +533,8 @@ TEST(IdenticalRejection, HostileSectionTables) {
 
 TEST(IdenticalRejection, OlderFormatVersions) {
   // Files of the retired v2 and v3 generations, whether a bare magic or a
-  // full body behind it, are refused by the one magic check both readers
-  // share: same message, byte 0, record -1.
+  // full body behind it, are refused by the one magic check every entry
+  // point shares: same message, byte 0, record -1.
   const std::string body = v4_bytes(make_small_trace()).substr(format::kMagicBytes);
   for (const char version : {'2', '3'}) {
     const std::string magic = std::string("OTF2LTv") + version;
@@ -474,22 +542,22 @@ TEST(IdenticalRejection, OlderFormatVersions) {
       const std::string label = "v" + std::string(1, version) + "_" +
                                 std::to_string(bytes.size());
       expect_identical_rejection(bytes, label);
-      const Outcome buffered = buffered_outcome(bytes);
-      EXPECT_FALSE(buffered.accepted) << label;
-      EXPECT_EQ(buffered.what, "trace: unsupported OTF2-lite version v" +
-                                   std::string(1, version) +
-                                   " (only v4 is read) (byte 0, record -1)")
+      const Outcome stream = stream_outcome(bytes);
+      EXPECT_FALSE(stream.accepted) << label;
+      EXPECT_EQ(stream.what, "trace: unsupported OTF2-lite version v" +
+                                 std::string(1, version) +
+                                 " (only v4 is read) (byte 0, record -1)")
           << label;
-      EXPECT_EQ(buffered.byte_offset, 0) << label;
-      EXPECT_EQ(buffered.record_index, -1) << label;
-      EXPECT_EQ(buffered.code, ErrorCode::Corruption) << label;
+      EXPECT_EQ(stream.byte_offset, 0) << label;
+      EXPECT_EQ(stream.record_index, -1) << label;
+      EXPECT_EQ(stream.code, ErrorCode::Corruption) << label;
     }
   }
 }
 
 TEST(IdenticalRejection, NonzeroSectionPadding) {
   // An attribute section whose content is not a multiple of 8 gets zero
-  // padding; a nonzero pad byte must be rejected by both readers alike.
+  // padding; a nonzero pad byte must be rejected by both entry points alike.
   Trace t;
   t.set_attribute("x", "y");  // attr content 4 + 8+1+1 = 14 -> 2 pad bytes
   std::string bytes = v4_bytes(t);
@@ -520,7 +588,7 @@ TEST(IdenticalRejection, DuplicateNamesInStringTables) {
 }
 
 // Fuzz-style sweeps: every truncation and every bit flip must be rejected
-// by the two paths with the identical diagnosis — never a crash (the
+// by the two entry points with the identical diagnosis — never a crash (the
 // sanitize preset runs this same binary under ASan/UBSan).
 TEST(IdenticalRejection, TruncationSweep) {
   const std::string good = v4_bytes(make_small_trace());
@@ -536,6 +604,66 @@ TEST(IdenticalRejection, BitFlipSweep) {
     std::string flipped = good;
     flipped[pos] ^= 0x10;
     expect_identical_rejection(flipped, "flip_" + std::to_string(pos));
+  }
+}
+
+/// Sample positions in a v4 file for the large-file sweeps: each section
+/// boundary, each event-column boundary and the footer, the byte before each
+/// of them, and a fixed stride.
+std::vector<std::size_t> sweep_positions(const std::string& bytes) {
+  std::vector<std::size_t> boundaries = {format::kMagicBytes, 8 + format::kHeaderBytesV4};
+  for (std::size_t k = 0; k < format::kSectionCount; ++k) {
+    boundaries.push_back(boundaries.back() + table_size(bytes, k));
+  }
+  const std::size_t events_at = boundaries[4];
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes.data() + events_at, 8);
+  std::size_t column = events_at + 8;  // times, values, ids, kinds
+  for (const std::size_t width : {8, 8, 4, 1}) {
+    boundaries.push_back(column);
+    column += width * n;
+  }
+  boundaries.push_back(bytes.size() - 8);
+  std::vector<std::size_t> at;
+  for (const std::size_t b : boundaries) {
+    at.push_back(b - 1);
+    at.push_back(b);
+  }
+  for (std::size_t pos = 0; pos < bytes.size(); pos += 4099) {
+    at.push_back(pos);
+  }
+  std::sort(at.begin(), at.end());
+  at.erase(std::unique(at.begin(), at.end()), at.end());
+  std::erase_if(at, [&](std::size_t pos) { return pos >= bytes.size(); });
+  return at;
+}
+
+// The same sweeps over a file of kMapMinBytes or more, so the mmap source
+// is covered too: every flipped copy keeps the size and is mapped, and so is
+// every cut at or above the threshold (shorter cuts are read).
+TEST(IdenticalRejection, TruncationSweepMapped) {
+  const std::string good = v4_bytes(test::large_trace(5, 2 * kMapMinBytes));
+  ASSERT_GE(good.size(), 2 * kMapMinBytes);
+  std::size_t mapped_cuts = 0;
+  for (const std::size_t cut : sweep_positions(good)) {
+    mapped_cuts += cut >= kMapMinBytes ? 1 : 0;
+    const Outcome file =
+        expect_identical_rejection(good.substr(0, cut), "trunc_large_" + std::to_string(cut));
+    EXPECT_FALSE(file.accepted) << cut;
+  }
+  EXPECT_GE(mapped_cuts, 50u);
+}
+
+TEST(IdenticalRejection, BitFlipSweepMapped) {
+  const std::string good = v4_bytes(test::large_trace(6));
+  ASSERT_GE(good.size(), kMapMinBytes);
+  for (const std::size_t pos : sweep_positions(good)) {
+    std::string flipped = good;
+    flipped[pos] ^= 0x10;
+    // One flipped bit changes one checksum lane, so nothing slips through.
+    const Outcome file =
+        expect_identical_rejection(flipped, "flip_large_" + std::to_string(pos));
+    EXPECT_FALSE(file.accepted) << pos;
   }
 }
 
@@ -568,14 +696,21 @@ TEST(IncrementalCampaign, ColdStartMatchesBatchBitIdentical) {
   paths.push_back(write_run(dir, "b.otf2l", "compute", 61));
   paths.push_back(write_run(dir, "a.otf2l", "md", 60));
   paths.push_back(write_run(dir, "c.otf2l", "matmul", 62));
+  std::uint64_t small_bytes = 0;
+  for (const std::string& path : paths) {
+    small_bytes += std::filesystem::file_size(path);
+  }
+  paths.push_back((dir / "d.otf2l").string());
+  write_trace_file(test::large_trace(63), paths.back());
 
-  IncrementalCampaignOptions options;
-  options.campaign.mmap = true;
-  IncrementalCampaign campaign((dir).string(), options);
+  IncrementalCampaign campaign((dir).string(), {});
   EXPECT_TRUE(campaign.poll());
-  EXPECT_EQ(campaign.stats().files_ingested, 3u);
+  EXPECT_EQ(campaign.stats().files_ingested, 4u);
   EXPECT_EQ(campaign.stats().republishes, 1u);
-  EXPECT_GT(campaign.stats().bytes_mapped, 0u);
+  // The three sim traces are small and read; the large one is mapped.
+  EXPECT_LT(small_bytes, 3 * kMapMinBytes);
+  EXPECT_EQ(campaign.stats().bytes_copied, small_bytes);
+  EXPECT_EQ(campaign.stats().bytes_mapped, std::filesystem::file_size(paths.back()));
   expect_profiles_bit_identical(campaign.profiles(), cold_batch(paths));
 }
 
@@ -697,11 +832,9 @@ TEST(IncrementalCampaign, ObsCountersWitnessIncrementalWork) {
   obs::set_enabled(true);
   obs::registry().reset_values();
   const auto dir = incremental_dir("obs");
-  write_run(dir, "a.otf2l", "md", 97);
+  const std::string a = write_run(dir, "a.otf2l", "md", 97);
 
-  IncrementalCampaignOptions options;
-  options.campaign.mmap = true;
-  IncrementalCampaign campaign(dir.string(), options);
+  IncrementalCampaign campaign(dir.string(), {});
   ASSERT_TRUE(campaign.poll());
 
   auto snapshot = obs::registry().snapshot();
@@ -710,12 +843,16 @@ TEST(IncrementalCampaign, ObsCountersWitnessIncrementalWork) {
   EXPECT_EQ(ingested->counter, 1u);
 
   // Second poll with one new file: the counter advances by exactly one —
-  // the O(changed files) witness required of the streaming engine.
-  write_run(dir, "b.otf2l", "compute", 98);
+  // the O(changed files) witness required of the streaming engine. The new
+  // file is over the mapping threshold, so the byte counters split: the
+  // small first file was read, the second is mapped.
+  const std::string b = (dir / "b.otf2l").string();
+  write_trace_file(test::large_trace(98), b);
   ASSERT_TRUE(campaign.poll());
   snapshot = obs::registry().snapshot();
   EXPECT_EQ(snapshot.find("ingestd.files_ingested")->counter, 2u);
-  EXPECT_GT(snapshot.find("ingestd.bytes_mapped")->counter, 0u);
+  EXPECT_EQ(snapshot.find("ingestd.bytes_copied")->counter, std::filesystem::file_size(a));
+  EXPECT_EQ(snapshot.find("ingestd.bytes_mapped")->counter, std::filesystem::file_size(b));
   EXPECT_EQ(snapshot.find("ingestd.republishes")->counter, 2u);
   const auto* latency = snapshot.find("ingestd.republish_seconds");
   ASSERT_NE(latency, nullptr);

@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "acquire/campaign.hpp"
 #include "acquire/dataset.hpp"
 #include "common/error.hpp"
@@ -31,8 +29,13 @@
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
+#include "test_support.hpp"
+
 namespace pwx::serve {
 namespace {
+
+[[maybe_unused]] const auto* const kScratchCleanup =
+    test::remove_scratch_at_exit("pwx_serve_test");
 
 // ------------------------------------------------------------ drift monitor
 
@@ -222,10 +225,7 @@ std::vector<std::string> write_corpus(const sim::Engine& engine,
   return paths;
 }
 
-std::filesystem::path corpus_root() {
-  return std::filesystem::temp_directory_path() /
-         ("pwx_serve_test_" + std::to_string(::getpid()));
-}
+std::filesystem::path corpus_root() { return test::scratch_path("pwx_serve_test"); }
 
 /// Baseline-corpus paths (created once per process).
 const std::vector<std::string>& baseline_corpus() {

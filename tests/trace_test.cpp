@@ -3,8 +3,6 @@
 // plugins, phase-profile post-processing, and batch campaign ingestion.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -28,8 +26,13 @@
 #include "trace/trace.hpp"
 #include "workloads/registry.hpp"
 
+#include "test_support.hpp"
+
 namespace pwx::trace {
 namespace {
+
+[[maybe_unused]] const auto* const kScratchCleanup =
+    test::remove_scratch_at_exit("pwx_trace_campaign_test");
 
 Trace make_small_trace() {
   Trace t;
@@ -629,12 +632,9 @@ TEST(Serialize, TruncationSweepKeepsOffsetContract) {
 
 // ---------------------------------------------------------------- profile campaign
 
-/// Scratch directory for the campaign fixture. Each gtest case runs as its
-/// own ctest process, so the name carries the pid to keep concurrent test
-/// processes from rewriting each other's fixture files mid-read.
+/// Scratch directory for the campaign fixture (pid-keyed, removed at exit).
 std::filesystem::path campaign_fixture_dir() {
-  return std::filesystem::temp_directory_path() /
-         ("pwx_trace_campaign_test_" + std::to_string(::getpid()));
+  return test::scratch_path("pwx_trace_campaign_test");
 }
 
 /// A small multiplexed campaign fixture: two event groups per workload, so

@@ -18,8 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "acquire/campaign.hpp"
 #include "acquire/dataset.hpp"
 #include "common/error.hpp"
@@ -41,8 +39,13 @@
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
+#include "test_support.hpp"
+
 namespace pwx {
 namespace {
+
+[[maybe_unused]] const auto* const kScratchCleanup =
+    test::remove_scratch_at_exit("pwx_tracing_test");
 
 // --------------------------------------------------------------- fixtures
 
@@ -63,9 +66,7 @@ struct Session {
 };
 
 std::filesystem::path test_root() {
-  static const std::filesystem::path root =
-      std::filesystem::temp_directory_path() /
-      ("pwx_tracing_test_" + std::to_string(::getpid()));
+  static const std::filesystem::path root = test::scratch_path("pwx_tracing_test");
   std::filesystem::create_directories(root);
   return root;
 }

@@ -2,9 +2,10 @@
 //
 // Watches a directory of OTF2-lite trace files and keeps a merged
 // phase-profile table current as calibration runs land: each poll ingests
-// only new or changed files (zero-copy mapped by default) and republishes
-// the merged table, which is bit-identical to a cold batch over the same
-// files (see trace/incremental.hpp).
+// only new or changed files (through trace::MappedTraceFile::open, which
+// maps or reads each file by size) and republishes the merged table, which
+// is bit-identical to a cold batch over the same files (see
+// trace/incremental.hpp).
 //
 // With --refresh the daemon additionally runs the self-healing serving loop
 // (src/serve): it bootstraps a power model from the first ingested corpus,
@@ -19,8 +20,7 @@
 //   --once              one poll, print the table, exit (CI / cron mode)
 //   --interval <s>      seconds between polls (default 1.0)
 //   --polls <n>         stop after n polls (default: run until killed)
-//   --no-mmap           ingest through the buffered reader instead
-//   --no-verify         defer checksum verification on the mapped path
+//   --no-verify         defer checksum verification
 //   --quiet             suppress the per-republish profile table
 //   --metrics           print the obs metric table on exit
 //   --refresh           enable drift detection + guarded retrain + hot-swap
@@ -271,7 +271,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s <directory> [--once] [--interval <s>] [--polls <n>]\n"
-      "       [--no-mmap] [--no-verify] [--quiet] [--metrics]\n"
+      "       [--no-verify] [--quiet] [--metrics]\n"
       "       [--refresh] [--refresh-window <n>] [--refresh-mape <pct>]\n"
       "       [--trace-out <file>] [--trace-sample <n>]\n"
       "       [--flight-recorder <file>]\n",
@@ -293,7 +293,6 @@ int main(int argc, char** argv) {
   double interval_s = 1.0;
   std::uint64_t max_polls = 0;  // 0: unbounded
   trace::IncrementalCampaignOptions options;
-  options.campaign.mmap = true;
   serve::DriftConfig drift;
   drift.window_size = 32;
   drift.max_mape_pct = 5.0;
@@ -307,8 +306,6 @@ int main(int argc, char** argv) {
       metrics = true;
     } else if (std::strcmp(argv[i], "--refresh") == 0) {
       refresh = true;
-    } else if (std::strcmp(argv[i], "--no-mmap") == 0) {
-      options.campaign.mmap = false;
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       options.campaign.verify_checksum = false;
     } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
@@ -355,7 +352,6 @@ int main(int argc, char** argv) {
   try {
     trace::IncrementalCampaign campaign(directory, options);
     acquire::IngestOptions ingest;
-    ingest.mmap = options.campaign.mmap;
     ingest.verify_checksum = options.campaign.verify_checksum;
     RefreshLoop refresh_loop(drift, ingest);
 

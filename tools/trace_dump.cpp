@@ -8,9 +8,10 @@
 //   pwx-trace-dump <trace.otf2l> --profile       # full phase-profile table
 //   pwx-trace-dump <trace.otf2l> --stat          # section table + I/O stats
 //
-// Every mode reads the file through the zero-copy mapped reader, which falls
-// back to the buffered one when mmap is refused; --stat reports which path
-// served the file.
+// Every mode reads the file through trace::MappedTraceFile::open, which maps
+// a regular file of kMapMinBytes (256 KiB) or more and reads anything
+// smaller, or anything mmap cannot serve (a pipe), into an aligned buffer;
+// --stat reports which source served the file.
 //
 // Exit codes: 0 ok, 1 generic error, 2 usage, 3 corrupt/truncated trace or
 // unsupported OTF2-lite version (the IoError diagnosis — byte offset and
@@ -155,28 +156,25 @@ int print_profiles(const trace::TraceView& t) {
   return 0;
 }
 
-/// --stat: how the file was ingested — zero-copy vs buffered, byte
-/// accounting, and (for mapped files) the validated section table with
-/// absolute offsets and padded sizes.
+/// --stat: how the file was ingested — mapped or read — byte accounting,
+/// and the validated section table with absolute offsets and padded sizes.
 int print_stat(const trace::MappedTraceFile& file) {
   std::puts("format:          OTF2LTv4");
-  std::printf("ingestion:       %s\n", file.mapped() ? "mapped (zero-copy)" : "buffered");
+  std::printf("ingestion:       %s\n",
+              file.mapped() ? "mmap (zero-copy)" : "read() into an aligned buffer");
   std::printf("bytes mapped:    %zu\n", file.bytes_mapped());
   std::printf("bytes copied:    %zu\n", file.bytes_copied());
   std::printf("checksum:        %s\n",
               file.checksum_verified() ? "verified" : "deferred");
   std::printf("events:          %zu\n", file.view().columns.size());
-  if (!file.sections().empty()) {
-    std::puts("\nsections:");
-    TablePrinter table({"id", "name", "offset", "size [B]"});
-    static const char* kNames[] = {"attributes", "metrics", "regions", "events"};
-    for (const trace::format::SectionInfo& s : file.sections()) {
-      table.row({std::to_string(s.id),
-                 s.id >= 1 && s.id <= 4 ? kNames[s.id - 1] : "?",
-                 std::to_string(s.file_offset), std::to_string(s.size)});
-    }
-    table.print(std::cout);
+  std::puts("\nsections:");
+  TablePrinter table({"id", "name", "offset", "size [B]"});
+  static const char* kNames[] = {"attributes", "metrics", "regions", "events"};
+  for (const trace::format::SectionInfo& s : file.sections()) {
+    table.row({std::to_string(s.id), s.id >= 1 && s.id <= 4 ? kNames[s.id - 1] : "?",
+               std::to_string(s.file_offset), std::to_string(s.size)});
   }
+  table.print(std::cout);
   return 0;
 }
 
