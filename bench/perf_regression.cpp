@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "la/qr.hpp"
-#include "la/svd.hpp"
 #include "regress/ols.hpp"
 #include "regress/vif.hpp"
 
@@ -68,14 +67,5 @@ void BM_MeanVif(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeanVif)->Arg(4)->Arg(6)->Arg(12);
-
-void BM_JacobiSvd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const la::Matrix x = random_design(n, 8, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(la::svd(x).sigma);
-  }
-}
-BENCHMARK(BM_JacobiSvd)->Arg(64)->Arg(560);
 
 }  // namespace

@@ -123,7 +123,10 @@ std::vector<trace::PhaseProfile> execute_group_run(
   rc.interval_s = config.interval_s;
   rc.duration_scale = config.duration_scale;
   rc.seed = seed;
-  sim::RunResult run = engine.run(*unit.workload, rc);
+  sim::RunResult run = [&] {
+    PWX_SPAN("sim.run");
+    return engine.run(*unit.workload, rc);
+  }();
 
   bool flagged = false;
   if (injector != nullptr) {

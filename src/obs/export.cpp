@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
 
@@ -177,33 +176,6 @@ void print_table(const MetricsSnapshot& snapshot, std::ostream& out) {
         break;
       }
     }
-  }
-  table.print(out);
-}
-
-Json span_profile_to_json(const std::vector<SpanStats>& profile) {
-  Json::Array out;
-  for (const SpanStats& span : profile) {
-    Json::Object entry;
-    entry["path"] = Json(span.path);
-    entry["calls"] = Json(span.calls);
-    entry["total_s"] = Json(span.total_s);
-    entry["min_s"] = Json(span.min_s);
-    entry["max_s"] = Json(span.max_s);
-    out.push_back(Json(std::move(entry)));
-  }
-  return Json(std::move(out));
-}
-
-void print_span_table(const std::vector<SpanStats>& profile, std::ostream& out) {
-  TablePrinter table({"span", "calls", "total [s]", "mean [s]", "min [s]", "max [s]"});
-  for (const SpanStats& span : profile) {
-    const double mean =
-        span.calls > 0 ? span.total_s / static_cast<double>(span.calls) : 0.0;
-    table.row({std::string(span.depth() * 2, ' ') + std::string(span.name()),
-               std::to_string(span.calls), format_double(span.total_s, 6),
-               format_double(mean, 6), format_double(span.min_s, 6),
-               format_double(span.max_s, 6)});
   }
   table.print(out);
 }

@@ -1,4 +1,4 @@
-// Exporters over metric and span snapshots.
+// Exporters over metric snapshots.
 //
 // Three formats, all deterministic given a snapshot (name-sorted input,
 // fixed number formatting):
@@ -19,7 +19,6 @@
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 
 namespace pwx::obs {
 
@@ -40,11 +39,5 @@ std::string to_jsonl_line(const MetricsSnapshot& snapshot, std::uint64_t sequenc
 
 /// Human-readable metric table.
 void print_table(const MetricsSnapshot& snapshot, std::ostream& out);
-
-/// Span profile as JSON array (path-sorted).
-Json span_profile_to_json(const std::vector<SpanStats>& profile);
-
-/// Span profile as an indented tree table.
-void print_span_table(const std::vector<SpanStats>& profile, std::ostream& out);
 
 }  // namespace pwx::obs

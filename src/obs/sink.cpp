@@ -4,7 +4,6 @@
 #include "common/log.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
-#include "obs/span.hpp"
 
 namespace pwx::obs {
 
@@ -34,26 +33,14 @@ void TelemetrySink::flush(double now_s) {
     flight().note_metrics(snapshot);
   }
   switch (config_.format) {
-    case ExportFormat::Jsonl: {
+    case ExportFormat::Jsonl:
       out_ << to_jsonl_line(snapshot, flushes_) << '\n';
-      if (config_.include_spans) {
-        Json line;
-        line["event"] = Json("spans");
-        line["seq"] = Json(flushes_);
-        line["spans"] = span_profile_to_json(spans().profile());
-        out_ << line.dump(-1) << '\n';
-      }
       break;
-    }
     case ExportFormat::Prometheus:
       out_ << to_prometheus(snapshot);
       break;
     case ExportFormat::Table:
       print_table(snapshot, out_);
-      if (config_.include_spans) {
-        out_ << '\n';
-        print_span_table(spans().profile(), out_);
-      }
       break;
   }
   out_.flush();

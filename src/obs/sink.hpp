@@ -1,13 +1,13 @@
 // Periodic telemetry snapshot/flush.
 //
 // A TelemetrySink owns the "when and where" of metric export: it snapshots a
-// MetricRegistry (and optionally the span profile), renders the configured
-// format, and writes it to a stream — unconditionally via flush(), or rate-
-// limited via maybe_flush(now_s) for sampling loops that tick faster than an
-// operator wants output. Time is passed in by the caller (monotonic_s() in
-// production, anything in tests), so flush cadence is testable without real
-// sleeps. Every flush also emits a structured debug log event through
-// common/log, which routes into the JSON log sink when one is selected.
+// MetricRegistry, renders the configured format, and writes it to a stream —
+// unconditionally via flush(), or rate-limited via maybe_flush(now_s) for
+// sampling loops that tick faster than an operator wants output. Time is
+// passed in by the caller (monotonic_s() in production, anything in tests),
+// so flush cadence is testable without real sleeps. Every flush also emits a
+// structured debug log event through common/log, which routes into the JSON
+// log sink when one is selected.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@ enum class ExportFormat { Jsonl, Prometheus, Table };
 struct TelemetrySinkConfig {
   double interval_s = 1.0;              ///< minimum spacing for maybe_flush
   ExportFormat format = ExportFormat::Jsonl;
-  bool include_spans = false;           ///< append the span profile per flush
 };
 
 class TelemetrySink {

@@ -1,99 +1,13 @@
 #include "obs/span.hpp"
 
-#include <algorithm>
 #include <chrono>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace pwx::obs {
-
-namespace {
-// Per-thread current span path; spans append "/name" and restore on exit.
-thread_local std::string t_path;  // NOLINT: intentional thread-local state
-}  // namespace
 
 double monotonic_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::size_t SpanStats::depth() const {
-  return static_cast<std::size_t>(std::count(path.begin(), path.end(), '/'));
-}
-
-std::string_view SpanStats::name() const {
-  const std::size_t slash = path.rfind('/');
-  return slash == std::string::npos
-             ? std::string_view(path)
-             : std::string_view(path).substr(slash + 1);
-}
-
-void SpanRegistry::record(std::string_view path, double seconds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = cells_.find(path);
-  if (it == cells_.end()) {
-    it = cells_.emplace(std::string(path), Cell{}).first;
-  }
-  Cell& cell = it->second;
-  cell.min_s = cell.calls == 0 ? seconds : std::min(cell.min_s, seconds);
-  cell.max_s = cell.calls == 0 ? seconds : std::max(cell.max_s, seconds);
-  cell.calls += 1;
-  cell.total_s += seconds;
-}
-
-std::vector<SpanStats> SpanRegistry::profile() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SpanStats> out;
-  out.reserve(cells_.size());
-  for (const auto& [path, cell] : cells_) {
-    SpanStats stats;
-    stats.path = path;
-    stats.calls = cell.calls;
-    stats.total_s = cell.total_s;
-    stats.min_s = cell.min_s;
-    stats.max_s = cell.max_s;
-    out.push_back(std::move(stats));
-  }
-  return out;
-}
-
-void SpanRegistry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  cells_.clear();
-}
-
-SpanRegistry& spans() {
-  static SpanRegistry instance;  // NOLINT: intentional process lifetime
-  return instance;
-}
-
-Span::Span(std::string_view name) {
-  if (tracing_active()) {
-    traced_ = trace_detail::begin_span(name);
-  }
-  if (!enabled()) {
-    return;
-  }
-  active_ = true;
-  parent_length_ = t_path.size();
-  if (!t_path.empty()) {
-    t_path += '/';
-  }
-  t_path += name;
-  start_s_ = monotonic_s();
-}
-
-Span::~Span() {
-  if (active_) {
-    const double elapsed = monotonic_s() - start_s_;
-    spans().record(t_path, elapsed);
-    t_path.resize(parent_length_);
-  }
-  if (traced_) {
-    trace_detail::end_span();
-  }
 }
 
 }  // namespace pwx::obs

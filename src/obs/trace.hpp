@@ -1,21 +1,19 @@
-// Structured causal tracing: spans with identity, not just timing.
+// Structured causal tracing: the one store PWX_SPAN sites record into.
 //
-// PR 3's PWX_SPAN gave the pipeline an *aggregate* timing profile (per-path
-// call counts and totals in SpanRegistry). This layer upgrades the same span
-// sites into a real trace: every sampled span gets a TraceId/SpanId/parent
-// linkage, monotonic start/end timestamps, and free-form attributes, and is
-// recorded as a SpanRecord into a lock-free single-producer ring buffer owned
-// by its thread. A collector (tools/pwx-ingestd --trace-out, pwx-monitor
+// Every sampled span gets a TraceId/SpanId/parent linkage, monotonic
+// start/end timestamps, and free-form attributes, and is recorded as a
+// SpanRecord into a lock-free single-producer ring buffer owned by its
+// thread. A collector (tools/pwx-ingestd --trace-out, pwx-monitor
 // --trace, the tests) drains the rings and hands the records to the
 // exporters in obs/trace_export.hpp (Chrome trace-event JSON for Perfetto,
 // span JSONL, the latency-attribution table).
 //
 // Design points:
 //
-//   * Off path: one inline branch. When no Tracer session is active,
-//     tracing_active() is a single relaxed atomic load and obs::Span does
-//     nothing structured. Starting a session never requires re-instrumenting
-//     a site.
+//   * Off path: one inline branch. When no Tracer session is active and no
+//     flight recorder is armed, tracing_active() is a single relaxed atomic
+//     load and obs::Span does nothing else. Starting a session never
+//     requires re-instrumenting a site.
 //   * Sampling: the decision is made once per *trace* (at the root span) —
 //     1-in-N roots by a deterministic counter — and children inherit it, so
 //     a sampled trace is always complete and an unsampled one is free except
@@ -132,7 +130,7 @@ private:
   std::uint64_t session_ = 0;
 };
 
-/// The process-wide tracer (sibling of obs::registry() / obs::spans()).
+/// The process-wide tracer (sibling of obs::registry()).
 Tracer& tracer();
 
 /// TraceId of the current thread's innermost *sampled* span, 0 when none.

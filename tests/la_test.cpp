@@ -9,8 +9,6 @@
 #include "la/cholesky.hpp"
 #include "la/matrix.hpp"
 #include "la/qr.hpp"
-#include "la/solve.hpp"
-#include "la/svd.hpp"
 
 namespace pwx::la {
 namespace {
@@ -266,120 +264,6 @@ TEST(Cholesky, RejectsIndefinite) {
 TEST(Cholesky, LogDeterminantMatchesKnown) {
   const Matrix d{{4, 0}, {0, 9}};
   EXPECT_NEAR(CholeskyDecomposition(d).log_determinant(), std::log(36.0), 1e-12);
-}
-
-// ---------------------------------------------------------------- svd
-
-class SvdProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(SvdProperty, ReconstructionOrthogonalityOrdering) {
-  const auto [m, n] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(m * 1000 + n));
-  const Matrix a = random_matrix(static_cast<std::size_t>(m), static_cast<std::size_t>(n), rng);
-  const Svd f = svd(a);
-  // Reconstruction U S Vᵀ = A.
-  Matrix us = f.u;
-  for (std::size_t j = 0; j < f.sigma.size(); ++j) {
-    for (std::size_t i = 0; i < us.rows(); ++i) {
-      us(i, j) *= f.sigma[j];
-    }
-  }
-  EXPECT_LT(max_abs_diff(us * f.v.transposed(), a), 1e-9);
-  // Orthonormal factors.
-  EXPECT_LT(max_abs_diff(f.u.gram(), Matrix::identity(static_cast<std::size_t>(n))), 1e-10);
-  EXPECT_LT(max_abs_diff(f.v.gram(), Matrix::identity(static_cast<std::size_t>(n))), 1e-10);
-  // Descending singular values, all non-negative.
-  for (std::size_t j = 1; j < f.sigma.size(); ++j) {
-    EXPECT_GE(f.sigma[j - 1], f.sigma[j]);
-  }
-  EXPECT_GE(f.sigma.back(), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, SvdProperty,
-                         ::testing::Values(std::pair{2, 2}, std::pair{5, 3},
-                                           std::pair{8, 8}, std::pair{20, 6},
-                                           std::pair{50, 10}));
-
-TEST(Svd, KnownDiagonalCase) {
-  const Matrix a{{3, 0}, {0, 4}, {0, 0}};
-  const Svd f = svd(a);
-  EXPECT_NEAR(f.sigma[0], 4.0, 1e-12);
-  EXPECT_NEAR(f.sigma[1], 3.0, 1e-12);
-}
-
-TEST(Svd, PinvSatisfiesMoorePenrose) {
-  Rng rng(16);
-  const Matrix a = random_matrix(8, 4, rng);
-  const Matrix p = pinv(a);
-  EXPECT_LT(max_abs_diff(a * p * a, a), 1e-9);
-  EXPECT_LT(max_abs_diff(p * a * p, p), 1e-9);
-  // (AP)ᵀ = AP and (PA)ᵀ = PA.
-  const Matrix ap = a * p;
-  const Matrix pa = p * a;
-  EXPECT_LT(max_abs_diff(ap.transposed(), ap), 1e-9);
-  EXPECT_LT(max_abs_diff(pa.transposed(), pa), 1e-9);
-}
-
-TEST(Svd, PinvHandlesWideMatrices) {
-  Rng rng(17);
-  const Matrix a = random_matrix(3, 6, rng);
-  const Matrix p = pinv(a);
-  EXPECT_EQ(p.rows(), 6u);
-  EXPECT_EQ(p.cols(), 3u);
-  EXPECT_LT(max_abs_diff(a * p * a, a), 1e-9);
-}
-
-TEST(Svd, PinvOfRankDeficientIgnoresNullDirections) {
-  Matrix a(4, 2);
-  for (std::size_t i = 0; i < 4; ++i) {
-    a(i, 0) = static_cast<double>(i + 1);
-    a(i, 1) = 2.0 * a(i, 0);
-  }
-  const Matrix p = pinv(a);
-  EXPECT_LT(max_abs_diff(a * p * a, a), 1e-9);
-}
-
-TEST(Svd, ConditionNumberOfIdentityIsOne) {
-  EXPECT_NEAR(condition_number(Matrix::identity(5)), 1.0, 1e-12);
-}
-
-TEST(Svd, ConditionNumberOfSingularIsInf) {
-  Matrix a(3, 2);
-  a(0, 0) = 1;
-  a(1, 1) = 0;  // second column zero
-  EXPECT_TRUE(std::isinf(condition_number(a)));
-}
-
-// ---------------------------------------------------------------- lstsq
-
-TEST(Lstsq, FullRankUsesQrAndReportsResidual) {
-  Rng rng(18);
-  const Matrix a = random_matrix(15, 4, rng);
-  std::vector<double> b(15);
-  for (auto& v : b) v = rng.normal();
-  const LstsqResult res = lstsq(a, b);
-  EXPECT_TRUE(res.full_rank);
-  EXPECT_EQ(res.x.size(), 4u);
-  EXPECT_NEAR(res.residual_norm, norm2(res.residual), 1e-12);
-}
-
-TEST(Lstsq, RankDeficientFallsBackToPinv) {
-  Matrix a(6, 2);
-  for (std::size_t i = 0; i < 6; ++i) {
-    a(i, 0) = static_cast<double>(i);
-    a(i, 1) = 3.0 * a(i, 0);
-  }
-  std::vector<double> b(6, 1.0);
-  const LstsqResult res = lstsq(a, b);
-  EXPECT_FALSE(res.full_rank);
-  // Minimum-norm solution still minimizes the residual.
-  EXPECT_EQ(res.x.size(), 2u);
-}
-
-TEST(Lstsq, SizeMismatchThrows) {
-  const Matrix a(4, 2);
-  const std::vector<double> b(5, 0.0);
-  EXPECT_THROW(lstsq(a, b), InvalidArgument);
 }
 
 // ------------------------------------------------- qr column append

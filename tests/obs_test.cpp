@@ -1,10 +1,12 @@
 // Tests for the obs telemetry subsystem: metric registry semantics and
-// concurrency, histogram bucket/quantile math, span nesting, exporter
-// goldens, the telemetry sink cadence, and the end-to-end contract that a
-// seeded fault campaign surfaces its damage in the exported metrics.
+// concurrency, histogram bucket/quantile math, exporter goldens, the
+// telemetry sink cadence, and the end-to-end contract that a seeded fault
+// campaign surfaces its damage in the exported metrics and its spans.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "workloads/registry.hpp"
 
@@ -34,13 +37,11 @@ class ObsTest : public ::testing::Test {
 protected:
   void SetUp() override {
     obs::registry().reset_values();
-    obs::spans().reset();
     obs::set_enabled(true);
   }
   void TearDown() override {
     obs::set_enabled(false);
     obs::registry().reset_values();
-    obs::spans().reset();
   }
 };
 
@@ -237,45 +238,7 @@ TEST_F(ObsTest, DefaultTimeBoundsAreAscending) {
   EXPECT_GE(bounds.back(), 100.0);
 }
 
-// ------------------------------------------------------------------- spans
-
-TEST_F(ObsTest, SpanNestingBuildsSlashPaths) {
-  {
-    PWX_SPAN("outer");
-    { PWX_SPAN("inner"); }
-    { PWX_SPAN("inner"); }
-  }
-  const std::vector<obs::SpanStats> profile = obs::spans().profile();
-  ASSERT_EQ(profile.size(), 2u);
-  EXPECT_EQ(profile[0].path, "outer");
-  EXPECT_EQ(profile[0].calls, 1u);
-  EXPECT_EQ(profile[0].depth(), 0u);
-  EXPECT_EQ(profile[1].path, "outer/inner");
-  EXPECT_EQ(profile[1].calls, 2u);
-  EXPECT_EQ(profile[1].depth(), 1u);
-  EXPECT_EQ(profile[1].name(), "inner");
-  EXPECT_GE(profile[0].total_s, profile[1].total_s);
-}
-
-TEST_F(ObsTest, SpanInactiveWhileDisabled) {
-  obs::set_enabled(false);
-  { PWX_SPAN("ghost"); }
-  EXPECT_TRUE(obs::spans().profile().empty());
-}
-
-TEST_F(ObsTest, RecordAggregatesDeterministically) {
-  obs::spans().record("a", 1.0);
-  obs::spans().record("a", 3.0);
-  obs::spans().record("a/b", 0.25);
-  const std::vector<obs::SpanStats> profile = obs::spans().profile();
-  ASSERT_EQ(profile.size(), 2u);
-  EXPECT_EQ(profile[0].path, "a");
-  EXPECT_EQ(profile[0].calls, 2u);
-  EXPECT_DOUBLE_EQ(profile[0].total_s, 4.0);
-  EXPECT_DOUBLE_EQ(profile[0].min_s, 1.0);
-  EXPECT_DOUBLE_EQ(profile[0].max_s, 3.0);
-  EXPECT_EQ(profile[1].path, "a/b");
-}
+// ------------------------------------------------------------------ timers
 
 TEST_F(ObsTest, ScopedTimerObservesOncePerScope) {
   obs::Histogram h({1e9});  // everything lands in the first bucket
@@ -357,23 +320,13 @@ TEST_F(ObsTest, ExportsAreDeterministicAcrossRegistrationOrder) {
             obs::to_jsonl_line(backward.snapshot(), 0));
 }
 
-TEST_F(ObsTest, TableAndSpanExportsRender) {
+TEST_F(ObsTest, TableExportRenders) {
   obs::MetricRegistry reg;
   golden_registry(reg);
   std::ostringstream table;
   obs::print_table(reg.snapshot(), table);
   EXPECT_NE(table.str().find("campaign.runs"), std::string::npos);
   EXPECT_NE(table.str().find("histogram"), std::string::npos);
-
-  obs::spans().record("a", 1.5);
-  obs::spans().record("a/b", 0.5);
-  const Json spans_json = obs::span_profile_to_json(obs::spans().profile());
-  ASSERT_EQ(spans_json.as_array().size(), 2u);
-  EXPECT_EQ(spans_json.as_array()[0].at("path").as_string(), "a");
-  EXPECT_DOUBLE_EQ(spans_json.as_array()[1].at("total_s").as_number(), 0.5);
-  std::ostringstream span_table;
-  obs::print_span_table(obs::spans().profile(), span_table);
-  EXPECT_NE(span_table.str().find("  b"), std::string::npos);  // indented child
 }
 
 // -------------------------------------------------------------------- sink
@@ -416,6 +369,15 @@ TEST_F(ObsTest, TelemetrySinkPrometheusFormat) {
 }
 
 // ------------------------------------------------- pipeline instrumentation
+
+/// RAII tracer session, so a failing assertion cannot leave tracing on for
+/// the next test.
+struct TracerSession {
+  TracerSession() { obs::tracer().start(); }
+  ~TracerSession() { obs::tracer().stop(); }
+  TracerSession(const TracerSession&) = delete;
+  TracerSession& operator=(const TracerSession&) = delete;
+};
 
 acquire::Dataset tiny_dataset() {
   Rng rng(11);
@@ -526,7 +488,11 @@ TEST_F(ObsTest, SeededFaultCampaignSurfacesInMetrics) {
   const fault::FaultPlan plan = fault::FaultPlan::escalating(0xC7A05, 0.4);
   config.fault_plan = &plan;
 
-  const acquire::Dataset dataset = acquire::run_campaign(engine, config);
+  // Trace the campaign too; the session ends even if the campaign throws.
+  const acquire::Dataset dataset = [&] {
+    const TracerSession session;
+    return acquire::run_campaign(engine, config);
+  }();
   const acquire::DataQuality& quality = dataset.quality();
 
   EXPECT_EQ(global_counter("campaign.campaigns"), 1u);
@@ -549,6 +515,23 @@ TEST_F(ObsTest, SeededFaultCampaignSurfacesInMetrics) {
   const obs::MetricValue* runs = snap.find("campaign.run_seconds");
   ASSERT_NE(runs, nullptr);
   EXPECT_EQ(runs->histogram.count, quality.runs_attempted);
+
+  // One sim.run span per attempt, retries included, each under the span of
+  // the configuration it belongs to.
+  const std::vector<obs::SpanRecord> records = obs::tracer().drain();
+  EXPECT_EQ(obs::tracer().stats().spans_dropped, 0u);
+  std::map<std::uint64_t, std::string_view> names;
+  for (const obs::SpanRecord& record : records) {
+    names.emplace(record.span_id, record.name);
+  }
+  std::uint64_t sim_runs = 0;
+  for (const obs::SpanRecord& record : records) {
+    if (record.name == "sim.run") {
+      sim_runs += 1;
+      EXPECT_EQ(names[record.parent_id], "campaign.configuration");
+    }
+  }
+  EXPECT_EQ(sim_runs, quality.runs_attempted);
 }
 
 TEST_F(ObsTest, FleetSnapshotPublishesGauges) {

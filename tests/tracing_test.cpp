@@ -106,11 +106,21 @@ TEST(Tracing, OffByDefaultAndFreeWhenOff) {
   ASSERT_FALSE(obs::tracing_active());
   EXPECT_EQ(obs::current_trace_id(), 0u);
   EXPECT_EQ(obs::current_span_id(), 0u);
-  {
+  const auto untraced_scope = [] {
     PWX_SPAN("untraced.scope");
     obs::span_attr("ignored", std::uint64_t{1});
     EXPECT_EQ(obs::current_trace_id(), 0u);
-  }
+    EXPECT_EQ(obs::current_span_id(), 0u);
+  };
+  untraced_scope();
+  EXPECT_TRUE(obs::tracer().drain().empty());
+
+  // Telemetry alone never turns tracing on.
+  const bool telemetry_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  untraced_scope();
+  obs::set_enabled(telemetry_was_enabled);
+  EXPECT_FALSE(obs::tracing_active());
   EXPECT_TRUE(obs::tracer().drain().empty());
 }
 

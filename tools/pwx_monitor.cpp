@@ -11,7 +11,7 @@
 //   pwx-monitor [--workload NAME] [--threads N] [--samples N]
 //               [--interval-s X] [--format jsonl|prometheus|table]
 //               [--faults SEED [--intensity X]] [--no-robust]
-//               [--log-json] [--spans] [--fleet N]
+//               [--log-json] [--fleet N]
 //               [--trace] [--trace-replay FILE]
 //
 // With --trace a structured tracing session (obs/trace.hpp) runs for the
@@ -72,7 +72,7 @@ int usage(const char* argv0) {
                "usage: %s [--workload NAME] [--threads N] [--samples N]\n"
                "          [--interval-s X] [--format jsonl|prometheus|table]\n"
                "          [--faults SEED [--intensity X]] [--no-robust]\n"
-               "          [--log-json] [--spans] [--fleet N]\n"
+               "          [--log-json] [--fleet N]\n"
                "          [--trace] [--trace-replay FILE] [--aggregate FILE]\n",
                argv0);
   return 2;
@@ -251,7 +251,6 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> fault_seed;
   double intensity = 1.0;
   bool robust = true;
-  bool spans = false;
   bool trace = false;
   const char* trace_replay = nullptr;
   const char* aggregate_file = nullptr;
@@ -293,8 +292,6 @@ int main(int argc, char** argv) {
       robust = false;
     } else if (arg == "--log-json") {
       set_log_format(LogFormat::Json);
-    } else if (arg == "--spans") {
-      spans = true;
     } else if (arg == "--trace") {
       trace = true;
     } else if (arg == "--trace-replay") {
@@ -346,7 +343,6 @@ int main(int argc, char** argv) {
       obs::TelemetrySinkConfig sink_config;
       sink_config.interval_s = interval_s;
       sink_config.format = format;
-      sink_config.include_spans = spans;
       obs::TelemetrySink sink(std::cout, sink_config);
       const int rc = run_fleet(std::move(model), fleet_nodes, *workload,
                                threads, max_samples, sink);
@@ -388,7 +384,6 @@ int main(int argc, char** argv) {
     obs::TelemetrySinkConfig sink_config;
     sink_config.interval_s = interval_s;
     sink_config.format = format;
-    sink_config.include_spans = spans;
     obs::TelemetrySink sink(std::cout, sink_config);
 
     double stream_t = 0.0;
