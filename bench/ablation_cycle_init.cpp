@@ -13,13 +13,12 @@
 #include "core/validate.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_cycle_init(const StandardPipeline& p) {
   bench::print_header("Ablation: cycle-counter initialization (Walker et al.)",
                       "initializing with TOT_CYC neither improves nor worsens "
                       "accuracy significantly");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   core::SelectionOptions with_init;
   with_init.count = 6;
@@ -56,5 +55,6 @@ int main() {
   std::printf("\nshape check: MAPE difference %.2f pp — consistent with the "
               "paper's\nfinding that the initialization is immaterial.\n",
               cv_init.mean.mape - cv_plain.mean.mape);
-  return 0;
 }
+
+}  // namespace pwx::bench

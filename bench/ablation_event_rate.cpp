@@ -14,13 +14,13 @@
 #include "regress/vif.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_event_rate(const StandardPipeline& p) {
   bench::print_header("Ablation: per-cycle vs per-second event rates",
                       "per-cycle rates reduce the multicollinearity of the "
                       "frequency-coupled features");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   core::FeatureSpec per_second = p.spec;
   per_second.normalization = core::RateNormalization::PerSecond;
 
@@ -51,5 +51,6 @@ int main() {
   std::puts("\nshape check: the per-second features are at least as collinear as\n"
             "the per-cycle ones — the paper's normalization never hurts and\n"
             "decouples the event terms from f_clk.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -15,13 +15,13 @@
 #include "regress/diagnostics.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_hcse(const StandardPipeline& p) {
   bench::print_header("Ablation: HC3 robust standard errors vs classical OLS",
                       "heteroscedastic residuals understate classical standard "
                       "errors; HC3 corrects the inference");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const core::PowerModel robust =
       core::train_model(*p.training, p.spec, regress::CovarianceType::HC3);
   const core::PowerModel classical =
@@ -50,5 +50,6 @@ int main() {
   std::puts("\nshape check: coefficients agree exactly; HC3 standard errors\n"
             "differ from the classical ones under the heteroscedastic residuals,\n"
             "changing the confidence attached to individual event terms.");
-  return 0;
 }
+
+}  // namespace pwx::bench

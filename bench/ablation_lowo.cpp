@@ -15,14 +15,14 @@
 #include "core/validate.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_lowo(const StandardPipeline& p) {
   bench::print_header("Ablation: leave-one-workload-out validation",
                       "unseen-workload error exceeds the random k-fold error; "
                       "the gap measures how much the model memorizes "
                       "workload-specific behaviour");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const core::LowoSummary lowo = core::leave_one_workload_out(*p.training, p.spec);
   const auto cv = core::k_fold_cross_validation(*p.training, p.spec, 10, bench::kCvSeed);
 
@@ -41,5 +41,6 @@ int main() {
               "paper's random-indexing protocol is the optimistic bound, exactly\n"
               "as its scenario analysis argues.\n",
               lowo.mean_mape, cv.mean.mape);
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -12,13 +12,12 @@
 #include "core/validate.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_num_counters(const StandardPipeline& p) {
   bench::print_header("Ablation: number of selected counters (1..8)",
                       "R2 saturates after ~4-6 counters while mean VIF grows; "
                       "the 7th counter is the paper's CA_SNP dilemma");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   TablePrinter table(
       {"#events", "last added", "fit R2 (2.4 GHz)", "CV MAPE [%]", "mean VIF"});
@@ -40,5 +39,6 @@ int main() {
 
   std::puts("\nshape check: accuracy gains flatten while the mean VIF eventually\n"
             "explodes — selecting more events trades stability for noise.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -50,14 +50,13 @@ std::pair<double, double> cv_regularized(const la::Matrix& x,
 
 }  // namespace
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_ridge(const StandardPipeline& p) {
   bench::print_header(
       "Ablation: ridge / LASSO over all 54 counters vs 6-counter OLS",
       "shrinkage handles the collinear counters Algorithm 1 must reject "
       "(the CA_SNP dilemma) at the cost of needing every counter at runtime");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   // Full design: all 54 presets.
   core::FeatureSpec full;
@@ -103,5 +102,6 @@ int main() {
             "the 6-counter OLS without any selection step — but a deployment\n"
             "would have to multiplex all 54 presets (~16 runs), which is why\n"
             "the paper's small selected set remains the practical choice.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -31,14 +31,14 @@ std::string event_list(const std::vector<pmc::Preset>& events) {
 
 }  // namespace
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_selection_criteria(const StandardPipeline& p) {
   bench::print_header(
       "Ablation: event-selection algorithms and criteria",
       "future work of the paper — how do information criteria, correlation "
       "ranking, and LASSO compare against Algorithm 1?");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const auto candidates = pmc::haswell_ep_available_events();
 
   struct Variant {
@@ -101,5 +101,6 @@ int main() {
             "fraction of a percentage point of each other, while naive\n"
             "correlation ranking picks redundant counters (higher VIF and/or\n"
             "failed fits) — supporting the paper's Section V argument.");
-  return 0;
 }
+
+}  // namespace pwx::bench

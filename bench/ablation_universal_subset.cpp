@@ -15,15 +15,14 @@
 #include "core/validate.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void ablation_universal_subset(const StandardPipeline& p) {
   bench::print_header(
       "Ablation: fixed 'universal' counter subset (Rodrigues et al.) vs "
       "Algorithm 1",
       "a fixed subset forfeits accuracy relative to statistically selected "
       "events and ignores multicollinearity");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   core::FeatureSpec universal;
   universal.events = {pmc::Preset::TOT_INS, pmc::Preset::L1_DCM, pmc::Preset::RES_STL};
@@ -60,5 +59,6 @@ int main() {
               "subset at equal size (MAPE %.2f vs %.2f %%), and six events beat\n"
               "three — counter choice is workload- and architecture-specific.\n",
               cv_stat3.mean.mape, cv_universal.mean.mape);
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -12,13 +12,12 @@
 #include "common/table.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_fig2(const StandardPipeline& p) {
   bench::print_header("Figure 2: R2 / Adj.R2 vs number of selected counters",
                       "steep rise over the first counters, flattening near 0.98; "
                       "Adj.R2 tracks R2 closely");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   TablePrinter table({"#counters", "counter", "R2", "Adj.R2", "delta R2"});
   double previous = 0.0;
@@ -42,5 +41,6 @@ int main() {
 
   std::puts("\nshape check: delta R2 shrinks monotonically after the first two\n"
             "counters and the Adj.R2 curve never departs visibly from R2.");
-  return 0;
 }
+
+}  // namespace pwx::bench

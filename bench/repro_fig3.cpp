@@ -12,12 +12,12 @@
 #include "core/scenario.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_fig3(const StandardPipeline& p) {
   bench::print_header("Figure 3: MAPE per workload across all DVFS states",
                       "per-workload MAPE ~3..14 %; max = ilbdc, min = sqrt");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   // Per-row predictions from 10-fold CV (every row predicted exactly once).
   const core::ScenarioResult cv =
       core::scenario_kfold_all(*p.training, p.spec, 10, bench::kCvSeed);
@@ -51,5 +51,6 @@ int main() {
               minmax.second->workload.c_str(), minmax.second->mape);
   std::puts("shape check: errors span roughly one order of magnitude across\n"
             "workloads, with no suite uniformly better than the other.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -11,14 +11,13 @@
 #include "core/scenario.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_fig4(const StandardPipeline& p) {
   bench::print_header(
       "Figure 4: MAPE for training scenarios 1-4",
       "scenario 2 (train synthetic, validate SPEC) is clearly worst at 15.1 %; "
       "10-fold scenarios sit near 7.5 %");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   // Fixed documented draw: seed 1, stratified to at least two workloads per
   // suite (an unconstrained 4-workload draw can be degenerate; see below).
@@ -54,5 +53,6 @@ int main() {
               "synthetic-only CV (scenario 4) is no better guide to real\n"
               "workloads than scenario 3 — the paper's central stability result.\n",
               s2.mape, s3.mape);
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -47,15 +47,15 @@ void report(const pwx::core::ScenarioResult& scenario, const char* title) {
 
 }  // namespace
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_fig5(const StandardPipeline& p) {
   bench::print_header(
       "Figure 5: actual vs modeled average power (scenarios 2 and 3)",
       "5a: systematic per-workload bias under synthetic-only training "
       "(md, nab overestimated); 5b: symmetric scatter, absolute error grows "
       "with power");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const auto s2 = core::scenario_synthetic_to_spec(*p.training, p.spec);
   const auto s3 = core::scenario_kfold_all(*p.training, p.spec, 10, bench::kCvSeed);
 
@@ -81,5 +81,6 @@ int main() {
   std::puts("\nshape check: scenario 2 exhibits per-workload systematic bias in\n"
             "both directions while scenario 3 is balanced; the residual variance\n"
             "ratio > 1 reproduces the paper's heteroscedasticity observation.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -14,13 +14,13 @@
 #include "core/pcc.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_fig6(const StandardPipeline& p) {
   bench::print_header("Figure 6: PCC of all 54 PAPI presets with power",
                       "correlations spread from ~0 (or slightly negative) up to "
                       "~0.9, with many counters clustering at similar values");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   auto correlations =
       core::correlate_with_power(*p.selection, pmc::haswell_ep_available_events());
   std::sort(correlations.begin(), correlations.end(),
@@ -47,5 +47,6 @@ int main() {
               min_pcc, max_pcc, weak, correlations.size());
   std::puts("shape check: a broad spread with clusters of similar values —\n"
             "correlation alone cannot pick a stable counter set.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -12,14 +12,13 @@
 #include "common/table.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_table1(const StandardPipeline& p) {
   bench::print_header(
       "Table I: selected performance counters (all workloads, 2.4 GHz)",
       "6 counters, R2 0.735->0.984, mean VIF <= 1.787; 7th counter would "
       "explode VIF to 26.42 (CA_SNP dilemma)");
-
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
 
   std::puts("paper reference (Table I):");
   TablePrinter ref({"Counter", "R2", "Adj.R2", "VIF"});
@@ -54,5 +53,6 @@ int main() {
   std::puts("\nshape check: stepwise R2 is monotone with diminishing gains; the\n"
             "vetoed six stay low-VIF while the unconstrained run shows the\n"
             "collinearity blow-up the paper could not transform away.");
-  return 0;
 }
+
+}  // namespace pwx::bench

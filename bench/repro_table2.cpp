@@ -10,12 +10,12 @@
 #include "core/validate.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_table2(const StandardPipeline& p) {
   bench::print_header("Table II: 10-fold cross validation across all DVFS states",
                       "R2 ~0.991, Adj.R2 ~R2-0.0004, MAPE 6.61..8.32 (mean 7.55)");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const core::CvSummary cv =
       core::k_fold_cross_validation(*p.training, p.spec, 10, bench::kCvSeed);
 
@@ -45,5 +45,6 @@ int main() {
               "in the high single digits — the paper's combination of an "
               "excellent\nvariance fit with a noticeable relative error.\n",
               cv.mean.r_squared - cv.mean.adj_r_squared);
-  return 0;
 }
+
+}  // namespace pwx::bench

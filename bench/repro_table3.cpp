@@ -14,14 +14,14 @@
 #include "core/pcc.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_table3(const StandardPipeline& p) {
   bench::print_header(
       "Table III: PCC of the selected counters with power",
       "PRF_DM 0.85, TOT_CYC 0.59, TLB_IM 0.33, FUL_CCY 0.57, STL_ICY 0.38, "
       "BR_MSP -0.01 — only the first counter is strongly correlated");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const auto correlations = core::correlate_with_power(*p.selection, p.spec.events);
 
   std::puts("paper reference (Table III):");
@@ -50,5 +50,6 @@ int main() {
               "every later one (max %.2f) — later counters add information that\n"
               "raw correlation with power does not capture.\n",
               first, rest_max);
-  return 0;
 }
+
+}  // namespace pwx::bench

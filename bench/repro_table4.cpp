@@ -12,14 +12,14 @@
 #include "common/table.hpp"
 #include "repro_common.hpp"
 
-int main() {
-  using namespace pwx;
+namespace pwx::bench {
+
+void repro_table4(const StandardPipeline& p) {
   bench::print_header(
       "Table IV: counters selected on synthetic (roco2) workloads only",
       "different set than Table I; mean VIF explodes from the 5th counter "
       "(8.98, 13.62) — low VIF is no guarantee of stability");
 
-  const bench::StandardPipeline& p = bench::StandardPipeline::get();
   const acquire::Dataset synthetic = p.selection->filter_suite(workloads::Suite::Roco2);
 
   core::SelectionOptions opt;
@@ -60,5 +60,6 @@ int main() {
   std::puts("\n\nshape check: the synthetic-only set differs from the all-workload\n"
             "set and its mean VIF rises far above the all-workload trajectory in\n"
             "the later steps — the paper's warning about narrow training sets.");
-  return 0;
 }
+
+}  // namespace pwx::bench

@@ -15,10 +15,10 @@
 //     the estimator guards, and the epoch generation is monotone,
 //  4. despite injected rejections, clean refresh attempts still publish.
 //
-// Exits non-zero when any contract is violated. The same-seed rerun gate is
-// what CI's serve-chaos job keys on: under ASan/UBSan a data race or
-// uninitialized read in the swap path would show up either as a sanitizer
-// abort or as a digest mismatch.
+// Exits non-zero when any contract is violated; the serve_chaos_smoke ctest
+// entry keys on that. CI's sanitize job runs it under ASan/UBSan, where a
+// data race or uninitialized read in the swap path would show up either as a
+// sanitizer abort or as a digest mismatch.
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>

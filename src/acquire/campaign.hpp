@@ -75,7 +75,7 @@ struct CampaignConfig {
 Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config);
 
 /// Ingestion knobs for ingest_trace_files: the batch-campaign
-/// parallel/merge switches, and `verify_checksum = false` to defer the
+/// parallel switch, and `verify_checksum = false` to defer the
 /// integrity pass for latency-critical re-reads of known-good files.
 /// `mmap` is ignored (see trace::ProfileCampaignOptions).
 using IngestOptions = trace::ProfileCampaignOptions;

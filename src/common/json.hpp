@@ -38,8 +38,6 @@ public:
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::Null; }
-  bool is_object() const { return type_ == Type::Object; }
-  bool is_array() const { return type_ == Type::Array; }
 
   /// Typed accessors; throw pwx::Error on type mismatch.
   bool as_bool() const;

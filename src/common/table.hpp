@@ -2,7 +2,7 @@
 //
 // The benches print the paper's tables in a fixed-width layout so that
 // paper-vs-measured comparison is readable in a terminal and stable in
-// bench_output.txt.
+// bench/repro_transcript.txt.
 #pragma once
 
 #include <ostream>

@@ -16,7 +16,7 @@
 //     sparse models directly and stays stable under the collinearity that
 //     breaks greedy selection (the CA_SNP dilemma).
 //
-// `bench/ablation_selection_criteria` compares them all.
+// `pwx-repro ablation_selection_criteria` compares them all.
 #pragma once
 
 #include <vector>

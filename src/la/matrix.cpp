@@ -193,14 +193,6 @@ double Matrix::max_abs() const {
   return m;
 }
 
-double Matrix::frobenius_norm() const {
-  double sum = 0.0;
-  for (double x : data_) {
-    sum += x * x;
-  }
-  return std::sqrt(sum);
-}
-
 double norm2(std::span<const double> v) {
   // Scaled accumulation to avoid overflow/underflow on extreme inputs.
   double scale = 0.0;

@@ -78,9 +78,6 @@ public:
   /// Max-abs element (infinity norm of the data, not the operator norm).
   double max_abs() const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
 private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -101,7 +101,7 @@ bool IncrementalCampaign::poll() {
       PWX_SPAN("ingest.file");
       obs::span_attr("path", path);
       const MappedTraceFile file = MappedTraceFile::open(
-          path, {.verify_checksum = options_.campaign.verify_checksum});
+          path, {.verify_checksum = options_.verify_checksum});
       state.profiles = build_phase_profiles(file.view());
       bytes_mapped += file.bytes_mapped();
       bytes_copied += file.bytes_copied();

@@ -29,10 +29,8 @@
 namespace pwx::trace {
 
 struct IncrementalCampaignOptions {
-  /// Ingestion knobs reused from the batch campaign; only verify_checksum
-  /// applies. `merge` is ignored (the published table is always the merged
-  /// reduction), and so are `parallel` and `mmap`.
-  ProfileCampaignOptions campaign;
+  /// false defers checksum footers (MapOptions), as in ProfileCampaignOptions.
+  bool verify_checksum = true;
   /// Only files with this extension are picked up ("" accepts everything).
   std::string extension = ".otf2l";
   /// Monotonic nanosecond clock for the republish-latency stopwatch.

@@ -73,15 +73,6 @@ std::vector<PhaseProfile> ProfileCampaign::run() const {
 
   // Stage 2: deterministic ordered merge. Keys appear in the output in the
   // order they first occur walking files in add order.
-  if (!options_.merge) {
-    std::vector<PhaseProfile> out;
-    for (auto& profiles : per_file) {
-      for (auto& profile : profiles) {
-        out.push_back(std::move(profile));
-      }
-    }
-    return out;
-  }
   return merge_first_appearance(std::move(per_file));
 }
 

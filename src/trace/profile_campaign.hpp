@@ -21,7 +21,6 @@ namespace pwx::trace {
 
 struct ProfileCampaignOptions {
   bool parallel = true;  ///< profile input files concurrently (OpenMP)
-  bool merge = true;     ///< merge same-key profiles across runs
   /// Ignored. Every file is opened through MappedTraceFile::open, which
   /// maps or reads it by size (trace/mapped.hpp). The field stays only
   /// because the end-to-end benchmark (perfbench/retrain.cpp) assigns it.
@@ -35,7 +34,6 @@ public:
   explicit ProfileCampaign(ProfileCampaignOptions options = {})
       : options_(options) {}
 
-  void add_file(std::string path) { paths_.push_back(std::move(path)); }
   void add_files(const std::vector<std::string>& paths) {
     paths_.insert(paths_.end(), paths.begin(), paths.end());
   }

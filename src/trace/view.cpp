@@ -18,15 +18,6 @@ std::string_view TraceView::attribute(std::string_view key) const {
   return {};  // unreachable
 }
 
-bool TraceView::has_attribute(std::string_view key) const {
-  for (const auto& [k, v] : attributes) {
-    if (k == key) {
-      return true;
-    }
-  }
-  return false;
-}
-
 double TraceView::attribute_as_double(std::string_view key) const {
   const std::string_view text = attribute(key);
   double value = 0.0;

@@ -54,7 +54,6 @@ struct TraceView {
   /// non-numeric, with the same message shape).
   std::string_view attribute(std::string_view key) const;
   double attribute_as_double(std::string_view key) const;
-  bool has_attribute(std::string_view key) const;
 };
 
 /// Presents an owned Trace as a TraceView. Owns only the flat span storage

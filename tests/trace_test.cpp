@@ -748,17 +748,6 @@ TEST(ProfileCampaign, MergesMultiplexedGroupsAcrossRuns) {
   }
 }
 
-TEST(ProfileCampaign, NoMergeKeepsPerRunRows) {
-  ProfileCampaignOptions options;
-  options.merge = false;
-  const auto profiles = profile_trace_files(campaign_fixture_files(), options);
-  // md twice (2 phases each) + compute twice + matmul twice = 8 rows.
-  EXPECT_EQ(profiles.size(), 8u);
-  for (const PhaseProfile& p : profiles) {
-    EXPECT_EQ(p.runs_merged, 1u);
-  }
-}
-
 TEST(ProfileCampaign, ErrorCarriesOffendingPath) {
   auto paths = campaign_fixture_files();
   paths.insert(paths.begin() + 1, "/nonexistent/missing.otf2l");

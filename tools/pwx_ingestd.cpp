@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--refresh") == 0) {
       refresh = true;
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
-      options.campaign.verify_checksum = false;
+      options.verify_checksum = false;
     } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
       interval_s = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--polls") == 0 && i + 1 < argc) {
@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
   try {
     trace::IncrementalCampaign campaign(directory, options);
     acquire::IngestOptions ingest;
-    ingest.verify_checksum = options.campaign.verify_checksum;
+    ingest.verify_checksum = options.verify_checksum;
     RefreshLoop refresh_loop(drift, ingest);
 
     // Serving-throughput gauge, derived from the batch-path counters: valid
