@@ -74,16 +74,15 @@ struct CampaignConfig {
 /// Throws only under FailurePolicy::Abort (or on invalid configuration).
 Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config);
 
-/// Ingestion knobs for ingest_trace_files: the batch-campaign
-/// parallel switch, and `verify_checksum = false` to defer the
-/// integrity pass for latency-critical re-reads of known-good files.
-/// `mmap` is ignored (see trace::ProfileCampaignOptions).
+/// Ingestion knobs for ingest_trace_files: `verify_checksum = false`
+/// defers the integrity pass for latency-critical re-reads of known-good
+/// files. `mmap` is ignored (see trace::ProfileCampaignOptions).
 using IngestOptions = trace::ProfileCampaignOptions;
 
 /// Post-processing without re-acquisition: reduce already-recorded trace
 /// files to a regression Dataset in one call. Every file is opened through
 /// trace::MappedTraceFile::open (mapped or read by size) and phase-profiled
-/// (OpenMP-parallel across files per `options`), same-key profiles are
+/// (OpenMP-parallel across files), same-key profiles are
 /// merged across runs, rows are sanitized, and the sanitize report lands in
 /// the Dataset's DataQuality. The result is bit-identical to a serial
 /// read/profile/merge loop over the same paths, and to the same pipeline

@@ -188,9 +188,16 @@ public:
   }
 
 private:
-  [[noreturn]] void fail(const char* message) {
-    throw IoError(std::string("JSON parse error at offset ") + std::to_string(pos_) +
-                  ": " + message);
+  [[noreturn]] void fail(const std::string& message) {
+    throw IoError("JSON parse error at offset " + std::to_string(pos_) + ": " +
+                  message);
+  }
+
+  /// Enter one array/object level (at its opening bracket).
+  void descend() {
+    if (++depth_ > Json::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+    }
   }
 
   void skip_ws() {
@@ -243,11 +250,13 @@ private:
   }
 
   Json parse_object() {
+    descend();
     expect('{');
     Json::Object obj;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return Json(std::move(obj));
     }
     for (;;) {
@@ -262,16 +271,19 @@ private:
         continue;
       }
       expect('}');
+      --depth_;
       return Json(std::move(obj));
     }
   }
 
   Json parse_array() {
+    descend();
     expect('[');
     Json::Array arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return Json(std::move(arr));
     }
     for (;;) {
@@ -282,6 +294,7 @@ private:
         continue;
       }
       expect(']');
+      --depth_;
       return Json(std::move(arr));
     }
   }
@@ -365,11 +378,17 @@ private:
     if (end != token.c_str() + token.size()) {
       fail("invalid number");
     }
+    // Like dump(), which refuses non-finite numbers: every parsed document
+    // can be written back.
+    if (!std::isfinite(value)) {
+      fail("number out of range");
+    }
     return Json(value);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects at pos_
 };
 
 }  // namespace

@@ -60,7 +60,14 @@ public:
   /// Serialize. `indent` < 0 means compact single-line output.
   std::string dump(int indent = 2) const;
 
-  /// Parse a complete JSON document; throws pwx::IoError on syntax errors.
+  /// Deepest array/object nesting parse() accepts. The parser recurses once
+  /// per level, so the bound keeps hostile input off the stack limit; the
+  /// deepest document this library writes (obs::to_json with exemplars) has
+  /// 5 levels.
+  static constexpr int kMaxDepth = 64;
+
+  /// Parse a complete JSON document; throws pwx::IoError, with the byte
+  /// offset, on syntax errors and on nesting deeper than kMaxDepth.
   static Json parse(std::string_view text);
 
 private:

@@ -33,21 +33,10 @@ std::shared_ptr<const PublishedModel> LayoutEpoch::current() const {
   return current_;
 }
 
-std::shared_ptr<const PublishedModel> LayoutEpoch::at(std::uint64_t generation) const {
-  std::lock_guard lock(mutex_);
-  const std::shared_ptr<const PublishedModel>& slot = history_[generation % kHistory];
-  if (slot != nullptr && slot->generation == generation) {
-    return slot;
-  }
-  return nullptr;
-}
-
 std::uint64_t LayoutEpoch::publish_locked(PowerModel model) {
   PWX_SPAN("epoch.publish");
   const std::uint64_t next = generation_.load(std::memory_order_relaxed) + 1;
-  auto published = std::make_shared<const PublishedModel>(std::move(model), next);
-  current_ = published;
-  history_[next % kHistory] = std::move(published);
+  current_ = std::make_shared<const PublishedModel>(std::move(model), next);
   // Release-store last: a reader that observes the new generation will find
   // the matching publication behind current().
   generation_.store(next, std::memory_order_release);

@@ -1,16 +1,16 @@
 // Epoch-based model hot-swap.
 //
-// A fleet that retrains online (src/serve) must let live estimators adopt a
-// newly trained model without a restart and without a lock on the estimate
-// path. LayoutEpoch is the RCU-style publication point: every trained model
-// is compiled once into an immutable PublishedModel (model + ModelLayout +
-// monotone generation) held by shared_ptr, and readers follow a two-level
-// protocol:
+// A server that retrains online (src/serve, pwx-ingestd --refresh) must let
+// its live OnlineEstimator adopt a newly trained model without a restart and
+// without a lock on the estimate path. LayoutEpoch is the RCU-style
+// publication point: every trained model is compiled once into an immutable
+// PublishedModel (model + ModelLayout + monotone generation) held by
+// shared_ptr, and readers follow a two-level protocol:
 //
-//   1. Fast path, every estimate: one relaxed atomic load of generation()
-//      compared against the generation cached next to the reader's
-//      shared_ptr. Unchanged -> evaluate on the cached publication; no lock,
-//      no reference-count traffic.
+//   1. Fast path, every estimate: one acquire load of generation() compared
+//      against the generation cached next to the reader's shared_ptr.
+//      Unchanged -> evaluate on the cached publication; no lock, no
+//      reference-count traffic.
 //   2. Slow path, once per swap per reader: re-acquire current() under the
 //      epoch mutex and rebuild any layout-dependent scratch state.
 //
@@ -20,13 +20,10 @@
 // compare-and-swap generation guard so a slow retrainer can never overwrite
 // a publication it has not seen (the stale-publish fault of
 // fault::FaultKind::StaleLayoutPublish exercises exactly this guard).
-//
-// A short history ring keeps the last kHistory publications reachable by
-// generation, which is what lets FleetEstimator remap in-flight DenseSamples
-// built against a just-replaced layout instead of dropping them.
+// FleetEstimator and FleetTree do not bind to an epoch: each serves the one
+// model it was constructed with.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -54,15 +51,11 @@ struct PublishedModel {
 /// Thread-safe; one instance is shared by every reader of one model stream.
 class LayoutEpoch {
 public:
-  /// Number of past publications kept reachable by generation (for
-  /// cross-generation sample remapping of in-flight batches).
-  static constexpr std::size_t kHistory = 4;
-
   /// Publishes `model` as generation 1.
   explicit LayoutEpoch(PowerModel model);
 
   /// Generation of the latest publication (monotone, starts at 1). One
-  /// relaxed-ordered atomic load — the per-estimate fast-path check.
+  /// acquire load — the per-estimate fast-path check.
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -73,10 +66,6 @@ public:
   /// The current publication. Shared ownership: the returned publication
   /// stays fully usable after any number of later swaps.
   std::shared_ptr<const PublishedModel> current() const;
-
-  /// A retained past (or current) publication by generation; nullptr when
-  /// that generation was evicted from the history ring or never existed.
-  std::shared_ptr<const PublishedModel> at(std::uint64_t generation) const;
 
   /// Publish unconditionally; returns the new generation.
   std::uint64_t publish(PowerModel model);
@@ -93,10 +82,9 @@ private:
   std::uint64_t publish_locked(PowerModel model);
 
   mutable std::mutex mutex_;
-  std::shared_ptr<const PublishedModel> current_;                ///< under mutex_
-  std::array<std::shared_ptr<const PublishedModel>, kHistory> history_{};
-  /// Published *after* current_/history_ under the mutex; readers that see a
-  /// new generation then acquire the matching publication via current().
+  std::shared_ptr<const PublishedModel> current_;  ///< under mutex_
+  /// Published *after* current_ under the mutex; readers that see a new
+  /// generation then acquire the matching publication via current().
   std::atomic<std::uint64_t> generation_{0};
 };
 

@@ -17,8 +17,8 @@
 // The model itself lives in an immutable core::PublishedModel. An estimator
 // constructed from a plain PowerModel is pinned to that model forever; one
 // constructed from a shared core::LayoutEpoch adopts every newly published
-// model at the next estimate call — the adoption check is a single relaxed
-// atomic generation compare, so the estimate path never takes a lock (see
+// model at the next estimate call — the adoption check is a single acquire
+// load and generation compare, so the estimate path never takes a lock (see
 // core/epoch.hpp for the swap protocol).
 #pragma once
 
@@ -209,8 +209,8 @@ public:
 
 private:
   double smooth(double raw);
-  /// Adopt a newly published model if the bound epoch swapped (one relaxed
-  /// atomic compare when it did not).
+  /// Adopt a newly published model if the bound epoch swapped (one acquire
+  /// load and compare when it did not).
   void maybe_adopt();
 
   std::shared_ptr<LayoutEpoch> epoch_;             ///< null when model-pinned

@@ -80,22 +80,8 @@ std::uint64_t snapshot_digest(const FleetSnapshot& snap) {
 
 FleetEstimator::FleetEstimator(PowerModel node_model, double smoothing,
                                double staleness_horizon_s, FleetOptions options)
-    : initial_(std::make_shared<const PublishedModel>(std::move(node_model), 1)),
-      smoothing_(smoothing), staleness_horizon_s_(staleness_horizon_s),
-      options_(options) {
-  init_shards();
-}
-
-FleetEstimator::FleetEstimator(std::shared_ptr<LayoutEpoch> epoch, double smoothing,
-                               double staleness_horizon_s, FleetOptions options)
-    : epoch_(std::move(epoch)), smoothing_(smoothing),
+    : model_(std::move(node_model)), layout_(model_), smoothing_(smoothing),
       staleness_horizon_s_(staleness_horizon_s), options_(options) {
-  PWX_REQUIRE(epoch_ != nullptr, "fleet needs a non-null epoch");
-  initial_ = epoch_->current();
-  init_shards();
-}
-
-void FleetEstimator::init_shards() {
   PWX_REQUIRE(staleness_horizon_s_ > 0.0, "staleness horizon must be positive");
   PWX_REQUIRE(smoothing_ >= 0.0 && smoothing_ < 1.0, "smoothing must be in [0,1)");
   if (options_.shard_count == 0) {
@@ -104,24 +90,8 @@ void FleetEstimator::init_shards() {
   shards_.reserve(options_.shard_count);
   for (std::size_t s = 0; s < options_.shard_count; ++s) {
     shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->pub = initial_;
   }
   hash_slots_.assign(64, 0);
-}
-
-std::shared_ptr<const PublishedModel> FleetEstimator::publication() const {
-  return epoch_ != nullptr ? epoch_->current() : initial_;
-}
-
-std::uint64_t FleetEstimator::generation() const {
-  return epoch_ != nullptr ? epoch_->generation() : initial_->generation;
-}
-
-const PublishedModel& FleetEstimator::acquire_publication(Shard& shard) {
-  if (epoch_ != nullptr && shard.pub->generation != epoch_->generation()) {
-    shard.pub = epoch_->current();
-  }
-  return *shard.pub;
 }
 
 NodeId FleetEstimator::intern(std::string_view node) {
@@ -291,14 +261,7 @@ void FleetEstimator::repair_minmax(const Shard& shard) const {
 }
 
 double FleetEstimator::ingest_locked(Shard& shard, std::uint32_t slot,
-                                     const DenseSample& sample, double now_s) {
-  const std::optional<double> raw = shard.pub->layout.try_predict(sample);
-  return ingest_locked_raw(shard, slot, raw.has_value(), raw.value_or(0.0),
-                           now_s);
-}
-
-double FleetEstimator::ingest_locked_raw(Shard& shard, std::uint32_t slot,
-                                         bool valid, double raw, double now_s) {
+                                     bool valid, double raw, double now_s) {
   NodeState& state = shard.nodes[slot];
   PWX_REQUIRE(now_s >= state.last_seen_s, "fleet time went backwards for node '",
               *state.name, "'");
@@ -379,79 +342,22 @@ double FleetEstimator::ingest_locked_raw(Shard& shard, std::uint32_t slot,
   return estimate;
 }
 
-double FleetEstimator::ingest_sample_locked(Shard& shard, std::uint32_t slot,
-                                            const DenseSample& sample,
-                                            std::uint64_t sample_generation,
-                                            double now_s) {
-  const PublishedModel& pub = acquire_publication(shard);
-  if (sample_generation == 0 || sample_generation == pub.generation) {
-    return ingest_locked(shard, slot, sample, now_s);
-  }
-  return ingest_locked(shard, slot,
-                       remap_sample(shard, sample, sample_generation, pub),
-                       now_s);
-}
-
-const DenseSample& FleetEstimator::remap_sample(Shard& shard,
-                                                const DenseSample& sample,
-                                                std::uint64_t sample_generation,
-                                                const PublishedModel& pub) {
-  // Cross-generation sample: it was built against a layout that a hot swap
-  // just replaced. Remap its counts by preset through the layout it was
-  // built against (retained in the epoch's history ring). A publication
-  // already evicted from the ring — or an event the new model needs that the
-  // old layout never carried — yields NaN counts, which the guarded step
-  // absorbs as an invalid sample (held estimate, degraded health): never a
-  // dropped or NaN estimate.
-  const std::shared_ptr<const PublishedModel> src =
-      epoch_ != nullptr ? epoch_->at(sample_generation) : nullptr;
-  DenseSample& out = shard.remap_scratch;
-  out.elapsed_s = sample.elapsed_s;
-  out.frequency_ghz = sample.frequency_ghz;
-  out.voltage = sample.voltage;
-  out.counts.assign(pub.layout.slots(),
-                    std::numeric_limits<double>::quiet_NaN());
-  if (src != nullptr && sample.counts.size() == src->layout.slots()) {
-    for (std::size_t i = 0; i < pub.layout.slots(); ++i) {
-      const std::optional<std::size_t> s =
-          src->layout.slot_of(pub.layout.events()[i]);
-      if (s.has_value()) {
-        out.counts[i] = sample.counts[*s];
-      }
-    }
-  }
-  if (obs::enabled()) {
-    static obs::Counter& remaps = obs::registry().counter(
-        "fleet.remapped_samples",
-        "cross-generation samples remapped onto a newly swapped layout");
-    remaps.add_unguarded(1);
-  }
-  return out;
-}
-
 double FleetEstimator::ingest(NodeId node, const DenseSample& sample,
                               double now_s) {
   const std::optional<Loc> loc = locate(node);
   PWX_REQUIRE(loc.has_value(), "unknown node id ", node);
   Shard& shard = *shards_[loc->shard];
+  const std::optional<double> raw = layout_.try_predict(sample);
   std::lock_guard lock(shard.mutex);
-  acquire_publication(shard);
-  return ingest_locked(shard, loc->slot, sample, now_s);
+  return ingest_locked(shard, loc->slot, raw.has_value(), raw.value_or(0.0),
+                       now_s);
 }
 
 double FleetEstimator::ingest(NodeId node, const CounterSample& sample,
                               double now_s) {
   thread_local DenseSample scratch;
-  // Convert against the current publication and tag the sample with its
-  // generation, so a swap racing between conversion and ingestion remaps
-  // instead of misreading slots.
-  const std::shared_ptr<const PublishedModel> pub = publication();
-  pub->layout.to_dense_guarded(sample, scratch);
-  const std::optional<Loc> loc = locate(node);
-  PWX_REQUIRE(loc.has_value(), "unknown node id ", node);
-  Shard& shard = *shards_[loc->shard];
-  std::lock_guard lock(shard.mutex);
-  return ingest_sample_locked(shard, loc->slot, scratch, pub->generation, now_s);
+  layout_.to_dense_guarded(sample, scratch);
+  return ingest(node, scratch, now_s);
 }
 
 double FleetEstimator::ingest(const std::string& node, const CounterSample& sample,
@@ -530,9 +436,7 @@ std::size_t FleetEstimator::ingest_batch_impl(
   // the guarded/aggregate bookkeeping folds per lane in group order. The
   // predict has no side effects, so a time-monotonicity violation still
   // throws at exactly the sample index the per-sample loop would — the
-  // partial-application contract is unchanged. The publication is acquired
-  // once per chunk: within one ingest_batch a hot swap lands between
-  // chunks, the same place it could land between samples before.
+  // partial-application contract is unchanged.
   constexpr std::uint32_t kChunkLanes = 1024;
   std::vector<std::exception_ptr> errors(shard_count);
   const auto n_shards = static_cast<std::ptrdiff_t>(shard_count);
@@ -550,23 +454,17 @@ std::size_t FleetEstimator::ingest_batch_impl(
     try {
       std::uint32_t k = begin;
       while (k < end) {
-        const PublishedModel& pub = acquire_publication(shard);
         const std::uint32_t chunk_end =
             end - k < kChunkLanes ? end : k + kChunkLanes;
         SampleBatch& batch = shard.batch_scratch;
-        batch.reset(pub.layout, chunk_end - k);
+        batch.reset(layout_, chunk_end - k);
         for (std::uint32_t j = k; j < chunk_end; ++j) {
-          const NodeSample& ns = sample_at(order[j]);
-          if (ns.generation == 0 || ns.generation == pub.generation) {
-            batch.append(ns.sample);
-          } else {
-            batch.append(remap_sample(shard, ns.sample, ns.generation, pub));
-          }
+          batch.append(sample_at(order[j]).sample);
         }
         const std::size_t lanes = batch.size();
         shard.raw_scratch.resize(lanes);
         shard.valid_scratch.resize(lanes);
-        predict_batch_guarded(pub.layout, batch, shard.raw_scratch,
+        predict_batch_guarded(layout_, batch, shard.raw_scratch,
                               shard.valid_scratch);
         std::size_t invalid = 0;
         for (std::uint32_t j = k; j < chunk_end; ++j) {
@@ -575,8 +473,8 @@ std::size_t FleetEstimator::ingest_batch_impl(
           const std::uint32_t slot = locs[order[j]].slot;
           const bool lane_valid = shard.valid_scratch[lane] != 0;
           invalid += lane_valid ? 0 : 1;
-          ingest_locked_raw(shard, slot, lane_valid, shard.raw_scratch[lane],
-                            ns.now_s);
+          ingest_locked(shard, slot, lane_valid, shard.raw_scratch[lane],
+                        ns.now_s);
         }
         note_batch_lanes(lanes, invalid);
         k = chunk_end;

@@ -5,7 +5,9 @@
 // individual nodes". The FleetEstimator applies one trained node model to
 // counter streams from many nodes and maintains the aggregate: per-node
 // estimates, the fleet total, and staleness bookkeeping so that nodes whose
-// telemetry stopped do not silently freeze the total.
+// telemetry stopped do not silently freeze the total. A fleet serves the one
+// model it is constructed with for its whole lifetime; the single-stream
+// OnlineEstimator is what hot-swaps models (core/epoch.hpp).
 //
 // Scaling architecture (see DESIGN.md "Hierarchical fleet aggregation"):
 //
@@ -53,7 +55,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/epoch.hpp"
+#include "core/dense.hpp"
 #include "core/estimator.hpp"
 #include "core/model.hpp"
 
@@ -125,12 +127,6 @@ struct NodeSample {
   NodeId node = 0;
   double now_s = 0.0;   ///< fleet time of the reading
   DenseSample sample;   ///< counts in the fleet model's layout order
-  /// Generation of the publication `sample` was built against (from
-  /// publication()->generation). 0 means "the current layout" — the only
-  /// correct value for epoch-less fleets, and what pre-hot-swap callers
-  /// already pass. A non-zero generation lets ingestion remap a sample built
-  /// just before a hot swap onto the new layout instead of rejecting it.
-  std::uint64_t generation = 0;
 };
 
 /// Applies a per-node power model across a fleet of nodes.
@@ -140,18 +136,6 @@ public:
   /// fleet time) is excluded from totals and counted as stale. The node
   /// model is pinned for the fleet's lifetime.
   explicit FleetEstimator(PowerModel node_model, double smoothing = 0.0,
-                          double staleness_horizon_s = 10.0,
-                          FleetOptions options = {});
-
-  /// Epoch-bound fleet: every node serves the epoch's current publication
-  /// and adopts a newly published model at its shard's next ingest — the
-  /// adoption check is one relaxed atomic generation compare under the shard
-  /// mutex the ingest already holds, so hot swaps add no lock to the
-  /// estimate path. Per-node guarded state (held estimates, health,
-  /// smoothing) survives a swap, so no estimate is ever dropped or NaN while
-  /// swaps race concurrent ingestion (pinned by tests/epoch_test.cpp).
-  explicit FleetEstimator(std::shared_ptr<LayoutEpoch> epoch,
-                          double smoothing = 0.0,
                           double staleness_horizon_s = 10.0,
                           FleetOptions options = {});
 
@@ -235,17 +219,10 @@ public:
   /// Registered node names (sorted).
   std::vector<std::string> nodes() const;
 
-  /// The construction-time model/layout. Stable for the fleet's lifetime
-  /// (the initial publication is retained), but for epoch-bound fleets these
-  /// do NOT follow hot swaps — build samples against publication() instead.
-  const PowerModel& model() const { return initial_->model; }
-  const ModelLayout& layout() const { return initial_->layout; }
-  /// The currently served publication (follows hot swaps; shared ownership).
-  /// Build DenseSamples against its layout and tag NodeSample::generation
-  /// with its generation.
-  std::shared_ptr<const PublishedModel> publication() const;
-  /// Generation currently served (1 and constant for epoch-less fleets).
-  std::uint64_t generation() const;
+  /// The served model and its compiled layout, fixed for the fleet's
+  /// lifetime. Build DenseSamples against layout().
+  const PowerModel& model() const { return model_; }
+  const ModelLayout& layout() const { return layout_; }
   const FleetOptions& options() const { return options_; }
 
 private:
@@ -269,11 +246,6 @@ private:
   /// `mutex`.
   struct Shard {
     mutable std::mutex mutex;
-    /// Publication this shard currently serves; refreshed (under the shard
-    /// mutex) at the next ingest after the epoch swapped.
-    std::shared_ptr<const PublishedModel> pub;
-    /// Scratch for cross-generation sample remapping (guarded by mutex).
-    DenseSample remap_scratch;
     /// Fused-ingest scratch (guarded by mutex): ingest_batch packs each
     /// chunk of this shard's group into the SoA batch, runs one vector
     /// predict into raw/valid, then folds lanes through the guarded state
@@ -306,30 +278,13 @@ private:
   };
   /// (shard, slot) of a handle, under the intern mutex (nullopt if unknown).
   std::optional<Loc> locate(NodeId node) const;
-  /// Constructor tail shared by both constructors: validate, build shards.
-  void init_shards();
 
-  double ingest_locked(Shard& shard, std::uint32_t slot, const DenseSample& sample,
+  /// Apply one node's *precomputed* prediction (try_predict's verdict and
+  /// value) to a locked shard: guarded fold, running aggregates, min/max
+  /// maintenance, seen-list moves. The one definition both the scalar path
+  /// and the fused batch path apply, which is what keeps them bit-identical.
+  double ingest_locked(Shard& shard, std::uint32_t slot, bool valid, double raw,
                        double now_s);
-  /// The bookkeeping half of ingest_locked on a *precomputed* prediction
-  /// (try_predict's verdict and value): guarded fold, running aggregates,
-  /// min/max maintenance, seen-list moves. The one definition both the
-  /// scalar path and the fused batch path apply, which is what keeps them
-  /// bit-identical.
-  double ingest_locked_raw(Shard& shard, std::uint32_t slot, bool valid,
-                           double raw, double now_s);
-  /// Remap a cross-generation sample onto the shard's current layout via the
-  /// epoch history ring (into shard.remap_scratch; caller holds the mutex).
-  const DenseSample& remap_sample(Shard& shard, const DenseSample& sample,
-                                  std::uint64_t sample_generation,
-                                  const PublishedModel& pub);
-  /// Refresh the shard's cached publication when the epoch swapped (caller
-  /// holds the shard mutex); returns the publication to serve with.
-  const PublishedModel& acquire_publication(Shard& shard);
-  /// Ingest one (possibly cross-generation) sample into a locked shard.
-  double ingest_sample_locked(Shard& shard, std::uint32_t slot,
-                              const DenseSample& sample,
-                              std::uint64_t sample_generation, double now_s);
   std::size_t ingest_batch_impl(std::span<const NodeSample* const> samples);
   void detach_seen(Shard& shard, std::uint32_t slot);
   void attach_seen_sorted(Shard& shard, std::uint32_t slot);
@@ -346,8 +301,8 @@ private:
            now_s - state.last_seen_s > staleness_horizon_s_;
   }
 
-  std::shared_ptr<LayoutEpoch> epoch_;             ///< null when model-pinned
-  std::shared_ptr<const PublishedModel> initial_;  ///< construction-time publication
+  PowerModel model_;
+  ModelLayout layout_;  ///< compiled from model_; read-only after construction
   double smoothing_;
   EstimatorGuards guards_;  ///< per-node guard policy (defaults, as before)
   double staleness_horizon_s_;

@@ -178,10 +178,13 @@ PowerModel model_from_json(const std::string& text) {
     fit.cov_type = cov_from_name(root.at("cov_type").as_string());
     fit.r_squared = root.at("r_squared").as_number();
     fit.adj_r_squared = root.at("adj_r_squared").as_number();
+    // Above 2^53 a double no longer holds every integer, and past 2^64 the
+    // cast below would be undefined.
+    constexpr double kMaxObservations = 9007199254740992.0;  // 2^53
     const double n_obs = root.at("n_observations").as_number();
-    if (!std::isfinite(n_obs) || n_obs < 0.0 ||
+    if (!(n_obs >= 0.0 && n_obs <= kMaxObservations) ||
         n_obs != std::floor(n_obs)) {
-      throw IoError("model file n_observations must be a non-negative integer");
+      throw IoError("model file n_observations must be an integer in [0, 2^53]");
     }
     fit.n_observations = static_cast<std::size_t>(n_obs);
     fit.n_parameters = fit.beta.size();

@@ -42,18 +42,6 @@ FleetTree::FleetTree(core::PowerModel node_model, double smoothing,
   }
 }
 
-FleetTree::FleetTree(std::shared_ptr<core::LayoutEpoch> epoch, double smoothing,
-                     double staleness_horizon_s, TreeOptions options)
-    : shards_per_group_((options = sanitize(options)).shards_per_group),
-      parallel_(options.parallel) {
-  PWX_REQUIRE(epoch != nullptr, "fleet tree needs a non-null epoch");
-  groups_.reserve(options.group_count);
-  for (std::size_t g = 0; g < options.group_count; ++g) {
-    groups_.push_back(std::make_unique<core::FleetEstimator>(
-        epoch, smoothing, staleness_horizon_s, group_options(options)));
-  }
-}
-
 std::uint32_t FleetTree::group_of(std::string_view node) const {
   // Global shard = hash % (G*S); contiguous blocks of S shards per group.
   const std::uint64_t global =
@@ -86,8 +74,8 @@ std::size_t FleetTree::ingest_batch(std::span<const TreeSample> batch) {
   // Stable counting sort by group into one shared pointer array: each
   // group's slice preserves batch order (so repeated samples of one node
   // apply in sequence) and no sample is copied. The slice then goes through
-  // the group's full batch path — shard-sorted, one lock per shard,
-  // generation-aware — exactly like a flat estimator's.
+  // the group's full batch path — shard-sorted, one lock per shard —
+  // exactly like a flat estimator's.
   std::vector<std::uint32_t> offsets(group_count + 1, 0);
   for (const TreeSample& s : batch) {
     offsets[s.group + 1] += 1;

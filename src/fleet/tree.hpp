@@ -35,7 +35,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/epoch.hpp"
 #include "core/fleet.hpp"
 #include "fleet/delta.hpp"
 
@@ -67,12 +66,8 @@ struct TreeSample {
 
 class FleetTree {
 public:
+  /// Every group serves `node_model` for the tree's lifetime.
   FleetTree(core::PowerModel node_model, double smoothing = 0.0,
-            double staleness_horizon_s = 10.0, TreeOptions options = {});
-  /// Epoch-bound tree: every group serves the shared epoch, so one
-  /// publish() hot-swaps the model across the whole tree (each group adopts
-  /// it at its next ingest, exactly like a flat epoch-bound estimator).
-  FleetTree(std::shared_ptr<core::LayoutEpoch> epoch, double smoothing = 0.0,
             double staleness_horizon_s = 10.0, TreeOptions options = {});
 
   std::size_t group_count() const { return groups_.size(); }
@@ -115,10 +110,8 @@ public:
   /// Total interned nodes across groups.
   std::size_t node_count() const;
 
+  /// The served model's layout (every group's is identical).
   const core::ModelLayout& layout() const { return groups_.front()->layout(); }
-  std::shared_ptr<const core::PublishedModel> publication() const {
-    return groups_.front()->publication();
-  }
 
 private:
   std::size_t shards_per_group_;

@@ -1,8 +1,10 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -121,7 +123,14 @@ std::vector<SpanRecord> parse_span_jsonl(std::string_view text) {
     record.start_s = value.at("start_s").as_number();
     record.end_s = record.start_s + value.at("dur_s").as_number();
     if (const Json* thread = value.find("thread")) {
-      record.thread = static_cast<std::uint32_t>(thread->as_number());
+      const double id = thread->as_number();
+      if (!(id >= 0.0 &&
+            id <= static_cast<double>(std::numeric_limits<std::uint32_t>::max())) ||
+          id != std::floor(id)) {
+        throw IoError("span jsonl line " + std::to_string(line_no) +
+                      ": thread is not a 32-bit unsigned integer");
+      }
+      record.thread = static_cast<std::uint32_t>(id);
     }
     if (const Json* attrs = value.find("attrs")) {
       for (const auto& [key, attr_value] : attrs->as_object()) {

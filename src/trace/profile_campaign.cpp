@@ -40,8 +40,7 @@ std::vector<PhaseProfile> ProfileCampaign::run() const {
   std::vector<std::vector<PhaseProfile>> per_file(paths_.size());
   std::vector<std::exception_ptr> failures(paths_.size());
 
-  const bool parallel = options_.parallel && paths_.size() > 1;
-#pragma omp parallel for schedule(dynamic) if (parallel)
+#pragma omp parallel for schedule(dynamic) if (paths_.size() > 1)
   for (std::size_t i = 0; i < paths_.size(); ++i) {
     // Exceptions must not escape the OpenMP region; they are captured per
     // slot and rethrown deterministically afterwards.

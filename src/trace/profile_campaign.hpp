@@ -5,7 +5,7 @@
 // whole directory to one phase-profile table. ProfileCampaign does that
 // reduction in a single call: every file is opened through
 // MappedTraceFile::open and profiled independently (OpenMP-parallel across
-// files when enabled), then profiles with the same (workload, phase,
+// files), then profiles with the same (workload, phase,
 // frequency, threads) key are merged across runs with elapsed-time weights
 // — exactly what a serial read/profile/merge loop over the same files
 // produces, bit for bit, regardless of thread count.
@@ -20,7 +20,6 @@
 namespace pwx::trace {
 
 struct ProfileCampaignOptions {
-  bool parallel = true;  ///< profile input files concurrently (OpenMP)
   /// Ignored. Every file is opened through MappedTraceFile::open, which
   /// maps or reads it by size (trace/mapped.hpp). The field stays only
   /// because the end-to-end benchmark (perfbench/retrain.cpp) assigns it.

@@ -299,6 +299,22 @@ TEST(Json, ParseErrorsThrowIoError) {
   EXPECT_THROW(Json::parse("tru"), IoError);
   EXPECT_THROW(Json::parse("\"unterminated"), IoError);
   EXPECT_THROW(Json::parse("{\"a\" 1}"), IoError);
+  EXPECT_THROW(Json::parse("1e999"), IoError);  // overflows to infinity
+  // Nesting is bounded before the recursive descent reaches the stack
+  // limit: 30,000 open brackets are a typed error, not a crash.
+  EXPECT_THROW(Json::parse(std::string(30000, '[')), IoError);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth)));
+  try {
+    Json::parse(nested(Json::kMaxDepth + 1));
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 64"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -590,6 +590,14 @@ TEST(ModelIo, MalformedInputRejected) {
   EXPECT_THROW(model_from_json("not json"), IoError);
   EXPECT_THROW(model_from_json("{\"format\": \"other\"}"), IoError);
   EXPECT_THROW(load_model("/nonexistent/model.json"), IoError);
+  EXPECT_THROW(model_from_json(std::string(30000, '[')), IoError);
+  // An observation count past 2^53 is rejected, not cast to garbage.
+  std::string json = model_to_json(train_model(exact_dataset(64), exact_spec()));
+  const std::string key = "\"n_observations\": ";
+  ASSERT_NE(json.find(key), std::string::npos);
+  const std::size_t value = json.find(key) + key.size();
+  json.replace(value, json.find_first_of(",\n}", value) - value, "1e300");
+  EXPECT_THROW(model_from_json(json), IoError);
 }
 
 TEST(ModelIo, CoefficientCountValidated) {

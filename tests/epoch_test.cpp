@@ -1,14 +1,14 @@
 // Epoch-based model hot-swap: LayoutEpoch publication semantics, estimator
-// and fleet adoption, cross-generation sample remapping, and the
-// multi-threaded soak proving that readers never drop an estimate or emit
-// NaN while hot swaps race concurrent ingestion.
+// adoption on the scalar and the convert-and-batch path, and the
+// multi-threaded soaks proving that readers never drop an estimate or emit
+// NaN while hot swaps race them.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "core/epoch.hpp"
 #include "core/estimator.hpp"
-#include "core/fleet.hpp"
 #include "core/model.hpp"
 
 namespace pwx::core {
@@ -95,28 +94,12 @@ TEST(LayoutEpoch, PublishAdvancesGenerationAndRetainsHistory) {
   EXPECT_EQ(epoch.publish(make_model(kEventsB, 2)), 2u);
   EXPECT_EQ(epoch.generation(), 2u);
   EXPECT_EQ(epoch.swap_count(), 1u);
-  // Both generations stay reachable; the old publication stays usable.
-  ASSERT_NE(epoch.at(1), nullptr);
-  EXPECT_EQ(epoch.at(1), gen1);
-  ASSERT_NE(epoch.at(2), nullptr);
-  EXPECT_EQ(epoch.at(2), epoch.current());
-  EXPECT_EQ(epoch.at(3), nullptr);
-  EXPECT_EQ(epoch.at(0), nullptr);
+  // A reader still holding generation 1 keeps a fully usable publication.
+  EXPECT_EQ(gen1->generation, 1u);
   EXPECT_EQ(gen1->model.spec().events, kEventsA);
-}
-
-TEST(LayoutEpoch, HistoryRingEvictsOldGenerations) {
-  LayoutEpoch epoch(make_model(kEventsA, 1));
-  for (std::uint64_t i = 0; i < LayoutEpoch::kHistory + 1; ++i) {
-    epoch.publish(make_model(i % 2 == 0 ? kEventsB : kEventsA, 10 + i));
-  }
-  const std::uint64_t latest = epoch.generation();
-  EXPECT_EQ(latest, LayoutEpoch::kHistory + 2);
-  EXPECT_EQ(epoch.at(1), nullptr);  // evicted
-  for (std::uint64_t g = latest - LayoutEpoch::kHistory + 1; g <= latest; ++g) {
-    ASSERT_NE(epoch.at(g), nullptr) << "generation " << g;
-    EXPECT_EQ(epoch.at(g)->generation, g);
-  }
+  EXPECT_EQ(gen1->layout.events(), kEventsA);
+  EXPECT_EQ(epoch.current()->generation, 2u);
+  EXPECT_EQ(epoch.current()->model.spec().events, kEventsB);
 }
 
 TEST(LayoutEpoch, TryPublishRejectsStaleExpectation) {
@@ -194,101 +177,42 @@ TEST(EpochEstimator, GuardedStateSurvivesSwap) {
   EXPECT_EQ(serving.health(), HealthState::Ok);
 }
 
-// --------------------------------------------------------- fleet adoption
+// The convert-and-batch overload pwx-ingestd serves through. kEventsB and
+// kEventsC both compile to 2 slots, so a batch converted against the old
+// layout and scored by the new one would read BR_MSP counts as TOT_INS
+// without any slot-count error: only adopting before converting keeps the
+// output right.
+TEST(EpochEstimator, BatchConvertAdoptsSwapBeforeConverting) {
+  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsB, 2));
+  OnlineEstimator serving(epoch);
+  PowerModel model_c = make_model(kEventsC, 3);
+  OnlineEstimator pinned_c(model_c);
 
-TEST(EpochFleet, ShardsAdoptPublishedModel) {
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-  PowerModel model_b = make_model(kEventsB, 2);
-  FleetEstimator fleet(epoch);
-  FleetEstimator pinned_b(model_b);
-  const NodeId node = fleet.intern("node-0");
-  const NodeId node_b = pinned_b.intern("node-0");
-
-  Rng rng(11);
-  const CounterSample sample = union_sample(rng);
-  fleet.ingest(node, sample, 1.0);
-  EXPECT_EQ(fleet.generation(), 1u);
-
-  epoch->publish(model_b);
-  EXPECT_EQ(fleet.generation(), 2u);  // publication() follows the epoch
-  const double swapped = fleet.ingest(node, sample, 2.0);
-  const double expected = pinned_b.ingest(node_b, sample, 2.0);
-  EXPECT_DOUBLE_EQ(swapped, expected);
-}
-
-TEST(EpochFleet, RemapsCrossGenerationDenseSamples) {
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-  PowerModel model_b = make_model(kEventsB, 2);  // kEventsB subset of kEventsA
-  FleetEstimator fleet(epoch);
-  FleetEstimator pinned_b(model_b);
-  const NodeId node = fleet.intern("node-0");
-  const NodeId node_b = pinned_b.intern("node-0");
-
-  Rng rng(12);
-  const CounterSample map_sample = union_sample(rng);
-  // The sample was built against generation 1's layout just before the swap.
-  NodeSample in_flight;
-  in_flight.node = node;
-  in_flight.now_s = 1.0;
-  in_flight.sample = epoch->current()->layout.to_dense(map_sample);
-  in_flight.generation = 1;
-
-  epoch->publish(model_b);
-  ASSERT_EQ(fleet.ingest_batch({&in_flight, 1}), 1u);
-
-  // Remapping must land exactly where converting the original map sample
-  // against model B would: kEventsB's counts all exist in the old layout.
-  const double expected = pinned_b.ingest(node_b, map_sample, 1.0);
-  EXPECT_DOUBLE_EQ(*fleet.node_estimate(node), expected);
-  EXPECT_EQ(*fleet.node_health(node), HealthState::Ok);
-}
-
-TEST(EpochFleet, RemapWithMissingEventDegradesInsteadOfNaN) {
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-  FleetEstimator fleet(epoch);
-  const NodeId node = fleet.intern("node-0");
-
-  Rng rng(13);
-  const CounterSample map_sample = union_sample(rng);
-  const double good = fleet.ingest(node, map_sample, 1.0);
-  EXPECT_TRUE(std::isfinite(good));
-
-  NodeSample in_flight;
-  in_flight.node = node;
-  in_flight.now_s = 2.0;
-  in_flight.sample = epoch->current()->layout.to_dense(map_sample);
-  in_flight.generation = 1;
-
-  // kEventsC needs TOT_INS, which generation 1's layout never recorded: the
-  // remap cannot fill that slot and the guarded path must hold, not NaN.
-  epoch->publish(make_model(kEventsC, 3));
-  ASSERT_EQ(fleet.ingest_batch({&in_flight, 1}), 1u);
-  ASSERT_TRUE(fleet.node_estimate(node).has_value());
-  EXPECT_DOUBLE_EQ(*fleet.node_estimate(node), good);  // held estimate
-  EXPECT_EQ(*fleet.node_health(node), HealthState::Degraded);
-}
-
-TEST(EpochFleet, EvictedGenerationSampleDegradesInsteadOfNaN) {
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-  FleetEstimator fleet(epoch);
-  const NodeId node = fleet.intern("node-0");
-  Rng rng(14);
-  const CounterSample map_sample = union_sample(rng);
-  const double good = fleet.ingest(node, map_sample, 1.0);
-
-  NodeSample ancient;
-  ancient.node = node;
-  ancient.now_s = 2.0;
-  ancient.sample = epoch->current()->layout.to_dense(map_sample);
-  ancient.generation = 1;
-
-  for (std::uint64_t i = 0; i < LayoutEpoch::kHistory + 1; ++i) {
-    epoch->publish(make_model(kEventsA, 20 + i));
+  Rng rng(15);
+  std::vector<CounterSample> samples;
+  for (std::size_t i = 0; i < 9; ++i) {
+    samples.push_back(union_sample(rng));
   }
-  ASSERT_EQ(epoch->at(1), nullptr);
-  ASSERT_EQ(fleet.ingest_batch({&ancient, 1}), 1u);
-  EXPECT_DOUBLE_EQ(*fleet.node_estimate(node), good);
-  EXPECT_EQ(*fleet.node_health(node), HealthState::Degraded);
+  SampleBatch scratch;  // reused across the swap
+  std::vector<double> out(samples.size());
+  std::vector<HealthState> health(samples.size());
+  serving.estimate_batch_guarded(samples, scratch, out, health);
+  EXPECT_EQ(serving.generation(), 1u);
+
+  epoch->publish(model_c);
+  serving.estimate_batch_guarded(samples, scratch, out, health);
+
+  SampleBatch pinned_scratch;
+  std::vector<double> expected(samples.size());
+  pinned_c.estimate_batch_guarded(samples, pinned_scratch, expected);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "lane " << i;
+    EXPECT_EQ(health[i], HealthState::Ok) << "lane " << i;
+  }
+  EXPECT_EQ(serving.health(), HealthState::Ok);
+  EXPECT_EQ(serving.generation(), 2u);
 }
 
 // ------------------------------------------------------------------- soak
@@ -335,63 +259,6 @@ TEST(EpochSoak, ReadersNeverSeeNaNWhileSwapsRace) {
 
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(epoch->generation(), 1 + kSwaps);
-}
-
-// Fleet ingestion racing hot swaps: concurrent per-node map-based ingest
-// plus batch ingest while models are republished. Every node must end up
-// with a finite estimate and the aggregate must be finite and complete.
-TEST(EpochSoak, FleetIngestionRacesSwapsWithoutDroppingNodes) {
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-  FleetOptions options;
-  options.shard_count = 8;
-  FleetEstimator fleet(epoch, 0.0, 1e9, options);
-
-  constexpr std::size_t kIngesters = 4;
-  constexpr std::size_t kNodesPerThread = 8;
-  constexpr std::size_t kRounds = 400;
-  constexpr std::size_t kSwaps = 30;
-
-  std::vector<std::vector<NodeId>> ids(kIngesters);
-  for (std::size_t t = 0; t < kIngesters; ++t) {
-    for (std::size_t n = 0; n < kNodesPerThread; ++n) {
-      ids[t].push_back(fleet.intern("node-" + std::to_string(t) + "-" +
-                                    std::to_string(n)));
-    }
-  }
-
-  std::atomic<std::size_t> failures{0};
-  std::vector<std::thread> ingesters;
-  for (std::size_t t = 0; t < kIngesters; ++t) {
-    ingesters.emplace_back([&, t] {
-      Rng rng(500 + t);
-      for (std::size_t round = 0; round < kRounds; ++round) {
-        const double now_s = static_cast<double>(round + 1);
-        for (const NodeId id : ids[t]) {
-          const double watts = fleet.ingest(id, union_sample(rng), now_s);
-          if (!std::isfinite(watts)) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  std::thread swapper([&] {
-    for (std::size_t s = 0; s < kSwaps; ++s) {
-      epoch->publish(make_model(s % 2 == 0 ? kEventsB : kEventsA, 2000 + s));
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-    }
-  });
-  for (std::thread& t : ingesters) {
-    t.join();
-  }
-  swapper.join();
-
-  EXPECT_EQ(failures.load(), 0u);
-  const FleetSnapshot snapshot = fleet.snapshot(static_cast<double>(kRounds));
-  EXPECT_EQ(snapshot.nodes_reporting, kIngesters * kNodesPerThread);
-  EXPECT_EQ(snapshot.nodes_failed, 0u);
-  EXPECT_TRUE(std::isfinite(snapshot.total_watts));
-  EXPECT_GT(snapshot.total_watts, 0.0);
 }
 
 // Barrier-synchronized swap schedule: with swaps pinned to known sample

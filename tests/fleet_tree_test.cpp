@@ -1,7 +1,7 @@
 // Hierarchical fleet aggregation: the two-level FleetTree and the shard-delta
 // wire format must reproduce a flat FleetEstimator's snapshot bit-for-bit —
-// across tree shapes, OpenMP on/off, process boundaries (encode → decode →
-// merge), and model hot swaps mid-stream. Plus the decoder's hostile-input
+// across tree shapes, OpenMP on/off and process boundaries (encode → decode
+// → merge). Plus the decoder's hostile-input
 // contract (deterministic typed rejections with exact byte offsets), the
 // sparse active-set accounting that keeps snapshot cost proportional to live
 // nodes, a golden digest chain that pins the shared arithmetic itself, and
@@ -21,7 +21,6 @@
 #include "acquire/dataset.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/epoch.hpp"
 #include "core/estimator.hpp"
 #include "core/fleet.hpp"
 #include "core/model.hpp"
@@ -40,7 +39,6 @@ using core::FeatureSpec;
 using core::FleetEstimator;
 using core::FleetOptions;
 using core::FleetSnapshot;
-using core::LayoutEpoch;
 using core::NodeId;
 using core::NodeSample;
 using core::PowerModel;
@@ -49,7 +47,6 @@ using pwx::Rng;
 
 const std::vector<pmc::Preset> kEventsA{pmc::Preset::PRF_DM, pmc::Preset::TOT_CYC,
                                         pmc::Preset::BR_MSP};
-const std::vector<pmc::Preset> kEventsB{pmc::Preset::TOT_CYC, pmc::Preset::BR_MSP};
 
 /// Synthetic Eq.1-representable model (epoch_test's generator).
 PowerModel make_model(const std::vector<pmc::Preset>& events, std::uint64_t seed) {
@@ -915,69 +912,6 @@ TEST(FleetConcurrency, InternRacesIngestAndSnapshots) {
   EXPECT_EQ(final_snap.nodes_interned, kLive + kLate);
   EXPECT_EQ(final_snap.nodes_active, kLive);
   EXPECT_EQ(final_snap.nodes_reporting, kLive);
-}
-
-// ------------------------------------------- hot swap mid-stream, via tree
-
-TEST(FleetTreeEpoch, HotSwapMidStreamStaysBitIdenticalToFlat) {
-  // One shared epoch serves both the flat reference and the tree, so a
-  // single publish() swaps the model for both at the same batch boundary.
-  auto epoch = std::make_shared<LayoutEpoch>(make_model(kEventsA, 1));
-
-  FleetOptions flat_options;
-  flat_options.shard_count = 3 * 4;
-  FleetEstimator flat(epoch, 0.0, kHorizon, flat_options);
-  TreeOptions tree_options;
-  tree_options.group_count = 3;
-  tree_options.shards_per_group = 4;
-  FleetTree tree(epoch, 0.0, kHorizon, tree_options);
-
-  std::vector<NodeId> flat_ids;
-  std::vector<TreeNodeId> tree_ids;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    flat_ids.push_back(flat.intern(node_name(i)));
-    tree_ids.push_back(tree.intern(node_name(i)));
-  }
-
-  const auto run_round = [&](std::size_t round, std::uint64_t generation,
-                             const core::ModelLayout& layout) {
-    const double now = round_time(round);
-    std::vector<NodeSample> flat_batch;
-    std::vector<TreeSample> tree_batch;
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      if (!node_reports(i, round)) continue;
-      const core::DenseSample dense = layout.to_dense(sample_for(i, round));
-      NodeSample ns;
-      ns.node = flat_ids[i];
-      ns.now_s = now;
-      ns.sample = dense;
-      ns.generation = generation;
-      flat_batch.push_back(ns);
-      TreeSample ts;
-      ts.group = tree_ids[i].group;
-      ts.sample = ns;
-      ts.sample.node = tree_ids[i].local;
-      tree_batch.push_back(ts);
-    }
-    flat.ingest_batch(flat_batch);
-    tree.ingest_batch(tree_batch);
-    EXPECT_EQ(snapshot_digest(flat.snapshot(now)), snapshot_digest(tree.snapshot(now)))
-        << "round " << round;
-  };
-
-  const auto gen1 = epoch->current();
-  run_round(0, gen1->generation, gen1->layout);
-  run_round(1, gen1->generation, gen1->layout);
-
-  // Hot swap. Round 2's samples were built against generation 1 just before
-  // the swap — both sides must remap them identically.
-  epoch->publish(make_model(kEventsB, 2));
-  run_round(2, gen1->generation, gen1->layout);
-
-  const auto gen2 = epoch->current();
-  ASSERT_EQ(gen2->generation, 2u);
-  run_round(3, gen2->generation, gen2->layout);
-  run_round(4, gen2->generation, gen2->layout);
 }
 
 }  // namespace

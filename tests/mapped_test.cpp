@@ -384,11 +384,7 @@ TEST(MappedEquivalence, CampaignMergesBitIdenticalAcrossThreadsAndModes) {
 #else
     (void)threads;
 #endif
-    for (const bool parallel : {false, true}) {
-      ProfileCampaignOptions options;
-      options.parallel = parallel;
-      expect_profiles_bit_identical(profile_trace_files(paths, options), reference);
-    }
+    expect_profiles_bit_identical(profile_trace_files(paths), reference);
   }
 #ifdef _OPENMP
   omp_set_num_threads(saved_threads);
@@ -685,9 +681,7 @@ std::string write_run(const std::filesystem::path& dir, const std::string& name,
 
 std::vector<PhaseProfile> cold_batch(std::vector<std::string> paths) {
   std::sort(paths.begin(), paths.end());
-  ProfileCampaignOptions serial;
-  serial.parallel = false;
-  return profile_trace_files(paths, serial);
+  return profile_trace_files(paths);
 }
 
 TEST(IncrementalCampaign, ColdStartMatchesBatchBitIdentical) {

@@ -459,14 +459,21 @@ TEST(TraceExport, SpanJsonlRoundTripsAndSkipsForeignEvents) {
 }
 
 TEST(TraceExport, ParseRejectsMalformedLineWithItsNumber) {
-  try {
-    obs::parse_span_jsonl(
-        "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"2\",\"name\":\"x\","
-        "\"start_s\":0,\"dur_s\":1,\"thread\":0}\nnot json\n");
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-        << e.what();
+  const std::string good =
+      "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"2\",\"name\":\"x\","
+      "\"start_s\":0,\"dur_s\":1,\"thread\":0}\n";
+  const std::string bad_thread =
+      "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"3\",\"name\":\"x\","
+      "\"start_s\":0,\"dur_s\":1,\"thread\":1e300}\n";
+  for (const std::string& bad_line :
+       {std::string("not json\n"), std::string(100000, '[') + "\n", bad_thread}) {
+    try {
+      obs::parse_span_jsonl(good + bad_line);
+      FAIL() << "expected IoError";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
