@@ -205,8 +205,9 @@ BENCHMARK(BM_FleetSnapshotActiveInterned10M);
 
 // One telemetry round through the two-level tree (4 groups x 4 shards =
 // the same 16 global shards BM_FleetIngest's flat estimator uses): the
-// group counting sort plus per-group batch ingest. Bit-identical output to
-// the flat path, so the delta vs BM_FleetIngest IS the tree overhead.
+// group check and sample-pointer pass in front of the estimator's batch
+// ingest. Bit-identical output to the flat path, so the delta vs
+// BM_FleetIngest IS the tree overhead.
 void BM_FleetTreeIngest(benchmark::State& state) {
   obs::set_enabled(false);
   const auto node_count = static_cast<std::size_t>(state.range(0));

@@ -164,7 +164,7 @@ trace::Trace large_trace(const char* workload, double frequency_ghz,
       t.define_metric({"core_voltage", "V", trace::MetricMode::AsyncInstant});
   std::vector<std::uint32_t> ctrs;
   for (const pmc::Preset preset : group) {
-    ctrs.push_back(t.define_metric({trace::ApapiPlugin::metric_name(preset),
+    ctrs.push_back(t.define_metric({trace::papi_metric_name(preset),
                                     "events", trace::MetricMode::CounterIncrement}));
   }
   std::uint64_t now = 0;

@@ -17,7 +17,6 @@
 #include "acquire/dataset.hpp"
 #include "common/error.hpp"
 #include "core/estimator.hpp"
-#include "trace/phase_profile.hpp"
 
 namespace pwx::core {
 
@@ -156,26 +155,6 @@ std::size_t SampleBatch::append_guarded(const ModelLayout& layout,
   return lane;
 }
 
-std::size_t SampleBatch::append_strict(const ModelLayout& layout,
-                                       const CounterSample& sample) {
-  PWX_REQUIRE(layout.slots() == slots(),
-              "batch is bound to ", slots(), " slots, layout has ",
-              layout.slots());
-  // Validate before growing so a throw leaves the batch unchanged.
-  for (std::size_t s = 0; s < columns_.size(); ++s) {
-    PWX_REQUIRE(sample.counts.find(layout.events()[s]) != sample.counts.end(),
-                "sample lacks event ",
-                std::string(pmc::preset_name(layout.events()[s])));
-  }
-  const std::size_t lane =
-      grow_lane(sample.elapsed_s, sample.frequency_ghz, sample.voltage);
-  for (std::size_t s = 0; s < columns_.size(); ++s) {
-    columns_[s][lane] = sample.counts.find(layout.events()[s])->second;
-  }
-  finish_lane_counts(lane);
-  return lane;
-}
-
 std::size_t SampleBatch::append_row(const ModelLayout& layout,
                                     const acquire::DataRow& row) {
   PWX_REQUIRE(layout.slots() == slots(),
@@ -197,21 +176,6 @@ std::size_t SampleBatch::append_row(const ModelLayout& layout,
   const std::size_t lane = grow_lane(1.0, row.frequency_ghz, row.avg_voltage);
   for (std::size_t s = 0; s < columns_.size(); ++s) {
     columns_[s][lane] = row.counter_rates.find(layout.events()[s])->second;
-  }
-  finish_lane_counts(lane);
-  return lane;
-}
-
-std::size_t SampleBatch::append_profile(const ModelLayout& layout,
-                                        const trace::PhaseProfile& profile) {
-  PWX_REQUIRE(layout.slots() == slots(),
-              "batch is bound to ", slots(), " slots, layout has ",
-              layout.slots());
-  const std::size_t lane =
-      grow_lane(1.0, profile.frequency_ghz, profile.avg_voltage);
-  for (std::size_t s = 0; s < columns_.size(); ++s) {
-    const auto it = profile.counter_rates.find(layout.events()[s]);
-    columns_[s][lane] = it == profile.counter_rates.end() ? kNaN : it->second;
   }
   finish_lane_counts(lane);
   return lane;

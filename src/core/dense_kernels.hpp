@@ -32,10 +32,6 @@ namespace pwx::acquire {
 struct DataRow;
 }  // namespace pwx::acquire
 
-namespace pwx::trace {
-struct PhaseProfile;
-}  // namespace pwx::trace
-
 namespace pwx::core {
 
 struct CounterSample;  // core/estimator.hpp
@@ -81,11 +77,6 @@ public:
   std::size_t append_guarded(const ModelLayout& layout,
                              const CounterSample& sample);
 
-  /// Strict conversion append: throws InvalidArgument when the sample lacks
-  /// a layout event — the lane-wise mirror of ModelLayout::to_dense.
-  std::size_t append_strict(const ModelLayout& layout,
-                            const CounterSample& sample);
-
   /// Append a training-corpus row. Rows carry per-second *rates*, so the
   /// lossless embedding is elapsed = 1.0 and counts = rate: the kernel's
   /// rate = counts/elapsed reproduces the stored rate exactly, making the
@@ -93,12 +84,6 @@ public:
   /// row. Strict like build_features_row: throws when the row lacks a
   /// layout event or a positive voltage/frequency.
   std::size_t append_row(const ModelLayout& layout, const acquire::DataRow& row);
-
-  /// Append a merged trace phase profile (per-second rates, same
-  /// elapsed = 1.0 embedding as append_row). Guarded: a missing counter
-  /// becomes a NaN lane for the validity scan to reject.
-  std::size_t append_profile(const ModelLayout& layout,
-                             const trace::PhaseProfile& profile);
 
   // Column base pointers for the kernels (padded_size() lanes each).
   const double* elapsed_lanes() const { return elapsed_.data(); }
@@ -112,7 +97,7 @@ public:
   /// compute counts·(1/elapsed) instead of counts/elapsed: both are single
   /// correctly-rounded IEEE operations on the same exact value, so the
   /// result bits are identical — division strength-reduced, not
-  /// approximated. Holds for the elapsed = 1.0 row/profile embedding and
+  /// approximated. Holds for the elapsed = 1.0 row embedding and
   /// for power-of-two sampling intervals (0.25 s, 0.5 s, ...).
   bool elapsed_reciprocal_exact() const { return size_ > 0 && elapsed_pow2_; }
   const double* inv_elapsed_lanes() const { return inv_elapsed_.data(); }

@@ -491,8 +491,10 @@ std::size_t FleetEstimator::ingest_batch_impl(
   return count;
 }
 
-ShardDeltaRecord FleetEstimator::shard_delta(const Shard& shard,
+ShardDeltaRecord FleetEstimator::shard_delta(std::size_t index,
                                              double now_s) const {
+  PWX_REQUIRE(index < shards_.size(), "unknown shard ", index);
+  const Shard& shard = *shards_[index];
   std::lock_guard lock(shard.mutex);
   if (shard.minmax_stale) {
     repair_minmax(shard);
@@ -573,8 +575,8 @@ ShardDeltaRecord FleetEstimator::shard_delta(const Shard& shard,
 void FleetEstimator::shard_deltas(double now_s,
                                   std::vector<ShardDeltaRecord>& out) const {
   out.reserve(out.size() + shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    out.push_back(shard_delta(*shard, now_s));
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    out.push_back(shard_delta(shard, now_s));
   }
 }
 
@@ -603,8 +605,8 @@ void FleetEstimator::update_staleness_gauges(double now_s) const {
 FleetSnapshot FleetEstimator::snapshot(double now_s) const {
   PWX_SPAN("fleet.snapshot");
   FleetSnapshot snap;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    fold_shard_delta(snap, shard_delta(*shard, now_s));
+  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+    fold_shard_delta(snap, shard_delta(shard, now_s));
   }
 
   if (obs::enabled()) {

@@ -189,9 +189,9 @@ public:
   std::size_t ingest_batch(std::span<const NodeSample> batch);
 
   /// Pointer-batch ingest: applies *batch[0], *batch[1], ... in that order,
-  /// without copying the samples. This is how a fleet tree routes one large
-  /// batch to its groups: each group receives its slice of a shared,
-  /// group-sorted pointer array. Same contract as the value overload.
+  /// without copying the samples. This is how a fleet tree hands over the
+  /// samples embedded in its TreeSample batch. Same contract as the value
+  /// overload.
   std::size_t ingest_batch(std::span<const NodeSample* const> batch);
 
   /// Aggregate over all known nodes at fleet time `now_s`. Nodes whose
@@ -203,10 +203,13 @@ public:
   FleetSnapshot snapshot(double now_s) const;
 
   /// The per-shard contributions snapshot() folds, in shard order. This is
-  /// what a hierarchical aggregator consumes: a tree folds the deltas of
-  /// its groups, a leaf daemon encodes them onto the wire (fleet/delta.hpp).
-  /// Appends options().shard_count records to `out`.
+  /// what a leaf daemon encodes onto the wire (fleet/delta.hpp). Appends
+  /// options().shard_count records to `out`.
   void shard_deltas(double now_s, std::vector<ShardDeltaRecord>& out) const;
+
+  /// One shard's contribution at `now_s`, under that shard's lock: what a
+  /// fleet tree reads for each shard of a group's range (fleet/tree.hpp).
+  ShardDeltaRecord shard_delta(std::size_t shard, double now_s) const;
 
   /// Last estimate of one node (nullopt when the node never reported).
   std::optional<double> node_estimate(const std::string& node) const;
@@ -289,8 +292,6 @@ private:
   void detach_seen(Shard& shard, std::uint32_t slot);
   void attach_seen_sorted(Shard& shard, std::uint32_t slot);
   void repair_minmax(const Shard& shard) const;
-  /// One shard's delta at `now_s`, under the shard mutex.
-  ShardDeltaRecord shard_delta(const Shard& shard, double now_s) const;
   /// Write per-node staleness gauges for gauge-carrying nodes (the first
   /// nodes interned; see kPerNodeGaugeLimit in fleet.cpp). Called by
   /// snapshot() when telemetry is enabled; cost is bounded by the limit,

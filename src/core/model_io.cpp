@@ -132,6 +132,11 @@ PowerModel model_from_json(const std::string& text) {
     if (root.at("format").as_string() != "pwx-power-model") {
       throw IoError("not a pwx power model file");
     }
+    const Json& version = root.at("version");
+    if (version.as_number() != 1.0) {
+      throw IoError("unsupported model file version " + version.dump() +
+                    " (only 1 is read)");
+    }
 
     FeatureSpec spec;
     for (const Json& name : root.at("events").as_array()) {
@@ -144,9 +149,14 @@ PowerModel model_from_json(const std::string& text) {
     if (spec.events.empty()) {
       throw IoError("model file lists no events");
     }
-    spec.normalization = root.at("normalization").as_string() == "per_cycle"
-                             ? RateNormalization::PerCycle
-                             : RateNormalization::PerSecond;
+    const std::string& normalization = root.at("normalization").as_string();
+    if (normalization == "per_cycle") {
+      spec.normalization = RateNormalization::PerCycle;
+    } else if (normalization == "per_second") {
+      spec.normalization = RateNormalization::PerSecond;
+    } else {
+      throw IoError("unknown normalization '" + normalization + "' in model file");
+    }
     spec.include_dynamic_base = root.at("include_dynamic_base").as_bool();
     spec.include_static_v = root.at("include_static_v").as_bool();
 

@@ -1,6 +1,7 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,17 +27,6 @@ Json attrs_to_json(const std::vector<SpanAttr>& attrs) {
     out[attr.key] = Json(attr.value);
   }
   return Json(std::move(out));
-}
-
-std::uint64_t parse_hex_id(const Json& value, std::size_t line_no) {
-  const std::string& text = value.as_string();
-  char* end = nullptr;
-  const std::uint64_t id = std::strtoull(text.c_str(), &end, 16);
-  if (end == text.c_str() || *end != '\0') {
-    throw IoError("span jsonl line " + std::to_string(line_no) +
-                  ": bad id '" + text + "'");
-  }
-  return id;
 }
 
 }  // namespace
@@ -102,38 +92,76 @@ std::vector<SpanRecord> parse_span_jsonl(std::string_view text) {
     if (line.empty()) {
       continue;
     }
+    const auto error = [line_no](const std::string& what) {
+      return IoError("span jsonl line " + std::to_string(line_no) + ": " + what);
+    };
     Json value;
     try {
       value = Json::parse(line);
     } catch (const Error& err) {
-      throw IoError("span jsonl line " + std::to_string(line_no) + ": " +
-                    err.what());
+      throw error(err.what());
     }
-    const Json* event = value.find("event");
+    // A field of the given type, or nullptr when the line has none.
+    const auto find = [&](const char* key, Json::Type type) {
+      const Json* field = value.find(key);
+      if (field != nullptr && field->type() != type) {
+        throw error(std::string(key) + " has the wrong JSON type");
+      }
+      return field;
+    };
+    const auto require = [&](const char* key, Json::Type type) -> const Json& {
+      const Json* field = find(key, type);
+      if (field == nullptr) {
+        throw error(std::string("missing field '") + key + "'");
+      }
+      return *field;
+    };
+    // A span id: 1 to 16 hex digits, as format_span_id writes it.
+    const auto hex_id = [&](const Json& field, const char* key) {
+      const std::string& id = field.as_string();
+      if (id.empty() || id.size() > 16 ||
+          !std::all_of(id.begin(), id.end(), [](char c) {
+            return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+          })) {
+        throw error(std::string("bad ") + key + " id '" + id + "'");
+      }
+      return std::strtoull(id.c_str(), nullptr, 16);
+    };
+
+    const Json* event = find("event", Json::Type::String);
     if (event == nullptr || event->as_string() != "span") {
       continue;  // interleaved metrics/log lines are legal in a trace stream
     }
     SpanRecord record;
-    record.trace_id = parse_hex_id(value.at("trace"), line_no);
-    record.span_id = parse_hex_id(value.at("span"), line_no);
-    if (const Json* parent = value.find("parent")) {
-      record.parent_id = parse_hex_id(*parent, line_no);
+    record.trace_id = hex_id(require("trace", Json::Type::String), "trace");
+    record.span_id = hex_id(require("span", Json::Type::String), "span");
+    if (const Json* parent = find("parent", Json::Type::String)) {
+      record.parent_id = hex_id(*parent, "parent");
     }
-    record.name = value.at("name").as_string();
-    record.start_s = value.at("start_s").as_number();
-    record.end_s = record.start_s + value.at("dur_s").as_number();
-    if (const Json* thread = value.find("thread")) {
+    record.name = require("name", Json::Type::String).as_string();
+    record.start_s = require("start_s", Json::Type::Number).as_number();
+    const double duration = require("dur_s", Json::Type::Number).as_number();
+    if (duration < 0.0) {
+      throw error("dur_s is negative");
+    }
+    record.end_s = record.start_s + duration;
+    if (!std::isfinite(record.end_s) || !std::isfinite(record.duration_s())) {
+      throw error("start_s + dur_s is not finite");
+    }
+    if (const Json* thread = find("thread", Json::Type::Number)) {
       const double id = thread->as_number();
       if (!(id >= 0.0 &&
             id <= static_cast<double>(std::numeric_limits<std::uint32_t>::max())) ||
           id != std::floor(id)) {
-        throw IoError("span jsonl line " + std::to_string(line_no) +
-                      ": thread is not a 32-bit unsigned integer");
+        throw error("thread is not a 32-bit unsigned integer");
       }
       record.thread = static_cast<std::uint32_t>(id);
     }
-    if (const Json* attrs = value.find("attrs")) {
+    if (const Json* attrs = find("attrs", Json::Type::Object)) {
       for (const auto& [key, attr_value] : attrs->as_object()) {
+        if (attr_value.type() != Json::Type::String) {
+          throw error("attr '" + key + "' is not a string");
+        }
         record.attrs.push_back(SpanAttr{key, attr_value.as_string()});
       }
     }

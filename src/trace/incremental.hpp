@@ -2,14 +2,14 @@
 // a merged phase-profile table current as runs land.
 //
 // The paper's calibration campaign writes one OTF2-lite file per (workload,
-// frequency, thread-count, counter-group) run, over hours. ProfileCampaign
-// reduces a *finished* directory in one shot; IncrementalCampaign is the
-// streaming counterpart: each poll() scans the directory, ingests only files
-// that are new or whose (size, mtime) changed, caches their per-file
-// profiles, and republishes the merged table. The reduction runs through the
+// frequency, thread-count, counter-group) run, over hours.
+// profile_trace_files reduces a *finished* directory in one shot;
+// IncrementalCampaign is the streaming counterpart: each poll() scans the
+// directory, ingests only files that are new or whose (size, mtime) changed,
+// caches their per-file profiles, and republishes the merged table. The reduction runs through the
 // same merge_first_appearance stage over files in path-sorted order, so the
-// published table is bit-identical to a cold ProfileCampaign batch over the
-// directory's sorted file list — a test asserts exactly that, and the
+// published table is bit-identical to a cold profile_trace_files batch over
+// the directory's sorted file list — a test asserts exactly that, and the
 // per-poll work is O(changed files), witnessed by stats()/obs counters.
 //
 // No wall-clock dependence: polling cadence belongs to the caller (the
@@ -64,7 +64,7 @@ public:
   bool poll();
 
   /// The current merged table (last republish). Order matches a cold
-  /// ProfileCampaign over paths() in sorted order.
+  /// profile_trace_files over paths() in sorted order.
   const std::vector<PhaseProfile>& profiles() const { return profiles_; }
 
   const IncrementalCampaignStats& stats() const { return stats_; }

@@ -6,58 +6,27 @@
 
 namespace pwx::trace {
 
-void PowerPlugin::define(Trace& trace) {
-  metric_ = trace.define_metric({"power", "W", MetricMode::AsyncAverage});
-}
-
-void PowerPlugin::record(Trace& trace, const sim::IntervalRecord& interval) {
-  trace.append(MetricEvent{units::s_to_ns(interval.t_end_s), metric_,
-                           interval.measured_power_watts});
-}
-
-void VoltagePlugin::define(Trace& trace) {
-  metric_ = trace.define_metric({"core_voltage", "V", MetricMode::AsyncInstant});
-}
-
-void VoltagePlugin::record(Trace& trace, const sim::IntervalRecord& interval) {
-  trace.append(MetricEvent{units::s_to_ns(interval.t_end_s), metric_,
-                           interval.measured_voltage});
-}
-
-ApapiPlugin::ApapiPlugin(std::vector<pmc::Preset> events) : events_(std::move(events)) {
-  PWX_REQUIRE(!events_.empty(), "apapi plugin needs at least one event");
-}
-
-std::string ApapiPlugin::metric_name(pmc::Preset preset) {
+std::string papi_metric_name(pmc::Preset preset) {
   return "PAPI_" + std::string(pmc::preset_name(preset));
 }
 
-void ApapiPlugin::define(Trace& trace) {
-  metrics_.clear();
-  metrics_.reserve(events_.size());
-  for (pmc::Preset preset : events_) {
-    metrics_.push_back(
-        trace.define_metric({metric_name(preset), "events", MetricMode::CounterIncrement}));
-  }
-}
-
-void ApapiPlugin::record(Trace& trace, const sim::IntervalRecord& interval) {
-  const std::uint64_t t = units::s_to_ns(interval.t_end_s);
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    trace.append(
-        MetricEvent{t, metrics_[i], pmc::preset_value(events_[i], interval.counts)});
-  }
-}
-
-Trace build_trace(const sim::RunResult& run,
-                  const std::vector<std::unique_ptr<MetricPlugin>>& plugins) {
+Trace build_standard_trace(const sim::RunResult& run,
+                           const std::vector<pmc::Preset>& events) {
+  PWX_REQUIRE(!events.empty(), "a standard trace needs at least one counter event");
   Trace trace;
   trace.set_attribute("workload", run.workload);
   trace.set_attribute("frequency_ghz", run.config.frequency_ghz);
   trace.set_attribute("threads", static_cast<double>(run.config.threads));
   trace.set_attribute("interval_s", run.config.interval_s);
-  for (const auto& plugin : plugins) {
-    plugin->define(trace);
+  const std::uint32_t power =
+      trace.define_metric({"power", "W", MetricMode::AsyncAverage});
+  const std::uint32_t voltage =
+      trace.define_metric({"core_voltage", "V", MetricMode::AsyncInstant});
+  std::vector<std::uint32_t> counters;
+  counters.reserve(events.size());
+  for (pmc::Preset preset : events) {
+    counters.push_back(trace.define_metric(
+        {papi_metric_name(preset), "events", MetricMode::CounterIncrement}));
   }
 
   // Region events bracket contiguous stretches of the same phase; metric
@@ -72,23 +41,18 @@ Trace build_trace(const sim::RunResult& run,
       trace.append(RegionEnter{t, interval.phase});
       open_region = interval.phase;
     }
-    for (const auto& plugin : plugins) {
-      plugin->record(trace, interval);
+    const std::uint64_t t = units::s_to_ns(interval.t_end_s);
+    trace.append(MetricEvent{t, power, interval.measured_power_watts});
+    trace.append(MetricEvent{t, voltage, interval.measured_voltage});
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      trace.append(
+          MetricEvent{t, counters[i], pmc::preset_value(events[i], interval.counts)});
     }
   }
   if (!open_region.empty() && !run.intervals.empty()) {
     trace.append(RegionExit{units::s_to_ns(run.intervals.back().t_end_s), open_region});
   }
   return trace;
-}
-
-Trace build_standard_trace(const sim::RunResult& run,
-                           const std::vector<pmc::Preset>& events) {
-  std::vector<std::unique_ptr<MetricPlugin>> plugins;
-  plugins.push_back(std::make_unique<PowerPlugin>());
-  plugins.push_back(std::make_unique<VoltagePlugin>());
-  plugins.push_back(std::make_unique<ApapiPlugin>(events));
-  return build_trace(run, plugins);
 }
 
 }  // namespace pwx::trace

@@ -1,14 +1,12 @@
-// Metric plugins (Score-P metric plugin interface analogue).
+// Metric plugins (Score-P metric plugin analogue).
 //
 // The paper attaches three plugins to its traces: scorep_ni (power),
 // scorep_x86_adapt (per-core voltage), and scorep_plugin_apapi (asynchronous
-// PAPI sampling). Here a MetricPlugin consumes the simulator's interval
-// stream and contributes metric definitions plus metric events to a Trace;
-// build_trace() wires a run through any set of plugins, yielding the
-// OTF2-lite trace the post-processing consumes.
+// PAPI sampling). build_standard_trace() writes their three metric kinds
+// over the simulator's interval stream, yielding the OTF2-lite trace the
+// post-processing consumes.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,67 +16,18 @@
 
 namespace pwx::trace {
 
-/// A metric plugin: declares definitions once, then emits events per interval.
-class MetricPlugin {
-public:
-  virtual ~MetricPlugin() = default;
+/// The metric name of a sampled preset ("PAPI_" + preset name).
+std::string papi_metric_name(pmc::Preset preset);
 
-  /// Plugin name (diagnostics only).
-  virtual std::string name() const = 0;
-
-  /// Register this plugin's metrics with the trace; store the indices.
-  virtual void define(Trace& trace) = 0;
-
-  /// Emit this plugin's metric events for one simulator interval.
-  virtual void record(Trace& trace, const sim::IntervalRecord& interval) = 0;
-};
-
-/// scorep_ni analogue: total measured power (both sockets), async average.
-class PowerPlugin final : public MetricPlugin {
-public:
-  std::string name() const override { return "scorep_ni"; }
-  void define(Trace& trace) override;
-  void record(Trace& trace, const sim::IntervalRecord& interval) override;
-
-private:
-  std::uint32_t metric_ = 0;
-};
-
-/// scorep_x86_adapt analogue: core voltage readout, async instantaneous.
-class VoltagePlugin final : public MetricPlugin {
-public:
-  std::string name() const override { return "scorep_x86_adapt"; }
-  void define(Trace& trace) override;
-  void record(Trace& trace, const sim::IntervalRecord& interval) override;
-
-private:
-  std::uint32_t metric_ = 0;
-};
-
-/// scorep_plugin_apapi analogue: asynchronously sampled PAPI counters. Only
-/// the presets in the constructor's event set are recorded — the hardware
-/// restriction that forces multi-run acquisition.
-class ApapiPlugin final : public MetricPlugin {
-public:
-  explicit ApapiPlugin(std::vector<pmc::Preset> events);
-  std::string name() const override { return "scorep_plugin_apapi"; }
-  void define(Trace& trace) override;
-  void record(Trace& trace, const sim::IntervalRecord& interval) override;
-
-  /// The metric name used for a preset ("PAPI_" + preset name).
-  static std::string metric_name(pmc::Preset preset);
-
-private:
-  std::vector<pmc::Preset> events_;
-  std::vector<std::uint32_t> metrics_;
-};
-
-/// Run all plugins over a simulator result, producing a complete trace with
-/// phase regions and run-configuration attributes.
-Trace build_trace(const sim::RunResult& run,
-                  const std::vector<std::unique_ptr<MetricPlugin>>& plugins);
-
-/// Convenience: power + voltage + apapi(events) — the paper's plugin set.
+/// A complete trace of one run with phase regions, run-configuration
+/// attributes and the paper's plugin set, defined in this order:
+///   * "power" (scorep_ni): total measured power, async average;
+///   * "core_voltage" (scorep_x86_adapt): core voltage, async instantaneous;
+///   * one papi_metric_name counter per preset in `events`
+///     (scorep_plugin_apapi): only these presets are recorded, the hardware
+///     restriction that forces multi-run acquisition.
+/// Each interval appends its metric events in that order at its end time.
+/// Throws InvalidArgument when `events` is empty.
 Trace build_standard_trace(const sim::RunResult& run,
                            const std::vector<pmc::Preset>& events);
 

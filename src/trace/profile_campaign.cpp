@@ -34,47 +34,6 @@ std::string merge_key(const PhaseProfile& profile) {
 
 }  // namespace
 
-std::vector<PhaseProfile> ProfileCampaign::run() const {
-  // Stage 1: read + profile each file independently. Results land in their
-  // input slot, so the aggregation below never depends on scheduling.
-  std::vector<std::vector<PhaseProfile>> per_file(paths_.size());
-  std::vector<std::exception_ptr> failures(paths_.size());
-
-#pragma omp parallel for schedule(dynamic) if (paths_.size() > 1)
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    // Exceptions must not escape the OpenMP region; they are captured per
-    // slot and rethrown deterministically afterwards.
-    try {
-      // One root span per file: on OpenMP workers each lands in that
-      // thread's ring, so a traced campaign shows the real parallel shape.
-      PWX_SPAN("ingest.file");
-      obs::span_attr("path", paths_[i]);
-      const MappedTraceFile file =
-          MappedTraceFile::open(paths_[i], {.verify_checksum = options_.verify_checksum});
-      per_file[i] = build_phase_profiles(file.view());
-    } catch (...) {
-      failures[i] = std::current_exception();
-    }
-  }
-
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    if (!failures[i]) {
-      continue;
-    }
-    try {
-      std::rethrow_exception(failures[i]);
-    } catch (const IoError& e) {
-      throw e.with_context("trace campaign: '" + paths_[i] + "'");
-    } catch (const Error& e) {
-      throw e.with_context("trace campaign: '" + paths_[i] + "'");
-    }
-  }
-
-  // Stage 2: deterministic ordered merge. Keys appear in the output in the
-  // order they first occur walking files in add order.
-  return merge_first_appearance(std::move(per_file));
-}
-
 std::vector<PhaseProfile> merge_first_appearance(
     std::vector<std::vector<PhaseProfile>> per_file) {
   PWX_SPAN("ingest.merge");
@@ -101,9 +60,44 @@ std::vector<PhaseProfile> merge_first_appearance(
 
 std::vector<PhaseProfile> profile_trace_files(const std::vector<std::string>& paths,
                                               ProfileCampaignOptions options) {
-  ProfileCampaign campaign(options);
-  campaign.add_files(paths);
-  return campaign.run();
+  // Stage 1: read + profile each file independently. Results land in their
+  // input slot, so the aggregation below never depends on scheduling.
+  std::vector<std::vector<PhaseProfile>> per_file(paths.size());
+  std::vector<std::exception_ptr> failures(paths.size());
+
+#pragma omp parallel for schedule(dynamic) if (paths.size() > 1)
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    // Exceptions must not escape the OpenMP region; they are captured per
+    // slot and rethrown deterministically afterwards.
+    try {
+      // One root span per file: on OpenMP workers each lands in that
+      // thread's ring, so a traced campaign shows the real parallel shape.
+      PWX_SPAN("ingest.file");
+      obs::span_attr("path", paths[i]);
+      const MappedTraceFile file =
+          MappedTraceFile::open(paths[i], {.verify_checksum = options.verify_checksum});
+      per_file[i] = build_phase_profiles(file.view());
+    } catch (...) {
+      failures[i] = std::current_exception();
+    }
+  }
+
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (!failures[i]) {
+      continue;
+    }
+    try {
+      std::rethrow_exception(failures[i]);
+    } catch (const IoError& e) {
+      throw e.with_context("trace campaign: '" + paths[i] + "'");
+    } catch (const Error& e) {
+      throw e.with_context("trace campaign: '" + paths[i] + "'");
+    }
+  }
+
+  // Stage 2: deterministic ordered merge. Keys appear in the output in the
+  // order they first occur walking files in input order.
+  return merge_first_appearance(std::move(per_file));
 }
 
 }  // namespace pwx::trace

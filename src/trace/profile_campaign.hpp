@@ -2,7 +2,7 @@
 //
 // The paper's calibration campaign leaves one OTF2 trace per (workload,
 // frequency, thread-count, counter-group) run; post-processing reduces the
-// whole directory to one phase-profile table. ProfileCampaign does that
+// whole directory to one phase-profile table. profile_trace_files does that
 // reduction in a single call: every file is opened through
 // MappedTraceFile::open and profiled independently (OpenMP-parallel across
 // files), then profiles with the same (workload, phase,
@@ -11,7 +11,6 @@
 // produces, bit for bit, regardless of thread count.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -27,38 +26,18 @@ struct ProfileCampaignOptions {
   bool verify_checksum = true;  ///< false defers checksum footers (MapOptions)
 };
 
-/// Accumulates trace-file paths and reduces them to phase profiles.
-class ProfileCampaign {
-public:
-  explicit ProfileCampaign(ProfileCampaignOptions options = {})
-      : options_(options) {}
-
-  void add_files(const std::vector<std::string>& paths) {
-    paths_.insert(paths_.end(), paths.begin(), paths.end());
-  }
-
-  std::size_t size() const { return paths_.size(); }
-  const std::vector<std::string>& paths() const { return paths_; }
-
-  /// Read + profile every file, then merge across runs. The result is
-  /// deterministic: per-file profiles are combined in add order (first
-  /// appearance of a key fixes its output position), independent of how the
-  /// per-file stage was scheduled. Errors rethrow with the offending path
-  /// prepended; when several files fail, the lowest-index failure wins.
-  std::vector<PhaseProfile> run() const;
-
-private:
-  ProfileCampaignOptions options_;
-  std::vector<std::string> paths_;
-};
-
-/// One-shot convenience wrapper around ProfileCampaign.
+/// Read + profile every file (OpenMP-parallel across files), then merge
+/// across runs. The result is deterministic: per-file profiles are combined
+/// in input order (first appearance of a key fixes its output position),
+/// independent of how the per-file stage was scheduled. Errors rethrow with
+/// the offending path prepended; when several files fail, the lowest-index
+/// failure wins.
 std::vector<PhaseProfile> profile_trace_files(const std::vector<std::string>& paths,
                                               ProfileCampaignOptions options = {});
 
 /// The campaign's stage-2 reduction as a standalone step: merge same-key
 /// profiles across the per-file groups, keys ordered by first appearance
-/// walking the groups in input order. ProfileCampaign::run and the
+/// walking the groups in input order. profile_trace_files and the
 /// incremental engine (trace/incremental.hpp) both reduce through this one
 /// function, which is what makes a streamed campaign bit-identical to the
 /// cold batch over the same files.

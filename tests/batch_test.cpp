@@ -16,7 +16,6 @@
 #include "core/model.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
-#include "trace/phase_profile.hpp"
 
 namespace pwx::core {
 namespace {
@@ -165,19 +164,6 @@ TEST(SampleBatch, AppendGuardedMatchesToDenseGuarded) {
   }
 }
 
-TEST(SampleBatch, AppendStrictThrowsOnMissingEventAndLeavesBatchUnchanged) {
-  const ModelLayout layout(test_model());
-  Rng rng(4);
-  CounterSample missing = varied_sample(rng);
-  missing.counts.erase(pmc::Preset::PRF_DM);
-  SampleBatch batch;
-  batch.reset(layout);
-  EXPECT_THROW(batch.append_strict(layout, missing), InvalidArgument);
-  EXPECT_TRUE(batch.empty());
-  batch.append_strict(layout, varied_sample(rng));
-  EXPECT_EQ(batch.size(), 1u);
-}
-
 TEST(SampleBatch, AppendRowPredictionMatchesModelPredict) {
   const Dataset ds = exact_dataset(16, 77);
   const PowerModel& model = test_model();
@@ -207,21 +193,6 @@ TEST(SampleBatch, AppendRowRejectsMissingVoltageAndCounter) {
   no_counter.counter_rates.erase(pmc::Preset::TOT_CYC);
   EXPECT_THROW(batch.append_row(layout, no_counter), InvalidArgument);
   EXPECT_TRUE(batch.empty());
-}
-
-TEST(SampleBatch, AppendProfileMissingCounterMakesLaneInvalid) {
-  const ModelLayout layout(test_model());
-  trace::PhaseProfile profile;
-  profile.frequency_ghz = 2.0;
-  profile.avg_voltage = 1.0;
-  profile.counter_rates[pmc::Preset::PRF_DM] = 1e8;  // TOT_CYC missing
-  SampleBatch batch;
-  batch.reset(layout);
-  batch.append_profile(layout, profile);
-  std::vector<double> out(1);
-  std::vector<std::uint8_t> valid(1);
-  predict_batch_guarded(layout, batch, out, valid);
-  EXPECT_EQ(valid[0], 0);
 }
 
 TEST(SampleBatch, ElapsedReciprocalTracking) {

@@ -591,13 +591,28 @@ TEST(ModelIo, MalformedInputRejected) {
   EXPECT_THROW(model_from_json("{\"format\": \"other\"}"), IoError);
   EXPECT_THROW(load_model("/nonexistent/model.json"), IoError);
   EXPECT_THROW(model_from_json(std::string(30000, '[')), IoError);
+  const std::string json = model_to_json(train_model(exact_dataset(64), exact_spec()));
+  const auto expect_rejected = [&json](const std::string& field, const std::string& value,
+                                       const std::string& message) {
+    std::string edited = json;
+    const std::string key = "\"" + field + "\": ";
+    const std::size_t at = edited.find(key);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t begin = at + key.size();
+    edited.replace(begin, edited.find_first_of(",\n}", begin) - begin, value);
+    try {
+      model_from_json(edited);
+      ADD_FAILURE() << field << " " << value << " accepted";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+    }
+  };
   // An observation count past 2^53 is rejected, not cast to garbage.
-  std::string json = model_to_json(train_model(exact_dataset(64), exact_spec()));
-  const std::string key = "\"n_observations\": ";
-  ASSERT_NE(json.find(key), std::string::npos);
-  const std::size_t value = json.find(key) + key.size();
-  json.replace(value, json.find_first_of(",\n}", value) - value, "1e300");
-  EXPECT_THROW(model_from_json(json), IoError);
+  expect_rejected("n_observations", "1e300", "n_observations");
+  // A newer format version is refused rather than misread.
+  expect_rejected("version", "99", "unsupported model file version 99 (only 1 is read)");
+  // An unknown normalization is not served as per-second.
+  expect_rejected("normalization", "\"bogus\"", "'bogus'");
 }
 
 TEST(ModelIo, CoefficientCountValidated) {

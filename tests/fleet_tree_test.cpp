@@ -521,9 +521,13 @@ TEST(FleetTree, GoldenDigestChainAcrossAllPaths) {
     now = 0.25 * static_cast<double>(tick) + 0.04;
     for (std::size_t l = 0; l < kGoldenGroups; ++l) {
       leaves[l]->ingest_batch(leaf_batches[l]);
-      merger.add(decode_delta(encode_delta(
-          make_delta(*leaves[l], static_cast<std::uint32_t>(l),
-                     static_cast<std::uint32_t>(kGoldenGroups), now, tick + 1))));
+      const auto leaf = static_cast<std::uint32_t>(l);
+      const std::string frame = encode_delta(make_delta(
+          *leaves[l], leaf, static_cast<std::uint32_t>(kGoldenGroups), now, tick + 1));
+      // Leaf daemon == group: the tree's shard range reads the same records.
+      EXPECT_EQ(encode_delta(tree.group_delta(leaf, now, tick + 1)), frame)
+          << "group " << l << " at tick " << tick;
+      merger.add(decode_delta(frame));
     }
     check_and_link(now, merger);
   }

@@ -64,9 +64,9 @@ inline trace::Trace large_trace(std::uint64_t salt,
   const auto power = t.define_metric({"power", "W", trace::MetricMode::AsyncAverage});
   const auto volt = t.define_metric({"core_voltage", "V", trace::MetricMode::AsyncInstant});
   const std::uint32_t counters[] = {
-      t.define_metric({trace::ApapiPlugin::metric_name(pmc::Preset::TOT_CYC), "events",
+      t.define_metric({trace::papi_metric_name(pmc::Preset::TOT_CYC), "events",
                        trace::MetricMode::CounterIncrement}),
-      t.define_metric({trace::ApapiPlugin::metric_name(pmc::Preset::TOT_INS), "events",
+      t.define_metric({trace::papi_metric_name(pmc::Preset::TOT_INS), "events",
                        trace::MetricMode::CounterIncrement})};
   const std::size_t reps = min_bytes / (3 * 402 * trace::format::kEventBytes) + 1;
   std::uint64_t now = 0;

@@ -1,5 +1,5 @@
-// Concurrent trace-file opens on plain std::threads. ProfileCampaign opens
-// files from OpenMP workers, but libgomp is not TSan-instrumented, so the
+// Concurrent trace-file opens on plain std::threads. profile_trace_files
+// opens files from OpenMP workers, but libgomp is not TSan-instrumented, so the
 // TSan job cannot run trace_test or mapped_test; this binary runs no OpenMP
 // region and calls the same per-file work — MappedTraceFile::open on both
 // byte sources, then build_phase_profiles — from several threads at once.

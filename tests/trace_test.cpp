@@ -256,11 +256,11 @@ TEST(Plugins, EventCountMatchesIntervalsAndMetrics) {
 }
 
 TEST(Plugins, ApapiMetricNameUsesPapiPrefix) {
-  EXPECT_EQ(ApapiPlugin::metric_name(pmc::Preset::BR_MSP), "PAPI_BR_MSP");
+  EXPECT_EQ(papi_metric_name(pmc::Preset::BR_MSP), "PAPI_BR_MSP");
 }
 
 TEST(Plugins, ApapiRejectsEmptyEventSet) {
-  EXPECT_THROW(ApapiPlugin({}), InvalidArgument);
+  EXPECT_THROW(build_standard_trace(quick_run(), {}), InvalidArgument);
 }
 
 TEST(Plugins, MultiPhaseRunProducesMultipleRegions) {
@@ -666,7 +666,7 @@ const std::vector<std::string>& campaign_fixture_files() {
   return paths;
 }
 
-/// The plain serial loop ProfileCampaign must match bit for bit.
+/// The plain serial loop profile_trace_files must match bit for bit.
 std::vector<PhaseProfile> serial_reference(const std::vector<std::string>& paths) {
   std::vector<std::vector<PhaseProfile>> groups;
   std::vector<PhaseProfile> keys;

@@ -462,14 +462,25 @@ TEST(TraceExport, ParseRejectsMalformedLineWithItsNumber) {
   const std::string good =
       "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"2\",\"name\":\"x\","
       "\"start_s\":0,\"dur_s\":1,\"thread\":0}\n";
-  const std::string bad_thread =
-      "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"3\",\"name\":\"x\","
-      "\"start_s\":0,\"dur_s\":1,\"thread\":1e300}\n";
-  for (const std::string& bad_line :
-       {std::string("not json\n"), std::string(100000, '[') + "\n", bad_thread}) {
+  const auto span_line = [](const std::string& fields) {
+    return "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"3\"," + fields + "}\n";
+  };
+  for (const std::string& bad_line : {
+           std::string("not json\n"),
+           std::string(100000, '[') + "\n",
+           span_line("\"name\":\"x\",\"start_s\":0,\"dur_s\":1,\"thread\":1e300"),
+           span_line("\"name\":5,\"start_s\":0,\"dur_s\":1"),
+           span_line("\"start_s\":0,\"dur_s\":1"),
+           span_line("\"name\":\"x\",\"start_s\":\"0\",\"dur_s\":1"),
+           span_line("\"name\":\"x\",\"start_s\":1e999,\"dur_s\":1"),
+           span_line("\"name\":\"x\",\"start_s\":0,\"dur_s\":-3"),
+           span_line("\"name\":\"x\",\"start_s\":1e308,\"dur_s\":1e308"),
+           span_line("\"name\":\"x\",\"start_s\":0,\"dur_s\":1,\"parent\":\"-1\""),
+           span_line("\"name\":\"x\",\"start_s\":0,\"dur_s\":1,\"attrs\":{\"k\":1}"),
+       }) {
     try {
       obs::parse_span_jsonl(good + bad_line);
-      FAIL() << "expected IoError";
+      FAIL() << "expected IoError for " << bad_line;
     } catch (const IoError& e) {
       EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
           << e.what();

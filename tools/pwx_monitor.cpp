@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "acquire/campaign.hpp"
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -82,54 +83,78 @@ int usage(const char* argv0) {
 // (pwx-fleetd --aggregate) emits, so the live-monitor workflow covers
 // multi-process fleets. One human-readable line per fleet snapshot plus a
 // trailing summary; non-fleet events interleaved in the stream are skipped.
+// A fleet line must carry every field pwx-fleetd writes, counts as integers
+// in [0, 2^53] and finite t_s/total_watts; anything else throws an IoError
+// naming the 1-based line.
 int run_aggregate_replay(const char* path) {
+  using pwx::Json;
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open aggregate file '%s'\n", path);
     return 1;
   }
-  const auto num_field = [](const std::string& line, const char* key,
-                            double fallback) {
-    const std::string needle = std::string("\"") + key + "\":";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos) {
-      return fallback;
-    }
-    return std::strtod(line.c_str() + at + needle.size(), nullptr);
-  };
-  const auto str_field = [](const std::string& line, const char* key) {
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const std::size_t at = line.find(needle);
-    if (at == std::string::npos) {
-      return std::string();
-    }
-    const std::size_t begin = at + needle.size();
-    return line.substr(begin, line.find('"', begin) - begin);
-  };
   std::size_t snapshots = 0;
+  std::size_t line_no = 0;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.find("\"event\":\"fleet\"") == std::string::npos) {
+    ++line_no;
+    if (line.empty()) {
       continue;
     }
+    const auto error = [&](const std::string& what) {
+      return pwx::IoError("aggregate file '" + std::string(path) + "' line " +
+                          std::to_string(line_no) + ": " + what);
+    };
+    Json event;
+    try {
+      event = Json::parse(line);
+    } catch (const pwx::Error& e) {
+      throw error(e.what());
+    }
+    const Json* kind = event.find("event");
+    if (kind == nullptr || kind->type() != Json::Type::String ||
+        kind->as_string() != "fleet") {
+      continue;
+    }
+    const auto field = [&](const char* key, Json::Type type) -> const Json& {
+      const Json* value = event.find(key);
+      if (value == nullptr || value->type() != type) {
+        throw error(std::string("missing or mistyped field '") + key + "'");
+      }
+      return *value;
+    };
+    const auto count = [&](const char* key) {
+      constexpr double kMaxCount = 9007199254740992.0;  // 2^53
+      const double n = field(key, Json::Type::Number).as_number();
+      if (!(n >= 0.0 && n <= kMaxCount) || n != std::floor(n)) {
+        throw error(std::string(key) + " must be an integer in [0, 2^53]");
+      }
+      return static_cast<std::size_t>(n);
+    };
+    const auto finite = [&](const char* key) {
+      const double x = field(key, Json::Type::Number).as_number();
+      if (!std::isfinite(x)) {
+        throw error(std::string(key) + " must be finite");
+      }
+      return x;
+    };
+    const double t_s = finite("t_s");
+    const std::size_t leaves = count("leaves");
+    const std::size_t leaf_count = count("leaf_count");
+    const std::size_t reporting = count("nodes_reporting");
+    const std::size_t stale = count("nodes_stale");
+    const std::size_t degraded = count("nodes_degraded");
+    const std::size_t failed = count("nodes_failed");
+    count("nodes_active");
+    count("nodes_interned");
+    const double total_watts = finite("total_watts");
+    const std::string& digest = field("digest", Json::Type::String).as_string();
     snapshots += 1;
-    const auto leaves = static_cast<std::size_t>(num_field(line, "leaves", 1));
-    const auto leaf_count =
-        static_cast<std::size_t>(num_field(line, "leaf_count", 1));
     std::printf(
         "t=%.3fs leaves=%zu/%zu reporting=%zu stale=%zu degraded=%zu "
-        "failed=%zu total=%.3fW",
-        num_field(line, "t_s", 0.0), leaves, leaf_count,
-        static_cast<std::size_t>(num_field(line, "nodes_reporting", 0)),
-        static_cast<std::size_t>(num_field(line, "nodes_stale", 0)),
-        static_cast<std::size_t>(num_field(line, "nodes_degraded", 0)),
-        static_cast<std::size_t>(num_field(line, "nodes_failed", 0)),
-        num_field(line, "total_watts", 0.0));
-    const std::string digest = str_field(line, "digest");
-    if (!digest.empty()) {
-      std::printf(" [digest %s]", digest.c_str());
-    }
-    std::printf("\n");
+        "failed=%zu total=%.3fW [digest %s]\n",
+        t_s, leaves, leaf_count, reporting, stale, degraded, failed, total_watts,
+        digest.c_str());
   }
   std::printf("aggregated %zu fleet snapshots from %s\n", snapshots, path);
   return snapshots > 0 ? 0 : 1;
