@@ -151,31 +151,6 @@ void BM_EstimateBatchGuarded(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateBatchGuarded)->Arg(4096)->Unit(benchmark::kMillisecond);
 
-// The raw vector kernel alone (no guarded fold): the ceiling the batched
-// guarded path approaches as the fold amortizes away.
-void BM_PredictBatchRaw(benchmark::State& state) {
-  obs::set_enabled(false);
-  const core::ModelLayout layout(shared_model());
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  core::SampleBatch batch;
-  batch.reset(layout, n);
-  core::DenseSample dense = layout.make_sample();
-  const core::CounterSample proto = sample_for_model(shared_model());
-  for (std::size_t k = 0; k < n; ++k) {
-    layout.to_dense_guarded(proto, dense);
-    dense.voltage += 1e-4 * static_cast<double>(k % 7);
-    batch.append(dense);
-  }
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    core::predict_batch(layout, batch, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PredictBatchRaw)->Arg(4096)->Unit(benchmark::kMillisecond);
-
 void BM_TrainModel(benchmark::State& state) {
   const bench::StandardPipeline& p = bench::StandardPipeline::get();
   for (auto _ : state) {

@@ -312,17 +312,4 @@ void BM_DeltaMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaMerge);
 
-// The dense single-sample path (what one ingest costs after the batch
-// machinery): a coefficient dot product, no map traffic.
-void BM_EstimateDense(benchmark::State& state) {
-  obs::set_enabled(false);
-  core::OnlineEstimator estimator(fleet_model());
-  const core::DenseSample sample =
-      estimator.layout().to_dense(sample_for_node(7));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.estimate(sample));
-  }
-}
-BENCHMARK(BM_EstimateDense);
-
 }  // namespace

@@ -85,6 +85,8 @@ void check_one_input(const std::uint8_t* data, std::size_t size) {
 
 }  // namespace
 
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   check_one_input(data, size);
   return 0;

@@ -78,6 +78,8 @@ std::optional<Rejection> check_one_input(const std::uint8_t* data, std::size_t s
 
 }  // namespace
 
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   (void)check_one_input(data, size);
   return 0;

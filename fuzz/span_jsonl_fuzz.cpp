@@ -12,15 +12,22 @@
 //     run;
 //   * an accepted record round-trips: span_to_jsonl_line writes it as a line
 //     that reads back to one record span_to_jsonl_line writes as the same
-//     line.
+//     line;
+//   * the accepted records attribute (attribute_latency) and print
+//     (print_attribution_table) as pwx-monitor --trace-replay does: the only
+//     escaping exception is pwx::Error, and every number the table prints
+//     is finite.
 //
 // Built under Clang this is a libFuzzer target (LLVMFuzzerTestOneInput);
 // under other toolchains fuzz/CMakeLists.txt compiles the same body into a
 // standalone replayer that runs every file passed on the command line.
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -48,6 +55,28 @@ Outcome read_once(const std::string& bytes) {
   return out;
 }
 
+/// Attribute and print `records`; a rejection must be a pwx::Error (anything
+/// else escapes). The table prints each row's total, self, max and mean and
+/// its share of the self-time sum, so those must all be finite.
+void check_attribution(const std::vector<pwx::obs::SpanRecord>& records) {
+  std::vector<pwx::obs::SpanAttribution> rows;
+  try {
+    rows = pwx::obs::attribute_latency(records);
+  } catch (const pwx::Error&) {
+    return;
+  }
+  double total_self = 0.0;
+  for (const pwx::obs::SpanAttribution& row : rows) {
+    total_self += row.self_s;
+    if (!std::isfinite(row.total_s) || !std::isfinite(row.self_s) ||
+        !std::isfinite(row.max_s) || !std::isfinite(total_self)) {
+      __builtin_trap();
+    }
+  }
+  std::ostringstream table;
+  pwx::obs::print_attribution_table(rows, table);
+}
+
 void check_one_input(const std::uint8_t* data, std::size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
 
@@ -58,15 +87,20 @@ void check_one_input(const std::uint8_t* data, std::size_t size) {
   }
   // Round trip: each written line reads back (a throw here escapes) to one
   // record that writes identically.
+  std::vector<pwx::obs::SpanRecord> records;
   for (const std::string& line : first.lines) {
-    const std::vector<pwx::obs::SpanRecord> again = pwx::obs::parse_span_jsonl(line);
+    std::vector<pwx::obs::SpanRecord> again = pwx::obs::parse_span_jsonl(line);
     if (again.size() != 1 || pwx::obs::span_to_jsonl_line(again.front()) != line) {
       __builtin_trap();
     }
+    records.push_back(std::move(again.front()));
   }
+  check_attribution(records);
 }
 
 }  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
   check_one_input(data, size);

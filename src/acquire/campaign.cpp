@@ -16,6 +16,7 @@
 #include "obs/span.hpp"
 #include "trace/phase_profile.hpp"
 #include "trace/plugins.hpp"
+#include "trace/profile_campaign.hpp"
 #include "trace/serialize.hpp"
 
 namespace pwx::acquire {
@@ -222,19 +223,12 @@ UnitOutcome acquire_configuration(const sim::Engine& engine,
     }
   }
 
-  // Merge per phase across runs.
-  const auto& reference = per_run_profiles.front();
-  for (std::size_t p = 0; p < reference.size(); ++p) {
-    std::vector<trace::PhaseProfile> variants;
-    variants.reserve(per_run_profiles.size());
-    for (const auto& run_profiles : per_run_profiles) {
-      PWX_CHECK(run_profiles.size() == reference.size(),
-                "runs produced differing phase sets for ", unit.workload->name);
-      PWX_CHECK(run_profiles[p].phase == reference[p].phase,
-                "phase order mismatch across runs");
-      variants.push_back(run_profiles[p]);
-    }
-    const trace::PhaseProfile merged = trace::merge_profiles(variants);
+  // Merge per phase across runs, as trace-file ingestion does. Every run of
+  // a configuration shares its workload, frequency and thread count, and
+  // validate_profiles made each cover exactly the workload's phases, so the
+  // groups are the phases in the first run's order.
+  for (const trace::PhaseProfile& merged :
+       trace::merge_first_appearance(std::move(per_run_profiles))) {
     outcome.rows.push_back(row_from_profile(merged, unit.workload->suite));
   }
   return outcome;

@@ -10,32 +10,6 @@
 
 namespace pwx::acquire {
 
-std::string DataQuality::summary() const {
-  std::ostringstream os;
-  os << "data quality: " << (clean() ? "CLEAN" : "DEGRADED") << '\n';
-  os << "  configurations: " << configurations_total << " total, "
-     << configurations_quarantined << " quarantined\n";
-  os << "  runs: " << runs_attempted << " attempted, " << runs_rejected
-     << " rejected, " << runs_retried << " retried\n";
-  os << "  rows sanitized: " << sanitize.rows_checked << " checked, "
-     << sanitize.rows_dropped << " dropped";
-  if (sanitize.rows_dropped > 0) {
-    os << " (power nonfinite " << sanitize.nonfinite_power << ", implausible "
-       << sanitize.implausible_power << ", voltage " << sanitize.invalid_voltage
-       << ", elapsed " << sanitize.invalid_elapsed << ", rates "
-       << sanitize.invalid_rate << ")";
-  }
-  os << '\n';
-  if (!fault_counts.empty()) {
-    os << "  injected faults:";
-    for (const auto& [name, count] : fault_counts) {
-      os << ' ' << name << '=' << count;
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
 std::string DataQuality::report() const {
   TablePrinter table({"metric", "value"});
   table.row({"verdict", clean() ? "CLEAN" : "DEGRADED"});
@@ -157,16 +131,6 @@ std::vector<std::string> Dataset::workload_names() const {
   return names;
 }
 
-std::vector<std::size_t> Dataset::workload_groups() const {
-  const std::vector<std::string> names = workload_names();
-  std::vector<std::size_t> groups(rows_.size());
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    groups[i] = static_cast<std::size_t>(
-        std::find(names.begin(), names.end(), rows_[i].workload) - names.begin());
-  }
-  return groups;
-}
-
 la::Matrix Dataset::event_rate_matrix(const std::vector<pmc::Preset>& presets) const {
   la::Matrix out(rows_.size(), presets.size());
   for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -181,22 +145,6 @@ std::vector<double> Dataset::power() const {
   std::vector<double> out(rows_.size());
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     out[i] = rows_[i].avg_power_watts;
-  }
-  return out;
-}
-
-std::vector<double> Dataset::voltage() const {
-  std::vector<double> out(rows_.size());
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    out[i] = rows_[i].avg_voltage;
-  }
-  return out;
-}
-
-std::vector<double> Dataset::frequency_ghz() const {
-  std::vector<double> out(rows_.size());
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    out[i] = rows_[i].frequency_ghz;
   }
   return out;
 }

@@ -68,8 +68,6 @@ struct DataQuality {
     return configurations_quarantined == 0 && runs_rejected == 0 &&
            sanitize.clean();
   }
-  /// Multi-line human-readable report.
-  std::string summary() const;
   /// Aligned metric/value table (common/table formatting).
   std::string report() const;
   /// Every field as a JSON object, fault counts keyed by kind name.
@@ -98,18 +96,12 @@ public:
   /// Distinct workload names in row order of first appearance.
   std::vector<std::string> workload_names() const;
 
-  /// Group label per row (one label per distinct workload) for grouped CV.
-  std::vector<std::size_t> workload_groups() const;
-
   /// Matrix of per-cycle rates E_n, one column per preset, one row per row.
   /// Throws when a row lacks a requested counter.
   la::Matrix event_rate_matrix(const std::vector<pmc::Preset>& presets) const;
 
   /// Power vector (the regression target).
   std::vector<double> power() const;
-  /// Voltage and frequency vectors (model inputs).
-  std::vector<double> voltage() const;
-  std::vector<double> frequency_ghz() const;
 
   /// Presets recorded in *every* row (candidates usable for modeling).
   std::vector<pmc::Preset> common_presets() const;

@@ -33,14 +33,6 @@ const Json::Object& Json::as_object() const {
   return obj_;
 }
 
-Json::Array& Json::make_array() {
-  if (type_ == Type::Null) {
-    type_ = Type::Array;
-  }
-  PWX_REQUIRE(type_ == Type::Array, "JSON value is not an array");
-  return arr_;
-}
-
 Json::Object& Json::make_object() {
   if (type_ == Type::Null) {
     type_ = Type::Object;

@@ -46,8 +46,7 @@ public:
   const Array& as_array() const;
   const Object& as_object() const;
 
-  /// Mutable access, converting a Null value into the requested container.
-  Array& make_array();
+  /// Mutable access, converting a Null value into an object.
   Object& make_object();
 
   /// Object field lookup; throws if not an object or key missing.

@@ -84,28 +84,6 @@ double Rng::lognormal_mean_cv(double mean, double cv) {
   return std::exp(mu + std::sqrt(sigma2) * normal());
 }
 
-Rng Rng::fork() {
-  // The xoshiro256** jump polynomial advances the stream by 2^128 steps.
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  Rng child = *this;  // child takes the current stream position ...
-  std::array<std::uint64_t, 4> acc{};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (std::size_t i = 0; i < 4; ++i) {
-          acc[i] ^= s_[i];
-        }
-      }
-      (*this)();
-    }
-  }
-  s_ = acc;  // ... and the parent jumps ahead, so the streams never overlap.
-  child.has_cached_normal_ = false;
-  return child;
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) {

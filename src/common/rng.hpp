@@ -49,9 +49,6 @@ public:
   /// coefficient of variation is `cv`. Handy for strictly positive noise.
   double lognormal_mean_cv(double mean, double cv);
 
-  /// Fork an independent stream (equivalent to 2^128 steps of this stream).
-  Rng fork();
-
   /// Fisher–Yates shuffle of indices [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 

@@ -1,55 +1,11 @@
 #include "common/strings.hpp"
 
-#include <cctype>
 #include <cstdio>
 
 namespace pwx {
 
-std::vector<std::string> split(std::string_view text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      parts.emplace_back(text.substr(begin, i - begin));
-      begin = i + 1;
-    }
-  }
-  return parts;
-}
-
-std::string_view trim(std::string_view text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) {
-      out += sep;
-    }
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
 }
 
 std::string format_double(double value, int precision) {

@@ -3,24 +3,11 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pwx {
 
-/// Split `text` on `sep`, keeping empty fields.
-std::vector<std::string> split(std::string_view text, char sep);
-
-/// Strip ASCII whitespace from both ends.
-std::string_view trim(std::string_view text);
-
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
-
-/// Join `parts` with `sep`.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Lower-case an ASCII string.
-std::string to_lower(std::string_view text);
 
 /// printf-style double formatting with fixed precision, locale-independent.
 std::string format_double(double value, int precision);

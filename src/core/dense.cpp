@@ -11,8 +11,6 @@ namespace pwx::core {
 ModelLayout::ModelLayout(const PowerModel& model) {
   const FeatureSpec& spec = model.spec();
   const regress::OlsResult& fit = model.fit();
-  PWX_REQUIRE(spec.events.size() <= std::numeric_limits<std::int16_t>::max(),
-              "model has too many events for a dense layout");
   const std::size_t expected =
       spec.column_count() + (fit.has_intercept ? 1 : 0);
   PWX_REQUIRE(fit.beta.size() == expected, "model fit has ", fit.beta.size(),
@@ -20,11 +18,6 @@ ModelLayout::ModelLayout(const PowerModel& model) {
 
   events_ = spec.events;
   per_cycle_ = spec.normalization == RateNormalization::PerCycle;
-  slot_table_.fill(-1);
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    slot_table_[static_cast<std::size_t>(events_[i])] =
-        static_cast<std::int16_t>(i);
-  }
 
   // Flatten the coefficient vector: [δ?][α_n ...][β?][γ?].
   std::size_t c = fit.has_intercept ? 1 : 0;
@@ -62,12 +55,6 @@ void ModelLayout::to_dense(const CounterSample& sample, DenseSample& out) const 
   }
 }
 
-DenseSample ModelLayout::to_dense(const CounterSample& sample) const {
-  DenseSample out;
-  to_dense(sample, out);
-  return out;
-}
-
 void ModelLayout::to_dense_guarded(const CounterSample& sample,
                                    DenseSample& out) const {
   out.elapsed_s = sample.elapsed_s;
@@ -86,9 +73,9 @@ double ModelLayout::predict(const DenseSample& sample) const {
   PWX_REQUIRE(sample.counts.size() == events_.size(), "dense sample has ",
               sample.counts.size(), " counts, layout has ", events_.size(),
               " slots");
-  // Operation-for-operation replay of build_features_row + OlsResult::predict
+  // Operation-for-operation replay of build_features + OlsResult::predict
   // (rate, per-cycle normalization, x = rate·V²f, accumulate in column
-  // order) so the result is bit-identical to the map-based path.
+  // order) so the result is bit-identical to PowerModel::predict.
   const double v = sample.voltage;
   const double f = sample.frequency_ghz;
   const double v2f = v * v * f;

@@ -5,17 +5,17 @@
 // bridge: built once from a trained PowerModel, it fixes a dense slot order
 // (the model's event order), flattens the fitted coefficients, and evaluates
 // Equation 1 on a DenseSample — a flat double array in slot order plus
-// elapsed/frequency/voltage — with no map traffic in the loop.
+// elapsed/frequency/voltage — with no map traffic in the loop. Map-keyed
+// CounterSamples enter through to_dense/to_dense_guarded only.
 //
-// The layout's arithmetic replays the map-based path operation for
+// The layout's arithmetic replays PowerModel::predict operation for
 // operation (rate = counts/elapsed, per-cycle normalization, x = rate·V²f,
-// then the coefficient dot product in column order), so dense estimates are
-// bit-identical to PowerModel::predict_row on the equivalent CounterSample.
-// Equivalence is pinned by tests/fleet_test.cpp.
+// then the coefficient dot product in column order), so a dense estimate is
+// bit-identical to PowerModel::predict on a one-row Dataset carrying the
+// sample's rates, frequency and voltage. Equivalence is pinned by
+// tests/fleet_test.cpp.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -46,12 +46,6 @@ public:
   const std::vector<pmc::Preset>& events() const { return events_; }
   std::size_t slots() const { return events_.size(); }
 
-  /// Dense slot of a preset; nullopt when the model does not use it. O(1).
-  std::optional<std::size_t> slot_of(pmc::Preset p) const {
-    const std::int16_t s = slot_table_[static_cast<std::size_t>(p)];
-    return s < 0 ? std::nullopt : std::optional<std::size_t>(static_cast<std::size_t>(s));
-  }
-
   /// A DenseSample with `counts` preallocated to slots() (for reuse across
   /// to_dense calls — the hot loop allocates nothing).
   DenseSample make_sample() const;
@@ -62,14 +56,13 @@ public:
   /// events in the sample are ignored. Lossless for the model: every value
   /// the model reads is carried over unchanged.
   void to_dense(const CounterSample& sample, DenseSample& out) const;
-  DenseSample to_dense(const CounterSample& sample) const;
 
   /// Guarded conversion: never throws; a missing event becomes NaN, which
   /// the guarded validation path rejects exactly like the map-based one.
   void to_dense_guarded(const CounterSample& sample, DenseSample& out) const;
 
   /// Raw Equation-1 output (no smoothing, no guards). Bit-identical to
-  /// PowerModel::predict_row on the equivalent CounterSample. `counts` must
+  /// PowerModel::predict on the equivalent one-row Dataset. `counts` must
   /// have slots() entries.
   double predict(const DenseSample& sample) const;
 
@@ -98,7 +91,6 @@ private:
   bool has_dyn_ = false;
   bool has_static_ = false;
   bool per_cycle_ = true;         ///< RateNormalization::PerCycle
-  std::array<std::int16_t, pmc::kPresetCount> slot_table_{};
 };
 
 }  // namespace pwx::core

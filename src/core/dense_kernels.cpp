@@ -14,9 +14,7 @@
 #include <cstdlib>
 #include <limits>
 
-#include "acquire/dataset.hpp"
 #include "common/error.hpp"
-#include "core/estimator.hpp"
 
 namespace pwx::core {
 
@@ -140,47 +138,6 @@ std::size_t SampleBatch::append(const DenseSample& sample) {
   return lane;
 }
 
-std::size_t SampleBatch::append_guarded(const ModelLayout& layout,
-                                        const CounterSample& sample) {
-  PWX_REQUIRE(layout.slots() == slots(),
-              "batch is bound to ", slots(), " slots, layout has ",
-              layout.slots());
-  const std::size_t lane =
-      grow_lane(sample.elapsed_s, sample.frequency_ghz, sample.voltage);
-  for (std::size_t s = 0; s < columns_.size(); ++s) {
-    const auto it = sample.counts.find(layout.events()[s]);
-    columns_[s][lane] = it == sample.counts.end() ? kNaN : it->second;
-  }
-  finish_lane_counts(lane);
-  return lane;
-}
-
-std::size_t SampleBatch::append_row(const ModelLayout& layout,
-                                    const acquire::DataRow& row) {
-  PWX_REQUIRE(layout.slots() == slots(),
-              "batch is bound to ", slots(), " slots, layout has ",
-              layout.slots());
-  // Mirror build_features_row's contract so the batched gate rejects the
-  // same rows the matrix path would have thrown on.
-  PWX_REQUIRE(row.avg_voltage > 0.0, "row ", row.workload, "/", row.phase,
-              " lacks a voltage measurement");
-  PWX_REQUIRE(row.frequency_ghz > 0.0, "row lacks a frequency");
-  for (std::size_t s = 0; s < columns_.size(); ++s) {
-    PWX_REQUIRE(row.counter_rates.find(layout.events()[s]) !=
-                    row.counter_rates.end(),
-                "row ", row.workload, "/", row.phase, " lacks counter ",
-                std::string(pmc::preset_name(layout.events()[s])));
-  }
-  // Rows store per-second rates; elapsed = 1.0 makes counts/elapsed
-  // reproduce the rate bit-for-bit (see the header).
-  const std::size_t lane = grow_lane(1.0, row.frequency_ghz, row.avg_voltage);
-  for (std::size_t s = 0; s < columns_.size(); ++s) {
-    columns_[s][lane] = row.counter_rates.find(layout.events()[s])->second;
-  }
-  finish_lane_counts(lane);
-  return lane;
-}
-
 namespace detail {
 
 void predict_lanes_scalar(const BatchArgs& args) {
@@ -207,12 +164,9 @@ void predict_lanes_scalar(const BatchArgs& args) {
     if (args.has_static) {
       acc += args.static_coef * v;
     }
-    if (args.valid != nullptr) {
-      // try_predict's verdict: input validity was captured at append time
-      // (lane_valid), so only the output check remains here.
-      args.valid[k] =
-          (args.lane_valid[k] != 0 && std::isfinite(acc)) ? 1 : 0;
-    }
+    // try_predict's verdict: input validity was captured at append time
+    // (lane_valid), so only the output check remains here.
+    args.valid[k] = (args.lane_valid[k] != 0 && std::isfinite(acc)) ? 1 : 0;
     if (args.clamp) {
       // Exactly std::clamp's comparison order (the vector kernel mirrors
       // it with compare+blend, which preserves -0.0 and NaN bit-for-bit
@@ -279,11 +233,13 @@ struct ClampRange {
 };
 
 void predict_batch_impl(const ModelLayout& layout, const SampleBatch& batch,
-                        std::span<double> out, std::uint8_t* valid,
+                        std::span<double> out, std::span<std::uint8_t> valid,
                         const ClampRange* clamp = nullptr) {
   PWX_REQUIRE(batch.slots() == layout.slots(), "batch is bound to ",
               batch.slots(), " slots, layout has ", layout.slots());
   PWX_REQUIRE(out.size() >= batch.size(), "output span has ", out.size(),
+              " entries for ", batch.size(), " lanes");
+  PWX_REQUIRE(valid.size() >= batch.size(), "validity span has ", valid.size(),
               " entries for ", batch.size(), " lanes");
   if (batch.empty()) {
     return;
@@ -316,7 +272,7 @@ void predict_batch_impl(const ModelLayout& layout, const SampleBatch& batch,
     args.clamp_max = clamp->max;
   }
   args.out = out.data();
-  args.valid = valid;
+  args.valid = valid.data();
   run_kernel(args);
 }
 
@@ -362,27 +318,18 @@ void force_batch_kernel(std::optional<BatchKernel> kernel) {
   g_forced_kernel.store(static_cast<int>(*kernel), std::memory_order_relaxed);
 }
 
-void predict_batch(const ModelLayout& layout, const SampleBatch& batch,
-                   std::span<double> out) {
-  predict_batch_impl(layout, batch, out, nullptr);
-}
-
 void predict_batch_guarded(const ModelLayout& layout, const SampleBatch& batch,
                            std::span<double> out,
                            std::span<std::uint8_t> valid) {
-  PWX_REQUIRE(valid.size() >= batch.size(), "validity span has ", valid.size(),
-              " entries for ", batch.size(), " lanes");
-  predict_batch_impl(layout, batch, out, valid.data());
+  predict_batch_impl(layout, batch, out, valid);
 }
 
 void predict_batch_clamped(const ModelLayout& layout, const SampleBatch& batch,
                            double min_watts, double max_watts,
                            std::span<double> out,
                            std::span<std::uint8_t> valid) {
-  PWX_REQUIRE(valid.size() >= batch.size(), "validity span has ", valid.size(),
-              " entries for ", batch.size(), " lanes");
   const ClampRange clamp{min_watts, max_watts};
-  predict_batch_impl(layout, batch, out, valid.data(), &clamp);
+  predict_batch_impl(layout, batch, out, valid, &clamp);
 }
 
 }  // namespace pwx::core

@@ -10,13 +10,14 @@
 // coefficient accumulation in column order, no FMA contraction in the
 // accumulate), each lane's result is bit-identical to layout.predict() on
 // that sample — which is what lets the batched path slot under every
-// digest-pinned consumer (fleet ingest, serve gates) without moving a bit.
+// digest-pinned consumer (online and fleet estimation) without moving a bit.
 //
-// Dispatch: predict_batch picks the widest kernel the CPU supports at
-// runtime (cpuid via __builtin_cpu_supports), the scalar kernel is compiled
-// unconditionally for every target, PWX_FORCE_SCALAR=1 in the environment
-// pins the scalar kernel (read once), and force_batch_kernel() lets one
-// test process compare both arms. See DESIGN.md "Batched SIMD estimation".
+// Dispatch: predict_batch_guarded and predict_batch_clamped pick the
+// widest kernel the CPU supports at runtime (cpuid via
+// __builtin_cpu_supports), the scalar kernel is compiled unconditionally
+// for every target, PWX_FORCE_SCALAR=1 in the environment pins the scalar
+// kernel (read once), and force_batch_kernel() lets one test process
+// compare both arms. See DESIGN.md "Batched SIMD estimation".
 #pragma once
 
 #include <cstddef>
@@ -28,13 +29,7 @@
 
 #include "core/dense.hpp"
 
-namespace pwx::acquire {
-struct DataRow;
-}  // namespace pwx::acquire
-
 namespace pwx::core {
-
-struct CounterSample;  // core/estimator.hpp
 
 /// Lane width of the widest batched kernel (AVX2: 4 doubles). Batches are
 /// always padded to a multiple of this with benign lanes, so kernels never
@@ -65,25 +60,13 @@ public:
   /// size() rounded up to the lane width — the lane count kernels process.
   std::size_t padded_size() const { return elapsed_.size(); }
 
-  /// Append one dense sample. Guarded: a sample whose count vector does not
-  /// match the batch's slot count becomes an all-NaN lane, which the
-  /// validity scan rejects exactly like scalar try_predict rejects the
-  /// wrong-sized sample. Returns the lane index.
+  /// Append one dense sample — the one way into a batch; map-keyed samples
+  /// are converted with ModelLayout::to_dense_guarded first. Guarded: a
+  /// sample whose count vector does not match the batch's slot count
+  /// becomes an all-NaN lane, which the validity scan rejects exactly like
+  /// scalar try_predict rejects the wrong-sized sample. Returns the lane
+  /// index.
   std::size_t append(const DenseSample& sample);
-
-  /// Append a map-keyed sample, converting against `layout` (which must
-  /// have the batch's slot count). Guarded: a missing event becomes a NaN
-  /// count — the lane-wise mirror of ModelLayout::to_dense_guarded.
-  std::size_t append_guarded(const ModelLayout& layout,
-                             const CounterSample& sample);
-
-  /// Append a training-corpus row. Rows carry per-second *rates*, so the
-  /// lossless embedding is elapsed = 1.0 and counts = rate: the kernel's
-  /// rate = counts/elapsed reproduces the stored rate exactly, making the
-  /// batched prediction bit-identical to PowerModel::predict on the same
-  /// row. Strict like build_features_row: throws when the row lacks a
-  /// layout event or a positive voltage/frequency.
-  std::size_t append_row(const ModelLayout& layout, const acquire::DataRow& row);
 
   // Column base pointers for the kernels (padded_size() lanes each).
   const double* elapsed_lanes() const { return elapsed_.data(); }
@@ -97,8 +80,8 @@ public:
   /// compute counts·(1/elapsed) instead of counts/elapsed: both are single
   /// correctly-rounded IEEE operations on the same exact value, so the
   /// result bits are identical — division strength-reduced, not
-  /// approximated. Holds for the elapsed = 1.0 row embedding and
-  /// for power-of-two sampling intervals (0.25 s, 0.5 s, ...).
+  /// approximated. Holds for power-of-two sampling intervals
+  /// (0.25 s, 0.5 s, 1 s, ...).
   bool elapsed_reciprocal_exact() const { return size_ > 0 && elapsed_pow2_; }
   const double* inv_elapsed_lanes() const { return inv_elapsed_.data(); }
   /// Per-lane *input* validity, maintained at append time: 1 when the
@@ -127,7 +110,7 @@ private:
   std::vector<std::vector<double>> columns_;  ///< counts, one column per slot
 };
 
-/// The kernels predict_batch can dispatch to.
+/// The kernels batch predictions can dispatch to.
 enum class BatchKernel : std::uint8_t {
   Scalar = 0,  ///< portable lane loop, compiled for every target
   Avx2 = 1,    ///< 4 lanes per instruction (x86 AVX2; FMA never used in the
@@ -139,7 +122,7 @@ std::string_view batch_kernel_name(BatchKernel kernel);
 /// Whether `kernel` was compiled in and the CPU can run it.
 bool batch_kernel_available(BatchKernel kernel);
 
-/// The kernel predict_batch currently dispatches to: a forced kernel if one
+/// The kernel batch predictions currently dispatch to: a forced kernel if one
 /// is set, else the widest available unless PWX_FORCE_SCALAR pins scalar.
 BatchKernel active_batch_kernel();
 
@@ -148,18 +131,14 @@ BatchKernel active_batch_kernel();
 /// unavailable on this machine/build.
 void force_batch_kernel(std::optional<BatchKernel> kernel);
 
-/// Raw Equation-1 evaluation over all lanes of `batch`: out[k] is
-/// bit-identical to layout.predict() on the k-th appended sample, whichever
-/// kernel dispatch selects. `out` needs batch.size() entries; the batch
-/// must be bound to a layout with the same slot count.
-void predict_batch(const ModelLayout& layout, const SampleBatch& batch,
-                   std::span<double> out);
-
-/// predict_batch plus the guarded validity verdict: valid[k] != 0 exactly
-/// when layout.try_predict() would accept the lane (finite positive
-/// elapsed/frequency/voltage, finite non-negative counts, finite output).
-/// out[k] holds the raw prediction; when invalid it is still written but
-/// carries no meaning. Both spans need batch.size() entries.
+/// Equation-1 evaluation over all lanes of `batch` with the guarded
+/// validity verdict: out[k] is bit-identical to layout.predict() on the
+/// k-th appended sample, whichever kernel dispatch selects, and valid[k] !=
+/// 0 exactly when layout.try_predict() would accept the lane (finite
+/// positive elapsed/frequency/voltage, finite non-negative counts, finite
+/// output). When invalid, out[k] is still written but carries no meaning.
+/// Both spans need batch.size() entries; the batch must be bound to a
+/// layout with the same slot count.
 void predict_batch_guarded(const ModelLayout& layout, const SampleBatch& batch,
                            std::span<double> out, std::span<std::uint8_t> valid);
 
@@ -187,7 +166,7 @@ struct BatchArgs {
   const double* frequency = nullptr;
   const double* voltage = nullptr;
   /// Per-lane input validity from SampleBatch::valid_lanes(); kernels AND
-  /// it with isfinite(prediction) when `valid` output is requested.
+  /// it with isfinite(prediction) into `valid`.
   const std::uint8_t* lane_valid = nullptr;
   const double* const* columns = nullptr;  ///< slot-count column base pointers
   const double* coef = nullptr;
@@ -203,7 +182,7 @@ struct BatchArgs {
   double clamp_min = 0.0;
   double clamp_max = 0.0;
   double* out = nullptr;          ///< lanes entries
-  std::uint8_t* valid = nullptr;  ///< lanes entries, or null to skip the scan
+  std::uint8_t* valid = nullptr;  ///< lanes entries
 };
 
 void predict_lanes_scalar(const BatchArgs& args);

@@ -73,10 +73,7 @@ inline void predict_block(const BatchArgs& args, std::size_t i,
   if (args.has_static) {
     acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(args.static_coef), v));
   }
-  __m256d ok{};
-  if (args.valid != nullptr) {
-    ok = finite(acc, inf);
-  }
+  const __m256d ok = finite(acc, inf);
   if (args.clamp) {
     // std::clamp via compare+blend: lanes where acc < min take min, then
     // lanes where max < acc take max. NaN lanes fail both compares and
@@ -96,15 +93,13 @@ inline void predict_block(const BatchArgs& args, std::size_t i,
     _mm256_store_pd(tmp, acc);
     std::memcpy(args.out + i, tmp, live * sizeof(double));
   }
-  if (args.valid != nullptr) {
-    // try_predict's verdict: append-time input validity ANDed with the
-    // output finiteness of this block's (pre-clamp) predictions.
-    std::uint32_t bytes = kMaskBytes[_mm256_movemask_pd(ok) & 0xF];
-    std::uint32_t input_bytes;
-    std::memcpy(&input_bytes, args.lane_valid + i, 4);  // padding lanes valid
-    bytes &= input_bytes;
-    std::memcpy(args.valid + i, &bytes, live == 4 ? 4 : live);
-  }
+  // try_predict's verdict: append-time input validity ANDed with the
+  // output finiteness of this block's (pre-clamp) predictions.
+  std::uint32_t bytes = kMaskBytes[_mm256_movemask_pd(ok) & 0xF];
+  std::uint32_t input_bytes;
+  std::memcpy(&input_bytes, args.lane_valid + i, 4);  // padding lanes valid
+  bytes &= input_bytes;
+  std::memcpy(args.valid + i, &bytes, live == 4 ? 4 : live);
 }
 
 }  // namespace

@@ -242,14 +242,6 @@ double OnlineEstimator::estimate(const CounterSample& sample) {
   return smooth(current_->layout.predict(scratch_));
 }
 
-double OnlineEstimator::estimate(const DenseSample& sample) {
-  PWX_REQUIRE(sample.elapsed_s > 0.0, "sample needs a positive elapsed time");
-  PWX_REQUIRE(sample.frequency_ghz > 0.0, "sample needs a frequency");
-  PWX_REQUIRE(sample.voltage > 0.0, "sample needs a voltage");
-  maybe_adopt();
-  return smooth(current_->layout.predict(sample));
-}
-
 double OnlineEstimator::estimate_guarded(const CounterSample& sample) {
   maybe_adopt();
   current_->layout.to_dense_guarded(sample, scratch_);
@@ -279,7 +271,8 @@ void OnlineEstimator::estimate_batch_guarded(
   maybe_adopt();
   scratch.reset(current_->layout, samples.size());
   for (const CounterSample& sample : samples) {
-    scratch.append_guarded(current_->layout, sample);
+    current_->layout.to_dense_guarded(sample, scratch_);
+    scratch.append(scratch_);
   }
   guarded_estimate_batch(current_->layout, smoothing_, guards_, scratch, state_,
                          out, health_out);

@@ -11,8 +11,8 @@
 // Internally every estimate runs on the compiled ModelLayout (core/dense.hpp):
 // map-keyed CounterSamples are converted to the layout's dense slot order
 // once per call, and the model evaluation is a flat coefficient dot product.
-// Callers on the hot path (FleetEstimator, batch ingestion) skip the
-// conversion by passing DenseSamples directly; both paths are bit-identical.
+// Guarded callers that already hold DenseSamples (batch ingestion, the
+// fleet) skip the conversion; both paths are bit-identical.
 //
 // The model itself lives in an immutable core::PublishedModel. An estimator
 // constructed from a plain PowerModel is pinned to that model forever; one
@@ -148,9 +148,6 @@ public:
   /// sample is degenerate (non-positive elapsed time, missing events, ...).
   double estimate(const CounterSample& sample);
 
-  /// Strict estimate on an already-dense sample (layout slot order).
-  double estimate(const DenseSample& sample);
-
   /// Hardened path: never throws on bad data, never emits NaN/Inf or a
   /// value outside the guard range. Invalid samples (non-finite or
   /// non-positive elapsed/frequency/voltage, missing or non-finite event
@@ -175,9 +172,10 @@ public:
                               std::span<HealthState> health_out = {});
 
   /// Convert-and-estimate: adopts any pending hot swap first, then converts
-  /// the map-keyed samples against the adopted layout into `scratch`
-  /// (reused across calls, guarded conversion) and runs the batched path —
-  /// the swap race of the SampleBatch overload cannot happen here.
+  /// each map-keyed sample against the adopted layout with
+  /// ModelLayout::to_dense_guarded, appends it to `scratch` (reused across
+  /// calls) and runs the batched path — the swap race of the SampleBatch
+  /// overload cannot happen here.
   void estimate_batch_guarded(std::span<const CounterSample> samples,
                               SampleBatch& scratch, std::span<double> out,
                               std::span<HealthState> health_out = {});
@@ -196,7 +194,7 @@ public:
   }
 
   const PowerModel& model() const { return current_->model; }
-  /// The compiled layout (to build DenseSamples for the dense overloads).
+  /// The compiled layout (to build DenseSamples for the guarded overloads).
   const ModelLayout& layout() const { return current_->layout; }
   /// The currently served publication (shared ownership: survives swaps).
   std::shared_ptr<const PublishedModel> publication() const { return current_; }

@@ -47,12 +47,6 @@ la::Matrix build_features(const acquire::Dataset& dataset, const FeatureSpec& sp
   return x;
 }
 
-la::Matrix build_features_row(const acquire::DataRow& row, const FeatureSpec& spec) {
-  la::Matrix x(1, spec.column_count());
-  fill_row(x, 0, row, spec);
-  return x;
-}
-
 std::vector<std::string> feature_names(const FeatureSpec& spec) {
   std::vector<std::string> names;
   for (pmc::Preset preset : spec.events) {

@@ -47,9 +47,6 @@ struct FeatureSpec {
 /// fit adds it as δ·Z).
 la::Matrix build_features(const acquire::Dataset& dataset, const FeatureSpec& spec);
 
-/// Feature matrix for a single row (1 x k), for streaming estimation.
-la::Matrix build_features_row(const acquire::DataRow& row, const FeatureSpec& spec);
-
 /// Human-readable column names matching build_features' layout.
 std::vector<std::string> feature_names(const FeatureSpec& spec);
 

@@ -156,32 +156,6 @@ NodeId FleetEstimator::intern(std::string_view node) {
   return id;
 }
 
-std::optional<NodeId> FleetEstimator::find(std::string_view node) const {
-  const std::uint64_t hash = name_hash(node);
-  std::lock_guard lock(intern_mutex_);
-  const std::size_t mask = hash_slots_.size() - 1;
-  std::size_t i = hash & mask;
-  while (hash_slots_[i] != 0) {
-    const NodeId candidate = hash_slots_[i] - 1;
-    if (names_[candidate] == node) {
-      return candidate;
-    }
-    i = (i + 1) & mask;
-  }
-  return std::nullopt;
-}
-
-const std::string& FleetEstimator::node_name(NodeId node) const {
-  std::lock_guard lock(intern_mutex_);
-  PWX_REQUIRE(node < names_.size(), "unknown node id ", node);
-  return names_[node];  // deque storage: the reference stays valid
-}
-
-std::size_t FleetEstimator::node_count() const {
-  std::lock_guard lock(intern_mutex_);
-  return names_.size();
-}
-
 std::optional<FleetEstimator::Loc> FleetEstimator::locate(NodeId node) const {
   std::lock_guard lock(intern_mutex_);
   if (node >= locs_.size()) {
@@ -260,8 +234,8 @@ void FleetEstimator::repair_minmax(const Shard& shard) const {
   shard.minmax_stale = false;
 }
 
-double FleetEstimator::ingest_locked(Shard& shard, std::uint32_t slot,
-                                     bool valid, double raw, double now_s) {
+void FleetEstimator::ingest_locked(Shard& shard, std::uint32_t slot,
+                                   bool valid, double raw, double now_s) {
   NodeState& state = shard.nodes[slot];
   PWX_REQUIRE(now_s >= state.last_seen_s, "fleet time went backwards for node '",
               *state.name, "'");
@@ -339,30 +313,6 @@ double FleetEstimator::ingest_locked(Shard& shard, std::uint32_t slot,
     shard.active += 1;  // first report: the node joins the active set
   }
   attach_seen_sorted(shard, slot);
-  return estimate;
-}
-
-double FleetEstimator::ingest(NodeId node, const DenseSample& sample,
-                              double now_s) {
-  const std::optional<Loc> loc = locate(node);
-  PWX_REQUIRE(loc.has_value(), "unknown node id ", node);
-  Shard& shard = *shards_[loc->shard];
-  const std::optional<double> raw = layout_.try_predict(sample);
-  std::lock_guard lock(shard.mutex);
-  return ingest_locked(shard, loc->slot, raw.has_value(), raw.value_or(0.0),
-                       now_s);
-}
-
-double FleetEstimator::ingest(NodeId node, const CounterSample& sample,
-                              double now_s) {
-  thread_local DenseSample scratch;
-  layout_.to_dense_guarded(sample, scratch);
-  return ingest(node, scratch, now_s);
-}
-
-double FleetEstimator::ingest(const std::string& node, const CounterSample& sample,
-                              double now_s) {
-  return ingest(intern(node), sample, now_s);
 }
 
 std::size_t FleetEstimator::ingest_batch(std::span<const NodeSample> batch) {
@@ -428,15 +378,14 @@ std::size_t FleetEstimator::ingest_batch_impl(
 
   // One lock acquisition per shard; shards are independent, so the parallel
   // path is bit-identical to the serial one. A group that throws mid-way
-  // leaves its partial application visible, exactly like a partial serial
-  // loop.
+  // leaves its partial application visible; the other groups still run.
   //
   // Each shard's group runs fused: chunks of the group are packed into the
   // shard's SoA scratch batch, one vector predict evaluates all lanes, and
   // the guarded/aggregate bookkeeping folds per lane in group order. The
-  // predict has no side effects, so a time-monotonicity violation still
-  // throws at exactly the sample index the per-sample loop would — the
-  // partial-application contract is unchanged.
+  // predict has no side effects, so a time-monotonicity violation throws at
+  // exactly the offending sample, after every earlier sample of the group
+  // was applied.
   constexpr std::uint32_t kChunkLanes = 1024;
   std::vector<std::exception_ptr> errors(shard_count);
   const auto n_shards = static_cast<std::ptrdiff_t>(shard_count);
@@ -572,14 +521,6 @@ ShardDeltaRecord FleetEstimator::shard_delta(std::size_t index,
   return rec;
 }
 
-void FleetEstimator::shard_deltas(double now_s,
-                                  std::vector<ShardDeltaRecord>& out) const {
-  out.reserve(out.size() + shards_.size());
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    out.push_back(shard_delta(shard, now_s));
-  }
-}
-
 void FleetEstimator::update_staleness_gauges(double now_s) const {
   for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
@@ -644,11 +585,6 @@ std::optional<double> FleetEstimator::node_estimate(NodeId node) const {
   return state.last_estimate;
 }
 
-std::optional<double> FleetEstimator::node_estimate(const std::string& node) const {
-  const std::optional<NodeId> id = find(node);
-  return id.has_value() ? node_estimate(*id) : std::nullopt;
-}
-
 std::optional<HealthState> FleetEstimator::node_health(NodeId node) const {
   const std::optional<Loc> loc = locate(node);
   if (!loc.has_value()) {
@@ -661,21 +597,6 @@ std::optional<HealthState> FleetEstimator::node_health(NodeId node) const {
     return std::nullopt;
   }
   return state.guard.health;
-}
-
-std::optional<HealthState> FleetEstimator::node_health(const std::string& node) const {
-  const std::optional<NodeId> id = find(node);
-  return id.has_value() ? node_health(*id) : std::nullopt;
-}
-
-std::vector<std::string> FleetEstimator::nodes() const {
-  std::vector<std::string> out;
-  {
-    std::lock_guard lock(intern_mutex_);
-    out.assign(names_.begin(), names_.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace pwx::core

@@ -27,16 +27,17 @@
 //     namespace (the sparse-directory idea Graphite uses for coherence).
 //   * Every read and write of a shard takes that shard's mutex, and every
 //     handle lookup takes the interner's mutex; a thread that needs both
-//     takes the intern mutex first. snapshot()/shard_deltas() lock each
-//     shard in turn and read its incremental aggregates, walking only the
+//     takes the intern mutex first. snapshot() and shard_delta() lock one
+//     shard at a time and read its incremental aggregates, walking only the
 //     stale prefix of the seen list and, when an extremum holder moved, the
 //     active nodes.
-//   * ingest_batch() groups samples by shard and processes each shard's
-//     group under one lock acquisition; with FleetOptions::parallel_ingest
-//     the shard groups run under OpenMP. Samples of one node stay in batch
-//     order, and nodes in different shards are independent, so serial,
-//     batched, and parallel ingestion produce bit-identical node estimates
-//     (pinned by tests/fleet_test.cpp).
+//   * ingest_batch() is the one way samples enter: it groups them by shard
+//     and processes each shard's group under one lock acquisition; with
+//     FleetOptions::parallel_ingest the shard groups run under OpenMP.
+//     Samples of one node stay in batch order, and nodes in different
+//     shards are independent, so any shard count, serial or parallel,
+//     produces node estimates bit-identical to one guarded OnlineEstimator
+//     per node (pinned by tests/fleet_test.cpp).
 //
 // The node model transfers across machines of the same type because it is a
 // function of architecture-level rates (Equation 1), not of one part's
@@ -154,38 +155,17 @@ public:
   /// handle. Thread-safe.
   NodeId intern(std::string_view node);
 
-  /// Handle of an already-interned name (nullopt when unknown).
-  std::optional<NodeId> find(std::string_view node) const;
-
-  /// Name of an interned node.
-  const std::string& node_name(NodeId node) const;
-
-  /// Number of interned nodes.
-  std::size_t node_count() const;
-
-  /// Ingest one node's sample at fleet time `now_s`; returns the node's
-  /// power estimate. Unknown node names are registered on first use.
-  /// Telemetry faults never throw: invalid samples go through the node
-  /// estimator's guarded path, which holds the last good estimate and
-  /// degrades the node's health instead. (Compatibility wrapper: interns
-  /// the name and converts to the dense layout on every call.)
-  double ingest(const std::string& node, const CounterSample& sample, double now_s);
-
-  /// Handle-based ingest (converts the map-based sample to the layout).
-  double ingest(NodeId node, const CounterSample& sample, double now_s);
-
-  /// The hot path: handle-based dense ingest. Bit-identical to the
-  /// map-based overloads for equivalent samples.
-  double ingest(NodeId node, const DenseSample& sample, double now_s);
-
   /// Ingest a batch: samples are grouped by shard and each shard's group is
   /// processed under a single lock acquisition, in batch order (so multiple
-  /// samples of one node apply in order). With options.parallel_ingest the
-  /// shard groups run in parallel; results are bit-identical to the serial
-  /// `ingest` loop. Returns the number of samples ingested. Node handles
-  /// must come from intern(); per-node time must be non-decreasing (on
-  /// violation the batch throws after a partial application, exactly like a
-  /// loop of ingest calls).
+  /// samples of one node apply in order). Each sample runs through the
+  /// guarded estimation path: telemetry faults never throw, an invalid
+  /// sample holds the node's last good estimate and degrades its health.
+  /// With options.parallel_ingest the shard groups run in parallel; results
+  /// are bit-identical to serial ingestion. Returns the number of samples
+  /// ingested. Node handles must come from intern(); per-node time must be
+  /// non-decreasing (on violation the batch throws after a partial
+  /// application: the offending shard keeps every sample before the
+  /// violating one, and every other shard's group is applied).
   std::size_t ingest_batch(std::span<const NodeSample> batch);
 
   /// Pointer-batch ingest: applies *batch[0], *batch[1], ... in that order,
@@ -197,30 +177,22 @@ public:
   /// Aggregate over all known nodes at fleet time `now_s`. Nodes whose
   /// estimator reports FAILED are excluded from the total (counted in
   /// nodes_failed); DEGRADED nodes stay included but are counted.
-  /// Implemented as a fold of shard_deltas(): one lock per shard, cost
-  /// O(shards + stale active nodes) in the common case, never
+  /// Implemented as a fold of shard_delta() over every shard: one lock per
+  /// shard, cost O(shards + stale active nodes) in the common case, never
   /// O(interned namespace).
   FleetSnapshot snapshot(double now_s) const;
 
-  /// The per-shard contributions snapshot() folds, in shard order. This is
-  /// what a leaf daemon encodes onto the wire (fleet/delta.hpp). Appends
-  /// options().shard_count records to `out`.
-  void shard_deltas(double now_s, std::vector<ShardDeltaRecord>& out) const;
-
-  /// One shard's contribution at `now_s`, under that shard's lock: what a
-  /// fleet tree reads for each shard of a group's range (fleet/tree.hpp).
+  /// One shard's contribution at `now_s`, under that shard's lock: the
+  /// record snapshot() folds, what a leaf daemon encodes onto the wire for
+  /// each of its shards (fleet/delta.hpp), and what a fleet tree reads for
+  /// each shard of a group's range (fleet/tree.hpp).
   ShardDeltaRecord shard_delta(std::size_t shard, double now_s) const;
 
   /// Last estimate of one node (nullopt when the node never reported).
-  std::optional<double> node_estimate(const std::string& node) const;
   std::optional<double> node_estimate(NodeId node) const;
 
   /// Health of one node's estimate stream (nullopt when never reported).
-  std::optional<HealthState> node_health(const std::string& node) const;
   std::optional<HealthState> node_health(NodeId node) const;
-
-  /// Registered node names (sorted).
-  std::vector<std::string> nodes() const;
 
   /// The served model and its compiled layout, fixed for the fleet's
   /// lifetime. Build DenseSamples against layout().
@@ -282,12 +254,11 @@ private:
   /// (shard, slot) of a handle, under the intern mutex (nullopt if unknown).
   std::optional<Loc> locate(NodeId node) const;
 
-  /// Apply one node's *precomputed* prediction (try_predict's verdict and
-  /// value) to a locked shard: guarded fold, running aggregates, min/max
-  /// maintenance, seen-list moves. The one definition both the scalar path
-  /// and the fused batch path apply, which is what keeps them bit-identical.
-  double ingest_locked(Shard& shard, std::uint32_t slot, bool valid, double raw,
-                       double now_s);
+  /// Apply one node's *precomputed* prediction (the batch kernel's guarded
+  /// verdict and value) to a locked shard: guarded fold, running aggregates,
+  /// min/max maintenance, seen-list moves.
+  void ingest_locked(Shard& shard, std::uint32_t slot, bool valid, double raw,
+                     double now_s);
   std::size_t ingest_batch_impl(std::span<const NodeSample* const> samples);
   void detach_seen(Shard& shard, std::uint32_t slot);
   void attach_seen_sorted(Shard& shard, std::uint32_t slot);
@@ -310,7 +281,7 @@ private:
   FleetOptions options_;
 
   // Interner: open-addressed FNV-1a hash table over stable name storage
-  // (deque: node_name() references survive growth), plus each handle's
+  // (deque: NodeState::name pointers survive growth), plus each handle's
   // location. All three are guarded by intern_mutex_.
   mutable std::mutex intern_mutex_;
   std::deque<std::string> names_;           ///< names_[id] = node name

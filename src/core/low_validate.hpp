@@ -4,8 +4,8 @@
 // training set, which — as its own scenario analysis shows — understates the
 // error on genuinely unseen applications. Leave-one-workload-out (LOWO) is
 // the sharper instrument: for every workload, train on all others and
-// validate on it. Built on stats::grouped_k_fold_splits with one group per
-// workload.
+// validate on it. Each round splits the rows by workload name and fits
+// Equation 1 on one shared design matrix, sliced per round.
 #pragma once
 
 #include <string>

@@ -4,37 +4,8 @@
 
 namespace pwx::core {
 
-double PowerModel::delta_z() const {
-  PWX_REQUIRE(fit_.has_intercept, "model has no intercept term");
-  return fit_.beta.at(0);
-}
-
-double PowerModel::beta() const {
-  PWX_REQUIRE(spec_.include_dynamic_base, "model has no V2f term");
-  return fit_.beta.at(1 + spec_.events.size());
-}
-
-double PowerModel::gamma() const {
-  PWX_REQUIRE(spec_.include_static_v, "model has no V term");
-  const std::size_t offset = 1 + spec_.events.size() +
-                             (spec_.include_dynamic_base ? 1 : 0);
-  return fit_.beta.at(offset);
-}
-
-std::vector<double> PowerModel::alphas() const {
-  std::vector<double> out(spec_.events.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = fit_.beta.at(1 + i);
-  }
-  return out;
-}
-
 std::vector<double> PowerModel::predict(const acquire::Dataset& dataset) const {
   return fit_.predict(build_features(dataset, spec_));
-}
-
-double PowerModel::predict_row(const acquire::DataRow& row) const {
-  return fit_.predict(build_features_row(row, spec_)).front();
 }
 
 std::string PowerModel::summary() const { return fit_.summary(feature_names(spec_)); }

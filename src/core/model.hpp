@@ -20,17 +20,8 @@ public:
   const FeatureSpec& spec() const { return spec_; }
   const regress::OlsResult& fit() const { return fit_; }
 
-  /// Model coefficients by role.
-  double delta_z() const;                   ///< intercept (δ·Z with Z == 1)
-  double beta() const;                      ///< the β·V²f coefficient
-  double gamma() const;                     ///< the γ·V coefficient
-  std::vector<double> alphas() const;       ///< α_n per event, in spec order
-
   /// Predicted power for every row of a dataset.
   std::vector<double> predict(const acquire::Dataset& dataset) const;
-
-  /// Predicted power for a single row.
-  double predict_row(const acquire::DataRow& row) const;
 
   /// statsmodels-style text summary with Eq.1 term names.
   std::string summary() const;

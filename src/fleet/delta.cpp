@@ -225,7 +225,11 @@ FleetDelta make_delta(const core::FleetEstimator& estimator,
   delta.leaf_count = leaf_count;
   delta.now_s = now_s;
   delta.sequence = sequence;
-  estimator.shard_deltas(now_s, delta.shards);
+  const std::size_t shards = estimator.options().shard_count;
+  delta.shards.reserve(shards);
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    delta.shards.push_back(estimator.shard_delta(shard, now_s));
+  }
   return delta;
 }
 
@@ -256,13 +260,6 @@ void DeltaMerger::add(FleetDelta delta) {
   }
   now_s_ = std::max(now_s_, delta.now_s);
   slot = std::move(delta);
-}
-
-std::optional<std::uint64_t> DeltaMerger::leaf_sequence(std::uint32_t leaf) const {
-  if (leaf >= leaves_.size() || !leaves_[leaf].has_value()) {
-    return std::nullopt;
-  }
-  return leaves_[leaf]->sequence;
 }
 
 core::FleetSnapshot DeltaMerger::merge() const {

@@ -74,8 +74,9 @@ std::string encode_delta(const FleetDelta& delta);
 /// checksum fault.
 FleetDelta decode_delta(std::span<const char> bytes);
 
-/// Build a leaf's delta from its estimator at fleet time `now_s` (one lock
-/// per shard; see FleetEstimator::shard_deltas).
+/// Build a leaf's delta from its estimator at fleet time `now_s`: one
+/// FleetEstimator::shard_delta record per shard, in shard order (one lock
+/// per shard).
 FleetDelta make_delta(const core::FleetEstimator& estimator,
                       std::uint32_t leaf_index, std::uint32_t leaf_count,
                       double now_s, std::uint64_t sequence);
@@ -103,8 +104,6 @@ public:
   bool complete() const { return leaf_count_ > 0 && present_ == leaf_count_; }
   /// Newest fleet time over stored deltas (0 before the first add).
   double now_s() const { return now_s_; }
-  /// Stored sequence of one leaf (nullopt when absent).
-  std::optional<std::uint64_t> leaf_sequence(std::uint32_t leaf) const;
 
   /// Fold the stored deltas (leaf-index order, shard order within each
   /// leaf) into a snapshot. Missing leaves contribute nothing — check

@@ -65,12 +65,4 @@ Matrix CholeskyDecomposition::inverse() const {
   return inv;
 }
 
-double CholeskyDecomposition::log_determinant() const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) {
-    sum += std::log(l_(i, i));
-  }
-  return 2.0 * sum;
-}
-
 }  // namespace pwx::la

@@ -27,9 +27,6 @@ public:
   /// The factor L.
   const Matrix& l() const { return l_; }
 
-  /// log(det A) = 2 Σ log l_ii; useful for information criteria.
-  double log_determinant() const;
-
 private:
   Matrix l_;
 };

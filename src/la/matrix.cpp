@@ -185,33 +185,6 @@ void Matrix::append_column(std::span<const double> values) {
   ++cols_;
 }
 
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double x : data_) {
-    m = std::max(m, std::fabs(x));
-  }
-  return m;
-}
-
-double norm2(std::span<const double> v) {
-  // Scaled accumulation to avoid overflow/underflow on extreme inputs.
-  double scale = 0.0;
-  double ssq = 1.0;
-  for (double x : v) {
-    if (x == 0.0) {
-      continue;
-    }
-    const double ax = std::fabs(x);
-    if (scale < ax) {
-      ssq = 1.0 + ssq * (scale / ax) * (scale / ax);
-      scale = ax;
-    } else {
-      ssq += (ax / scale) * (ax / scale);
-    }
-  }
-  return scale * std::sqrt(ssq);
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   PWX_REQUIRE(a.size() == b.size(), "dot size mismatch: ", a.size(), " vs ", b.size());
   double sum = 0.0;

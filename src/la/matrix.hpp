@@ -75,17 +75,11 @@ public:
   /// (or the matrix must be empty, in which case it becomes rows x 1).
   void append_column(std::span<const double> values);
 
-  /// Max-abs element (infinity norm of the data, not the operator norm).
-  double max_abs() const;
-
 private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Euclidean norm of a vector.
-double norm2(std::span<const double> v);
 
 /// Dot product.
 double dot(std::span<const double> a, std::span<const double> b);

@@ -243,20 +243,6 @@ Matrix QrDecomposition::r_inverse() const {
   return inv;
 }
 
-double QrDecomposition::diagonal_condition() const {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = 0.0;
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double d = std::fabs(at(k, k));
-    lo = std::min(lo, d);
-    hi = std::max(hi, d);
-  }
-  if (lo == 0.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return hi / lo;
-}
-
 void QrExtension::rebind(const QrDecomposition& base) {
   base_ = &base;
   clear();

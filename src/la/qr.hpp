@@ -67,9 +67,6 @@ public:
   /// True if all diagonal entries of R exceed the rank tolerance.
   bool full_rank() const { return full_rank_; }
 
-  /// max |r_ii| / min |r_ii| — a cheap condition estimate.
-  double diagonal_condition() const;
-
   std::size_t rows() const { return m_; }
   std::size_t cols() const { return n_; }
 

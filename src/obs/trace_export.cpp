@@ -172,6 +172,15 @@ std::vector<SpanRecord> parse_span_jsonl(std::string_view text) {
 
 std::vector<SpanAttribution> attribute_latency(
     const std::vector<SpanRecord>& records) {
+  // Every duration is finite (parse_span_jsonl rejects the rest), but their
+  // sums can overflow. An infinite sum would make a self time inf - inf =
+  // NaN, which the sort below cannot order, so each sum is checked.
+  const auto require_finite = [](double sum, const std::string& name,
+                                 const char* what) {
+    if (!std::isfinite(sum)) {
+      throw Error("span '" + name + "': " + what + " is not finite");
+    }
+  };
   // Sum direct-children time per parent span so self = total - children.
   std::unordered_map<std::uint64_t, double> child_time;
   child_time.reserve(records.size());
@@ -187,8 +196,13 @@ std::vector<SpanAttribution> attribute_latency(
     cell.calls += 1;
     const double duration = record.duration_s();
     cell.total_s += duration;
+    require_finite(cell.total_s, record.name, "the sum of its durations");
     cell.max_s = std::max(cell.max_s, duration);
     const auto children = child_time.find(record.span_id);
+    if (children != child_time.end()) {
+      require_finite(children->second, record.name,
+                     "the sum of its children's durations");
+    }
     const double self =
         duration - (children == child_time.end() ? 0.0 : children->second);
     cell.self_s += std::max(self, 0.0);
@@ -205,6 +219,12 @@ std::vector<SpanAttribution> attribute_latency(
               }
               return a.name < b.name;
             });
+  // print_attribution_table divides by this sum, added in this order.
+  double total_self = 0.0;
+  for (const SpanAttribution& cell : out) {
+    total_self += cell.self_s;
+    require_finite(total_self, cell.name, "the sum of self times");
+  }
   return out;
 }
 

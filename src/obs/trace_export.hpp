@@ -51,7 +51,9 @@ struct SpanAttribution {
 /// Aggregate records per span name. self_s subtracts each span's direct
 /// children (matched by parent_id), so a stage that merely waits on its
 /// sub-stages attributes the time to them. Sorted by self_s descending,
-/// name ascending on ties — deterministic for golden tests.
+/// name ascending on ties — deterministic for golden tests. Throws
+/// pwx::Error naming the span when a sum overflows: a parent's children's
+/// durations, one name's durations, or the self times over all names.
 std::vector<SpanAttribution> attribute_latency(const std::vector<SpanRecord>& records);
 
 /// Render the attribution table (calls, total, self, self%, mean, max).

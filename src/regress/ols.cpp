@@ -160,14 +160,6 @@ OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
   return res;
 }
 
-std::pair<double, double> OlsResult::confidence_interval(std::size_t j,
-                                                         double alpha) const {
-  PWX_REQUIRE(j < beta.size(), "coefficient index out of range");
-  const double df = static_cast<double>(n_observations - n_parameters);
-  const double t_crit = student_t_quantile(1.0 - alpha / 2.0, df);
-  return {beta[j] - t_crit * standard_error[j], beta[j] + t_crit * standard_error[j]};
-}
-
 std::vector<double> OlsResult::predict(const la::Matrix& x) const {
   const std::size_t expected = has_intercept ? n_parameters - 1 : n_parameters;
   PWX_REQUIRE(x.cols() == expected, "predict: expected ", expected, " columns, got ",

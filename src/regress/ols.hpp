@@ -50,9 +50,6 @@ struct OlsResult {
   bool has_intercept = false;
   CovarianceType cov_type = CovarianceType::NonRobust;
 
-  /// 1-alpha confidence interval for coefficient j.
-  std::pair<double, double> confidence_interval(std::size_t j, double alpha = 0.05) const;
-
   /// Predict for a new design matrix with the same column layout as the fit
   /// input (intercept is handled internally when the fit added one).
   std::vector<double> predict(const la::Matrix& x) const;

@@ -139,26 +139,4 @@ double f_distribution_sf(double f, double df1, double df2) {
   return incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f));
 }
 
-double student_t_quantile(double p, double df) {
-  PWX_REQUIRE(p > 0.0 && p < 1.0, "t quantile needs p in (0,1)");
-  PWX_REQUIRE(df > 0.0, "t quantile needs df > 0");
-  // Bisection on the CDF; plenty fast for the handful of CI computations.
-  double lo = -1e3;
-  double hi = 1e3;
-  auto cdf = [df](double t) {
-    const double two_sided = student_t_two_sided_p(std::fabs(t), df);
-    const double upper = two_sided / 2.0;
-    return t >= 0.0 ? 1.0 - upper : upper;
-  };
-  for (int iter = 0; iter < 200; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (cdf(mid) < p) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace pwx::regress

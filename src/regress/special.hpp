@@ -22,7 +22,4 @@ double chi_square_sf(double x, double df);
 /// Survival function of the F distribution with (df1, df2) degrees of freedom.
 double f_distribution_sf(double f, double df1, double df2);
 
-/// Quantile (inverse CDF) of Student-t, used for confidence intervals.
-double student_t_quantile(double p, double df);
-
 }  // namespace pwx::regress

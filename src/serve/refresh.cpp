@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/dense_kernels.hpp"
 #include "core/model.hpp"
 #include "core/model_io.hpp"
 #include "core/selection.hpp"
@@ -264,20 +263,10 @@ RefreshReport refresh_model_impl(core::LayoutEpoch& epoch,
                            "refresh.plausibility");
     try {
       (void)core::model_from_json(core::model_to_json(candidate));
-      // Score the holdout through the batched kernel path. Rows embed as
-      // elapsed = 1.0 / counts = rate lanes, so every lane is bit-identical
-      // to candidate.predict(split.holdout) — same gate verdicts, SIMD
-      // throughput. The ModelLayout constructor and the strict append_row
-      // re-validate the candidate (a torn model or unusable row throws here
-      // and is rejected as implausible, exactly like predict would).
-      const core::ModelLayout layout(candidate);
-      core::SampleBatch batch;
-      batch.reset(layout, split.holdout.rows().size());
-      for (const acquire::DataRow& row : split.holdout.rows()) {
-        batch.append_row(layout, row);
-      }
-      candidate_predicted.resize(split.holdout.rows().size());
-      core::predict_batch(layout, batch, candidate_predicted);
+      // Score the holdout with PowerModel::predict, as the incumbent is
+      // scored below: a torn model or a row the model cannot use throws
+      // here and is rejected as implausible.
+      candidate_predicted = candidate.predict(split.holdout);
     } catch (const std::exception& e) {
       return finish(RefreshStatus::RejectedImplausible,
                     std::string("plausibility gate: ") + e.what());

@@ -1,9 +1,6 @@
 #include "stats/correlation.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <vector>
 
 #include "common/error.hpp"
 #include "stats/descriptive.hpp"
@@ -30,48 +27,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
     return 0.0;
   }
   return sxy / std::sqrt(sxx * syy);
-}
-
-namespace {
-std::vector<double> fractional_ranks(std::span<const double> values) {
-  const std::size_t n = values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
-  std::vector<double> ranks(n);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && values[order[j + 1]] == values[order[i]]) {
-      ++j;
-    }
-    const double avg_rank = 0.5 * static_cast<double>(i + j) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) {
-      ranks[order[k]] = avg_rank;
-    }
-    i = j + 1;
-  }
-  return ranks;
-}
-}  // namespace
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-  PWX_REQUIRE(x.size() == y.size(), "spearman: size mismatch");
-  const std::vector<double> rx = fractional_ranks(x);
-  const std::vector<double> ry = fractional_ranks(y);
-  return pearson(rx, ry);
-}
-
-double covariance(std::span<const double> x, std::span<const double> y) {
-  PWX_REQUIRE(x.size() == y.size() && x.size() >= 2, "covariance needs matched n >= 2");
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum += (x[i] - mx) * (y[i] - my);
-  }
-  return sum / static_cast<double>(x.size() - 1);
 }
 
 }  // namespace pwx::stats

@@ -9,10 +9,4 @@ namespace pwx::stats {
 /// either input has zero variance (no linear relationship measurable).
 double pearson(std::span<const double> x, std::span<const double> y);
 
-/// Spearman rank correlation (Pearson on fractional ranks, average ties).
-double spearman(std::span<const double> x, std::span<const double> y);
-
-/// Covariance with n-1 denominator.
-double covariance(std::span<const double> x, std::span<const double> y);
-
 }  // namespace pwx::stats

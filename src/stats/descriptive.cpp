@@ -1,8 +1,5 @@
 #include "stats/descriptive.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace pwx::stats {
@@ -12,19 +9,6 @@ double mean(std::span<const double> values) {
   return kahan_sum(values) / static_cast<double>(values.size());
 }
 
-double variance(std::span<const double> values) {
-  PWX_REQUIRE(values.size() >= 2, "sample variance needs >= 2 values, got ",
-              values.size());
-  const double m = mean(values);
-  double sum = 0.0;
-  for (double v : values) {
-    sum += (v - m) * (v - m);
-  }
-  return sum / static_cast<double>(values.size() - 1);
-}
-
-double stddev(std::span<const double> values) { return std::sqrt(variance(values)); }
-
 double population_variance(std::span<const double> values) {
   PWX_REQUIRE(!values.empty(), "population variance of empty range");
   const double m = mean(values);
@@ -33,30 +17,6 @@ double population_variance(std::span<const double> values) {
     sum += (v - m) * (v - m);
   }
   return sum / static_cast<double>(values.size());
-}
-
-double min(std::span<const double> values) {
-  PWX_REQUIRE(!values.empty(), "min of empty range");
-  return *std::min_element(values.begin(), values.end());
-}
-
-double max(std::span<const double> values) {
-  PWX_REQUIRE(!values.empty(), "max of empty range");
-  return *std::max_element(values.begin(), values.end());
-}
-
-double median(std::span<const double> values) { return quantile(values, 0.5); }
-
-double quantile(std::span<const double> values, double q) {
-  PWX_REQUIRE(!values.empty(), "quantile of empty range");
-  PWX_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1], got ", q);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double kahan_sum(std::span<const double> values) {
@@ -69,22 +29,6 @@ double kahan_sum(std::span<const double> values) {
     sum = t;
   }
   return sum;
-}
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  s.count = values.size();
-  if (values.empty()) {
-    return s;
-  }
-  s.min = min(values);
-  s.max = max(values);
-  s.q25 = quantile(values, 0.25);
-  s.median = quantile(values, 0.5);
-  s.q75 = quantile(values, 0.75);
-  s.mean = mean(values);
-  s.stddev = values.size() >= 2 ? stddev(values) : 0.0;
-  return s;
 }
 
 }  // namespace pwx::stats

@@ -2,47 +2,17 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace pwx::stats {
 
 /// Arithmetic mean; requires a non-empty input.
 double mean(std::span<const double> values);
 
-/// Sample variance (n-1 denominator); requires at least two values.
-double variance(std::span<const double> values);
-
-/// Sample standard deviation.
-double stddev(std::span<const double> values);
-
 /// Population variance (n denominator).
 double population_variance(std::span<const double> values);
-
-double min(std::span<const double> values);
-double max(std::span<const double> values);
-
-/// Median via nth_element on a copy.
-double median(std::span<const double> values);
-
-/// Linear-interpolation quantile, q in [0, 1].
-double quantile(std::span<const double> values, double q);
 
 /// Sum with Kahan compensation — phase-profile averaging adds many samples of
 /// similar magnitude, where naive summation loses precision.
 double kahan_sum(std::span<const double> values);
-
-/// Five-number summary plus mean, used in bench reports.
-struct Summary {
-  double min = 0.0;
-  double q25 = 0.0;
-  double median = 0.0;
-  double q75 = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  std::size_t count = 0;
-};
-
-Summary summarize(std::span<const double> values);
 
 }  // namespace pwx::stats

@@ -1,7 +1,6 @@
 #include "stats/kfold.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -45,42 +44,6 @@ std::vector<Fold> k_fold_splits(std::size_t n, std::size_t k, std::uint64_t seed
   for (std::size_t f = 0; f < k; ++f) {
     std::sort(folds[f].validate.begin(), folds[f].validate.end());
     fill_train_as_complement(folds[f], n);
-  }
-  return folds;
-}
-
-std::vector<Fold> grouped_k_fold_splits(const std::vector<std::size_t>& groups,
-                                        std::size_t k, std::uint64_t seed) {
-  static obs::Counter& c_splits = obs::registry().counter(
-      "kfold.grouped_splits", "group-aware k-fold split computations");
-  c_splits.add(1);
-  PWX_REQUIRE(!groups.empty(), "grouped k-fold needs a non-empty group vector");
-  // Collect members per distinct group.
-  std::map<std::size_t, std::vector<std::size_t>> members;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    members[groups[i]].push_back(i);
-  }
-  PWX_REQUIRE(k >= 2 && k <= members.size(), "grouped k-fold needs 2 <= k <= #groups (",
-              members.size(), "), got k=", k);
-
-  std::vector<std::vector<std::size_t>> group_rows;
-  group_rows.reserve(members.size());
-  for (auto& [label, rows] : members) {
-    group_rows.push_back(std::move(rows));
-  }
-
-  Rng rng(seed);
-  const std::vector<std::size_t> perm = rng.permutation(group_rows.size());
-
-  std::vector<Fold> folds(k);
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    const auto& rows = group_rows[perm[i]];
-    auto& fold = folds[i % k];
-    fold.validate.insert(fold.validate.end(), rows.begin(), rows.end());
-  }
-  for (std::size_t f = 0; f < k; ++f) {
-    std::sort(folds[f].validate.begin(), folds[f].validate.end());
-    fill_train_as_complement(folds[f], groups.size());
   }
   return folds;
 }

@@ -18,11 +18,4 @@ struct Fold {
 /// at most one; every index appears in exactly one validation set.
 std::vector<Fold> k_fold_splits(std::size_t n, std::size_t k, std::uint64_t seed);
 
-/// Group-aware splits: indices sharing a group label always land in the same
-/// fold, so validation is on genuinely unseen groups (used for
-/// leave-workload-out evaluation). `groups[i]` labels row i; k must not
-/// exceed the number of distinct groups.
-std::vector<Fold> grouped_k_fold_splits(const std::vector<std::size_t>& groups,
-                                        std::size_t k, std::uint64_t seed);
-
 }  // namespace pwx::stats

@@ -25,44 +25,6 @@ double mape(std::span<const double> actual, std::span<const double> predicted) {
   return 100.0 * sum / static_cast<double>(actual.size());
 }
 
-double max_ape(std::span<const double> actual, std::span<const double> predicted) {
-  check_sizes(actual, predicted);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    PWX_REQUIRE(actual[i] != 0.0, "APE undefined for zero actual value at index ", i);
-    worst = std::max(worst, std::fabs((actual[i] - predicted[i]) / actual[i]));
-  }
-  return 100.0 * worst;
-}
-
-double mae(std::span<const double> actual, std::span<const double> predicted) {
-  check_sizes(actual, predicted);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    sum += std::fabs(actual[i] - predicted[i]);
-  }
-  return sum / static_cast<double>(actual.size());
-}
-
-double rmse(std::span<const double> actual, std::span<const double> predicted) {
-  check_sizes(actual, predicted);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double d = actual[i] - predicted[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum / static_cast<double>(actual.size()));
-}
-
-double bias(std::span<const double> actual, std::span<const double> predicted) {
-  check_sizes(actual, predicted);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    sum += predicted[i] - actual[i];
-  }
-  return sum / static_cast<double>(actual.size());
-}
-
 double r_squared(std::span<const double> actual, std::span<const double> predicted) {
   check_sizes(actual, predicted);
   const double m = mean(actual);

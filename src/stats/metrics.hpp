@@ -9,18 +9,6 @@ namespace pwx::stats {
 /// Requires all actual values nonzero.
 double mape(std::span<const double> actual, std::span<const double> predicted);
 
-/// Maximum absolute percentage error in percent.
-double max_ape(std::span<const double> actual, std::span<const double> predicted);
-
-/// Mean absolute error.
-double mae(std::span<const double> actual, std::span<const double> predicted);
-
-/// Root mean squared error.
-double rmse(std::span<const double> actual, std::span<const double> predicted);
-
-/// Mean signed error (predicted - actual); positive = overestimation.
-double bias(std::span<const double> actual, std::span<const double> predicted);
-
 /// Coefficient of determination R² = 1 - SS_res / SS_tot of predictions
 /// against actuals (not the in-sample OLS R²).
 double r_squared(std::span<const double> actual, std::span<const double> predicted);

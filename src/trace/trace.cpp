@@ -17,12 +17,6 @@ std::uint32_t Trace::define_metric(MetricDefinition definition) {
   return index;
 }
 
-std::uint32_t Trace::metric_index(const std::string& name) const {
-  const auto it = metric_by_name_.find(name);
-  PWX_REQUIRE(it != metric_by_name_.end(), "unknown metric '", name, "'");
-  return it->second;
-}
-
 bool Trace::has_metric(const std::string& name) const {
   return metric_by_name_.find(name) != metric_by_name_.end();
 }

@@ -44,8 +44,7 @@ public:
   /// Register a metric; returns its index. Names must be unique.
   std::uint32_t define_metric(MetricDefinition definition);
 
-  /// Index of a metric by name; throws when missing.
-  std::uint32_t metric_index(const std::string& name) const;
+  /// Whether a metric of that name was defined.
   bool has_metric(const std::string& name) const;
 
   /// Append an event. Events must be appended in non-decreasing time order

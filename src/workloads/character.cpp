@@ -4,64 +4,6 @@
 
 namespace pwx::workloads {
 
-PhaseCharacter Workload::blended() const {
-  PWX_REQUIRE(!phases.empty(), "workload '", name, "' has no phases");
-  if (phases.size() == 1) {
-    return phases.front();
-  }
-  double total_weight = 0.0;
-  for (const PhaseCharacter& p : phases) {
-    total_weight += p.weight;
-  }
-  PhaseCharacter out = phases.front();
-  out.name = "blended";
-  auto blend = [&](auto member) {
-    double acc = 0.0;
-    for (const PhaseCharacter& p : phases) {
-      acc += (p.*member) * p.weight;
-    }
-    return acc / total_weight;
-  };
-  out.base_cpi = blend(&PhaseCharacter::base_cpi);
-  out.mem_ns_per_inst = blend(&PhaseCharacter::mem_ns_per_inst);
-  out.unhalted_frac = blend(&PhaseCharacter::unhalted_frac);
-  out.frac_load = blend(&PhaseCharacter::frac_load);
-  out.frac_store = blend(&PhaseCharacter::frac_store);
-  out.frac_branch_cn = blend(&PhaseCharacter::frac_branch_cn);
-  out.frac_branch_ucn = blend(&PhaseCharacter::frac_branch_ucn);
-  out.branch_taken_rate = blend(&PhaseCharacter::branch_taken_rate);
-  out.branch_misp_rate = blend(&PhaseCharacter::branch_misp_rate);
-  out.l1d_ld_mpki = blend(&PhaseCharacter::l1d_ld_mpki);
-  out.l1d_st_mpki = blend(&PhaseCharacter::l1d_st_mpki);
-  out.l1i_mpki = blend(&PhaseCharacter::l1i_mpki);
-  out.l2_ld_mpki = blend(&PhaseCharacter::l2_ld_mpki);
-  out.l2_st_mpki = blend(&PhaseCharacter::l2_st_mpki);
-  out.l2i_mpki = blend(&PhaseCharacter::l2i_mpki);
-  out.l3_ld_mpki = blend(&PhaseCharacter::l3_ld_mpki);
-  out.l3_wb_mpki = blend(&PhaseCharacter::l3_wb_mpki);
-  out.tlb_d_mpki = blend(&PhaseCharacter::tlb_d_mpki);
-  out.tlb_i_mpki = blend(&PhaseCharacter::tlb_i_mpki);
-  out.prefetch_mpki = blend(&PhaseCharacter::prefetch_mpki);
-  out.snoop_pki_per_core = blend(&PhaseCharacter::snoop_pki_per_core);
-  out.shared_pki = blend(&PhaseCharacter::shared_pki);
-  out.clean_pki = blend(&PhaseCharacter::clean_pki);
-  out.inv_pki = blend(&PhaseCharacter::inv_pki);
-  out.full_issue_cpki = blend(&PhaseCharacter::full_issue_cpki);
-  out.full_compl_cpki = blend(&PhaseCharacter::full_compl_cpki);
-  out.stall_issue_base_cpki = blend(&PhaseCharacter::stall_issue_base_cpki);
-  out.stall_compl_base_cpki = blend(&PhaseCharacter::stall_compl_base_cpki);
-  out.res_stall_base_cpki = blend(&PhaseCharacter::res_stall_base_cpki);
-  out.mem_wstall_cpki = blend(&PhaseCharacter::mem_wstall_cpki);
-  out.avx256_frac = blend(&PhaseCharacter::avx256_frac);
-  out.uops_per_inst = blend(&PhaseCharacter::uops_per_inst);
-  out.dram_bytes_per_inst = blend(&PhaseCharacter::dram_bytes_per_inst);
-  out.exec_energy_scale = blend(&PhaseCharacter::exec_energy_scale);
-  out.cache_contention = blend(&PhaseCharacter::cache_contention);
-  out.variability_cv = blend(&PhaseCharacter::variability_cv);
-  out.weight = 1.0;
-  return out;
-}
-
 void validate(const PhaseCharacter& c) {
   PWX_REQUIRE(c.weight > 0.0, "phase '", c.name, "': weight must be positive");
   PWX_REQUIRE(c.base_cpi > 0.0, "phase '", c.name, "': base_cpi must be positive");

@@ -107,9 +107,6 @@ struct Workload {
   std::vector<PhaseCharacter> phases;
   double nominal_duration_s = 10.0;  ///< wall time per run at 2.4 GHz, 24 threads
   bool thread_scalable = true;       ///< roco2 kernels sweep thread counts
-
-  /// Weighted-average character across phases (used for quick summaries).
-  PhaseCharacter blended() const;
 };
 
 /// Sanity-check a character's internal consistency (fractions in range, miss

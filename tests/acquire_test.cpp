@@ -92,11 +92,10 @@ TEST(Dataset, SelectRowsPreservesOrderAndValidates) {
 TEST(Dataset, WorkloadNamesAndGroups) {
   const Dataset ds = small_dataset();
   const auto names = ds.workload_names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "compute");
-  const auto groups = ds.workload_groups();
-  EXPECT_EQ(groups[0], groups[1]);  // both compute rows share the group
-  EXPECT_NE(groups[0], groups[2]);
+  // Distinct names in order of first appearance: both compute rows share
+  // one entry.
+  const std::vector<std::string> expected{"compute", "md", "swim"};
+  EXPECT_EQ(names, expected);
 }
 
 TEST(Dataset, EventRateMatrixShapeAndValues) {
@@ -111,8 +110,6 @@ TEST(Dataset, PowerVoltageFrequencyVectors) {
   const Dataset ds = small_dataset();
   EXPECT_EQ(ds.power().size(), 4u);
   EXPECT_DOUBLE_EQ(ds.power()[2], 170.0);
-  EXPECT_DOUBLE_EQ(ds.voltage()[0], 0.9);
-  EXPECT_DOUBLE_EQ(ds.frequency_ghz()[1], 1.2);
 }
 
 TEST(Dataset, CommonPresetsIntersection) {

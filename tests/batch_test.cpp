@@ -144,57 +144,6 @@ TEST(SampleBatch, WrongSlotCountSamplePoisonsItsLane) {
   EXPECT_EQ(valid[0], 0);
 }
 
-TEST(SampleBatch, AppendGuardedMatchesToDenseGuarded) {
-  const ModelLayout layout(test_model());
-  Rng rng(3);
-  CounterSample missing = varied_sample(rng);
-  missing.counts.erase(pmc::Preset::TOT_CYC);
-  SampleBatch batch;
-  batch.reset(layout);
-  batch.append_guarded(layout, missing);
-  DenseSample dense = layout.make_sample();
-  layout.to_dense_guarded(missing, dense);
-  for (std::size_t s = 0; s < layout.slots(); ++s) {
-    const double lane = batch.count_lanes(s)[0];
-    if (std::isnan(dense.counts[s])) {
-      EXPECT_TRUE(std::isnan(lane)) << "slot " << s;
-    } else {
-      EXPECT_EQ(lane, dense.counts[s]) << "slot " << s;
-    }
-  }
-}
-
-TEST(SampleBatch, AppendRowPredictionMatchesModelPredict) {
-  const Dataset ds = exact_dataset(16, 77);
-  const PowerModel& model = test_model();
-  const ModelLayout layout(model);
-  SampleBatch batch;
-  batch.reset(layout, ds.rows().size());
-  for (const DataRow& row : ds.rows()) {
-    batch.append_row(layout, row);
-  }
-  std::vector<double> out(ds.rows().size());
-  predict_batch(layout, batch, out);
-  const std::vector<double> reference = model.predict(ds);
-  ASSERT_EQ(out.size(), reference.size());
-  for (std::size_t r = 0; r < out.size(); ++r) {
-    EXPECT_EQ(out[r], reference[r]) << "row " << r;  // bit-identical
-  }
-}
-
-TEST(SampleBatch, AppendRowRejectsMissingVoltageAndCounter) {
-  const ModelLayout layout(test_model());
-  SampleBatch batch;
-  batch.reset(layout);
-  DataRow row = exact_dataset(1).rows()[0];
-  row.avg_voltage = 0.0;
-  EXPECT_THROW(batch.append_row(layout, row), InvalidArgument);
-  DataRow no_counter = exact_dataset(1).rows()[0];
-  no_counter.counter_rates.erase(pmc::Preset::TOT_CYC);
-  EXPECT_THROW(batch.append_row(layout, no_counter), InvalidArgument);
-  EXPECT_TRUE(batch.empty());
-}
-
 TEST(SampleBatch, ElapsedReciprocalTracking) {
   const ModelLayout layout(test_model());
   Rng rng(5);
@@ -245,7 +194,8 @@ TEST_P(KernelBitIdentity, MatchesScalarPredictAcrossBatchSizes) {
         batch.append(dense);
       }
       std::vector<double> out(n);
-      predict_batch(layout, batch, out);
+      std::vector<std::uint8_t> valid(n);
+      predict_batch_guarded(layout, batch, out, valid);
       for (std::size_t k = 0; k < n; ++k) {
         const double reference = layout.predict(samples[k]);
         EXPECT_EQ(std::memcmp(&out[k], &reference, sizeof(double)), 0)
@@ -444,8 +394,10 @@ TEST(GuardedBatch, CounterSampleSpanOverloadMatchesBatchOverload) {
   OnlineEstimator b(test_model());
   SampleBatch manual;
   manual.reset(layout, samples.size());
+  DenseSample dense = layout.make_sample();
   for (const CounterSample& s : samples) {
-    manual.append_guarded(layout, s);
+    layout.to_dense_guarded(s, dense);
+    manual.append(dense);
   }
   std::vector<double> out_a(samples.size());
   std::vector<double> out_b(samples.size());

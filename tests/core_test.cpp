@@ -120,11 +120,15 @@ TEST(Features, MissingVoltageRejected) {
 TEST(Model, RecoversExactCoefficients) {
   const Dataset ds = exact_dataset();
   const PowerModel model = train_model(ds, exact_spec());
-  EXPECT_NEAR(model.alphas()[0], 20.0, 1e-8);
-  EXPECT_NEAR(model.alphas()[1], 5.0, 1e-8);
-  EXPECT_NEAR(model.beta(), 8.0, 1e-7);
-  EXPECT_NEAR(model.gamma(), 12.0, 1e-6);
-  EXPECT_NEAR(model.delta_z(), 6.0, 1e-6);
+  // fit().beta is [δ, α_1, α_2, β, γ]: the intercept, then the design's
+  // columns in build_features order.
+  const std::vector<double>& beta = model.fit().beta;
+  ASSERT_EQ(beta.size(), 5u);
+  EXPECT_NEAR(beta[1], 20.0, 1e-8);
+  EXPECT_NEAR(beta[2], 5.0, 1e-8);
+  EXPECT_NEAR(beta[3], 8.0, 1e-7);
+  EXPECT_NEAR(beta[4], 12.0, 1e-6);
+  EXPECT_NEAR(beta[0], 6.0, 1e-6);
   EXPECT_NEAR(model.fit().r_squared, 1.0, 1e-12);
 }
 
@@ -135,15 +139,6 @@ TEST(Model, PredictMatchesGroundTruthOnHeldOut) {
   const auto pred = model.predict(test);
   for (std::size_t i = 0; i < test.size(); ++i) {
     EXPECT_NEAR(pred[i], test.rows()[i].avg_power_watts, 1e-6);
-  }
-}
-
-TEST(Model, PredictRowMatchesBatchPredict) {
-  const Dataset ds = exact_dataset(16);
-  const PowerModel model = train_model(ds, exact_spec());
-  const auto batch = model.predict(ds);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_NEAR(model.predict_row(ds.rows()[i]), batch[i], 1e-12);
   }
 }
 
@@ -541,7 +536,7 @@ TEST(ModelIo, FileRoundTrip) {
   const PowerModel original = train_model(ds, exact_spec());
   save_model(original, path);
   const PowerModel loaded = load_model(path);
-  EXPECT_NEAR(loaded.delta_z(), original.delta_z(), 1e-12);
+  EXPECT_NEAR(loaded.fit().beta.at(0), original.fit().beta.at(0), 1e-12);
   std::remove(path.c_str());
 }
 
@@ -573,7 +568,7 @@ TEST(ModelIo, SaveIsAtomicAgainstPartialWrites) {
   // file behind on success.
   save_model(original, path);
   const PowerModel loaded = load_model(path);
-  EXPECT_NEAR(loaded.delta_z(), original.delta_z(), 1e-12);
+  EXPECT_NEAR(loaded.fit().beta.at(0), original.fit().beta.at(0), 1e-12);
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
         << entry.path();
@@ -641,7 +636,7 @@ TEST(Estimator, ReproducesModelPrediction) {
   for (pmc::Preset p : model.spec().events) {
     sample.counts[p] = row.counter_rates.at(p) * sample.elapsed_s;
   }
-  EXPECT_NEAR(estimator.estimate(sample), model.predict_row(row), 1e-9);
+  EXPECT_NEAR(estimator.estimate(sample), model.predict(Dataset({row})).front(), 1e-9);
 }
 
 TEST(Estimator, SmoothingConvergesToSteadyState) {
@@ -657,7 +652,7 @@ TEST(Estimator, SmoothingConvergesToSteadyState) {
   for (pmc::Preset p : model.spec().events) {
     sample.counts[p] = row.counter_rates.at(p);
   }
-  const double target = model.predict_row(row);
+  const double target = model.predict(Dataset({row})).front();
   double last = 0;
   for (int i = 0; i < 100; ++i) {
     last = smooth.estimate(sample);

@@ -12,6 +12,7 @@
 #include "core/fleet.hpp"
 #include "core/model.hpp"
 #include "core/selection_criteria.hpp"
+#include "test_support.hpp"
 
 namespace pwx::core {
 namespace {
@@ -227,8 +228,8 @@ CounterSample fleet_sample(double scale = 1.0) {
 
 TEST(Fleet, TotalsSumNodeEstimates) {
   FleetEstimator fleet(fleet_model());
-  const double a = fleet.ingest("node0", fleet_sample(1.0), 0.0);
-  const double b = fleet.ingest("node1", fleet_sample(2.0), 0.0);
+  const double a = test::ingest_one(fleet, fleet.intern("node0"), fleet_sample(1.0), 0.0);
+  const double b = test::ingest_one(fleet, fleet.intern("node1"), fleet_sample(2.0), 0.0);
   const FleetSnapshot snap = fleet.snapshot(0.0);
   EXPECT_EQ(snap.nodes_reporting, 2u);
   EXPECT_NEAR(snap.total_watts, a + b, 1e-9);
@@ -240,35 +241,27 @@ TEST(Fleet, NodeEstimateMatchesModelPrediction) {
   const PowerModel model = fleet_model();
   FleetEstimator fleet(model);
   OnlineEstimator reference(model);
-  const double via_fleet = fleet.ingest("n", fleet_sample(), 0.0);
+  const NodeId n = fleet.intern("n");
+  const double via_fleet = test::ingest_one(fleet, n, fleet_sample(), 0.0);
   EXPECT_NEAR(via_fleet, reference.estimate(fleet_sample()), 1e-9);
-  EXPECT_NEAR(*fleet.node_estimate("n"), via_fleet, 1e-12);
-  EXPECT_FALSE(fleet.node_estimate("ghost").has_value());
+  EXPECT_NEAR(*fleet.node_estimate(n), via_fleet, 1e-12);
+  EXPECT_FALSE(fleet.node_estimate(fleet.intern("ghost")).has_value());
 }
 
 TEST(Fleet, StaleNodesDropOutOfTotals) {
   FleetEstimator fleet(fleet_model(), 0.0, /*staleness_horizon_s=*/5.0);
-  fleet.ingest("fresh", fleet_sample(), 100.0);
-  fleet.ingest("stale", fleet_sample(), 10.0);
+  test::ingest_one(fleet, fleet.intern("fresh"), fleet_sample(), 100.0);
+  test::ingest_one(fleet, fleet.intern("stale"), fleet_sample(), 10.0);
   const FleetSnapshot snap = fleet.snapshot(100.0);
   EXPECT_EQ(snap.nodes_reporting, 1u);
   EXPECT_EQ(snap.nodes_stale, 1u);
 }
 
-TEST(Fleet, NodesAreRegisteredOnFirstUse) {
-  FleetEstimator fleet(fleet_model());
-  fleet.ingest("b", fleet_sample(), 0.0);
-  fleet.ingest("a", fleet_sample(), 0.0);
-  const auto nodes = fleet.nodes();
-  ASSERT_EQ(nodes.size(), 2u);
-  EXPECT_EQ(nodes[0], "a");
-  EXPECT_EQ(nodes[1], "b");
-}
-
 TEST(Fleet, RejectsTimeGoingBackwards) {
   FleetEstimator fleet(fleet_model());
-  fleet.ingest("n", fleet_sample(), 10.0);
-  EXPECT_THROW(fleet.ingest("n", fleet_sample(), 5.0), InvalidArgument);
+  const NodeId n = fleet.intern("n");
+  test::ingest_one(fleet, n, fleet_sample(), 10.0);
+  EXPECT_THROW(test::ingest_one(fleet, n, fleet_sample(), 5.0), InvalidArgument);
 }
 
 TEST(Fleet, RejectsBadConstruction) {
@@ -279,10 +272,10 @@ TEST(Fleet, SmoothingIsPerNode) {
   FleetEstimator fleet(fleet_model(), /*smoothing=*/0.9);
   // Feed node A a big sample, node B a small one; smoothing must not bleed
   // between nodes.
-  const double a1 = fleet.ingest("a", fleet_sample(3.0), 0.0);
-  const double b1 = fleet.ingest("b", fleet_sample(0.5), 0.0);
+  const double a1 = test::ingest_one(fleet, fleet.intern("a"), fleet_sample(3.0), 0.0);
+  const double b1 = test::ingest_one(fleet, fleet.intern("b"), fleet_sample(0.5), 0.0);
   EXPECT_GT(a1, b1);
-  const double b2 = fleet.ingest("b", fleet_sample(0.5), 1.0);
+  const double b2 = test::ingest_one(fleet, fleet.intern("b"), fleet_sample(0.5), 1.0);
   EXPECT_NEAR(b2, b1, 1e-9);  // steady input, steady estimate
 }
 

@@ -1,12 +1,14 @@
 // Equivalence and scaling tests for the dense serving path and the sharded
 // FleetEstimator: the dense (ModelLayout/DenseSample) representation must be
-// bit-identical to the map-based one, and batched/sharded/parallel ingestion
-// must be bit-identical to a serial ingest loop for any shard count.
+// bit-identical to the map-based one, and batched/sharded/parallel fleet
+// ingestion must be bit-identical to one guarded OnlineEstimator per node
+// for any shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/estimator.hpp"
 #include "core/fleet.hpp"
 #include "core/model.hpp"
+#include "test_support.hpp"
 
 namespace pwx::core {
 namespace {
@@ -86,21 +89,20 @@ TEST(DenseLayout, SlotOrderFollowsModelSpec) {
   ASSERT_EQ(layout.slots(), kEvents.size());
   for (std::size_t i = 0; i < kEvents.size(); ++i) {
     EXPECT_EQ(layout.events()[i], kEvents[i]);
-    ASSERT_TRUE(layout.slot_of(kEvents[i]).has_value());
-    EXPECT_EQ(*layout.slot_of(kEvents[i]), i);
   }
-  EXPECT_FALSE(layout.slot_of(pmc::Preset::TLB_IM).has_value());
 }
 
 TEST(DenseLayout, PredictBitIdenticalToModelPredictRow) {
   const PowerModel& model = test_model();
   const ModelLayout layout(model);
   Rng rng(77);
+  DenseSample dense = layout.make_sample();
   for (int i = 0; i < 200; ++i) {
     const CounterSample sample = random_sample(rng);
-    const DenseSample dense = layout.to_dense(sample);
-    // Independent oracle: the training-side prediction on the equivalent
-    // DataRow (rates formed by the same counts/elapsed division).
+    layout.to_dense(sample, dense);
+    // Independent oracle: the training-side prediction on a one-row Dataset
+    // holding the equivalent DataRow (rates formed by the same counts/elapsed
+    // division).
     DataRow row;
     row.frequency_ghz = sample.frequency_ghz;
     row.avg_voltage = sample.voltage;
@@ -108,7 +110,8 @@ TEST(DenseLayout, PredictBitIdenticalToModelPredictRow) {
     for (const auto& [preset, counts] : sample.counts) {
       row.counter_rates[preset] = counts / sample.elapsed_s;
     }
-    EXPECT_EQ(layout.predict(dense), model.predict_row(row)) << "sample " << i;
+    EXPECT_EQ(layout.predict(dense), model.predict(Dataset({row})).front())
+        << "sample " << i;
   }
 }
 
@@ -117,19 +120,8 @@ TEST(DenseLayout, StrictConversionThrowsOnMissingEvent) {
   Rng rng(5);
   CounterSample sample = random_sample(rng);
   sample.counts.erase(kEvents[0]);
-  EXPECT_THROW(layout.to_dense(sample), InvalidArgument);
-}
-
-TEST(OnlineEstimatorDense, StrictPathBitIdenticalToMap) {
-  Rng rng(1234);
-  OnlineEstimator map_based(test_model(), /*smoothing=*/0.3);
-  OnlineEstimator dense_based(test_model(), /*smoothing=*/0.3);
-  for (int i = 0; i < 300; ++i) {
-    const CounterSample sample = random_sample(rng);
-    const DenseSample dense = dense_based.layout().to_dense(sample);
-    EXPECT_EQ(map_based.estimate(sample), dense_based.estimate(dense))
-        << "diverged at sample " << i;
-  }
+  DenseSample dense;
+  EXPECT_THROW(layout.to_dense(sample, dense), InvalidArgument);
 }
 
 TEST(OnlineEstimatorDense, GuardedPathBitIdenticalToMapUnderFaults) {
@@ -200,44 +192,74 @@ TEST_P(FleetBatchEquivalence, BatchBitIdenticalToSerialIngest) {
   options.parallel_ingest = parallel;
   const double smoothing = 0.5;
   const double horizon = 1e9;
-  FleetEstimator serial(test_model(), smoothing, horizon, options);
   FleetEstimator batched(test_model(), smoothing, horizon, options);
 
+  // Independent reference: one guarded OnlineEstimator per node (same
+  // model, smoothing and default guards), fed the same dense samples one at
+  // a time in batch order — the scalar try_predict plus the guarded fold.
   const std::size_t node_count = 40;
-  std::vector<NodeId> serial_ids, batched_ids;
+  std::vector<NodeId> ids;
+  std::vector<OnlineEstimator> reference;
+  std::vector<std::optional<double>> reference_estimate(node_count);
   for (std::size_t n = 0; n < node_count; ++n) {
-    const std::string name = "node" + std::to_string(n);
-    serial_ids.push_back(serial.intern(name));
-    batched_ids.push_back(batched.intern(name));
-    EXPECT_EQ(serial_ids.back(), batched_ids.back());
+    ids.push_back(batched.intern("node" + std::to_string(n)));
+    EXPECT_EQ(ids.back(), n);
+    reference.emplace_back(test_model(), smoothing);
   }
 
-  const auto rounds = make_workload(serial.layout(), serial_ids, 0xABCD);
-  for (const BatchRound& round : rounds) {
+  const auto rounds = make_workload(batched.layout(), ids, 0xABCD);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const BatchRound& round = rounds[r];
     for (const NodeSample& ns : round.samples) {
-      serial.ingest(ns.node, ns.sample, ns.now_s);
+      reference_estimate[ns.node] = reference[ns.node].estimate_guarded(ns.sample);
     }
     EXPECT_EQ(batched.ingest_batch(round.samples), round.samples.size());
+
+    for (std::size_t n = 0; n < node_count; ++n) {
+      const auto be = batched.node_estimate(ids[n]);
+      ASSERT_EQ(reference_estimate[n].has_value(), be.has_value())
+          << "round " << r << " node " << n;
+      if (be.has_value()) {
+        EXPECT_EQ(*reference_estimate[n], *be)  // bit-identical
+            << "round " << r << " node " << n;
+        EXPECT_EQ(batched.node_health(ids[n]), reference[n].health())
+            << "round " << r << " node " << n;
+      } else {
+        EXPECT_FALSE(batched.node_health(ids[n]).has_value());
+      }
+    }
   }
 
+  // The snapshot aggregates exactly the reference's non-failed streams
+  // (nothing is stale under a 1e9 s horizon); only the total's summation
+  // order is the fleet's own.
+  std::size_t reporting = 0;
+  std::size_t degraded = 0;
+  std::size_t failed = 0;
+  double total = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t n = 0; n < node_count; ++n) {
-    const auto se = serial.node_estimate(serial_ids[n]);
-    const auto be = batched.node_estimate(batched_ids[n]);
-    ASSERT_EQ(se.has_value(), be.has_value()) << "node " << n;
-    if (se.has_value()) {
-      EXPECT_EQ(*se, *be) << "node " << n;  // bit-identical
+    if (!reference_estimate[n].has_value()) {
+      continue;
     }
-    EXPECT_EQ(serial.node_health(serial_ids[n]), batched.node_health(batched_ids[n]));
+    if (reference[n].health() == HealthState::Failed) {
+      failed += 1;
+      continue;
+    }
+    reporting += 1;
+    degraded += reference[n].health() == HealthState::Degraded ? 1 : 0;
+    total += *reference_estimate[n];
+    lo = std::min(lo, *reference_estimate[n]);
+    hi = std::max(hi, *reference_estimate[n]);
   }
-  // Same shard count => same summation order => identical snapshots.
-  const FleetSnapshot ss = serial.snapshot(100.0);
   const FleetSnapshot bs = batched.snapshot(100.0);
-  EXPECT_EQ(ss.total_watts, bs.total_watts);
-  EXPECT_EQ(ss.nodes_reporting, bs.nodes_reporting);
-  EXPECT_EQ(ss.nodes_degraded, bs.nodes_degraded);
-  EXPECT_EQ(ss.nodes_failed, bs.nodes_failed);
-  EXPECT_EQ(ss.max_node_watts, bs.max_node_watts);
-  EXPECT_EQ(ss.min_node_watts, bs.min_node_watts);
+  EXPECT_EQ(bs.nodes_reporting, reporting);
+  EXPECT_EQ(bs.nodes_degraded, degraded);
+  EXPECT_EQ(bs.nodes_failed, failed);
+  EXPECT_EQ(bs.max_node_watts, hi);
+  EXPECT_EQ(bs.min_node_watts, lo);
+  EXPECT_NEAR(bs.total_watts, total, 1e-9 * std::abs(total));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -308,16 +330,14 @@ TEST(FleetSharding, InternSurvivesHashGrowthAndRoundTrips) {
   std::vector<NodeId> ids;
   for (std::size_t n = 0; n < 500; ++n) {  // well past the initial table size
     ids.push_back(fleet.intern("host-" + std::to_string(n)));
+    EXPECT_EQ(ids.back(), n);  // dense handles in intern order
   }
-  EXPECT_EQ(fleet.node_count(), 500u);
+  EXPECT_EQ(fleet.snapshot(0.0).nodes_interned, 500u);
   for (std::size_t n = 0; n < 500; ++n) {
-    const std::string name = "host-" + std::to_string(n);
-    EXPECT_EQ(fleet.intern(name), ids[n]);  // idempotent
-    ASSERT_TRUE(fleet.find(name).has_value());
-    EXPECT_EQ(*fleet.find(name), ids[n]);
-    EXPECT_EQ(fleet.node_name(ids[n]), name);
+    // Idempotent across every growth step: the same name, the same handle.
+    EXPECT_EQ(fleet.intern("host-" + std::to_string(n)), ids[n]);
   }
-  EXPECT_FALSE(fleet.find("never-interned").has_value());
+  EXPECT_EQ(fleet.snapshot(0.0).nodes_interned, 500u);
 }
 
 // --------------------------------------------------- snapshot edge cases
@@ -334,8 +354,8 @@ TEST(FleetSnapshotExtremes, EmptyFleetHasNaNExtremes) {
 TEST(FleetSnapshotExtremes, AllStaleFleetHasNaNExtremes) {
   FleetEstimator fleet(test_model(), 0.0, /*staleness_horizon_s=*/5.0);
   Rng rng(8);
-  fleet.ingest("a", random_sample(rng), 0.0);
-  fleet.ingest("b", random_sample(rng), 1.0);
+  test::ingest_one(fleet, fleet.intern("a"), random_sample(rng), 0.0);
+  test::ingest_one(fleet, fleet.intern("b"), random_sample(rng), 1.0);
   const FleetSnapshot snap = fleet.snapshot(100.0);
   EXPECT_EQ(snap.nodes_reporting, 0u);
   EXPECT_EQ(snap.nodes_stale, 2u);
@@ -348,9 +368,9 @@ TEST(FleetSnapshotExtremes, ExtremesRecomputeWhenHolderGoesStale) {
   FleetEstimator fleet(test_model(), 0.0, /*staleness_horizon_s=*/50.0);
   Rng rng(12);
   // Three nodes with distinct estimates; the freshest reports are later.
-  const double a = fleet.ingest("a", random_sample(rng), 0.0);
-  const double b = fleet.ingest("b", random_sample(rng), 60.0);
-  const double c = fleet.ingest("c", random_sample(rng), 60.0);
+  const double a = test::ingest_one(fleet, fleet.intern("a"), random_sample(rng), 0.0);
+  const double b = test::ingest_one(fleet, fleet.intern("b"), random_sample(rng), 60.0);
+  const double c = test::ingest_one(fleet, fleet.intern("c"), random_sample(rng), 60.0);
   // At t=100, node "a" (t=0) is stale; extremes must cover only {b, c}.
   const FleetSnapshot snap = fleet.snapshot(100.0);
   EXPECT_EQ(snap.nodes_reporting, 2u);

@@ -26,6 +26,7 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "test_support.hpp"
 #include "workloads/registry.hpp"
 
 namespace pwx {
@@ -536,8 +537,8 @@ TEST_F(ObsTest, SeededFaultCampaignSurfacesInMetrics) {
 
 TEST_F(ObsTest, FleetSnapshotPublishesGauges) {
   core::FleetEstimator fleet(tiny_model(), 0.0, /*staleness_horizon_s=*/5.0);
-  fleet.ingest("n1", tiny_sample(), 0.0);
-  fleet.ingest("n2", tiny_sample(), 8.0);
+  test::ingest_one(fleet, fleet.intern("n1"), tiny_sample(), 0.0);
+  test::ingest_one(fleet, fleet.intern("n2"), tiny_sample(), 8.0);
   fleet.snapshot(10.0);  // n1 is stale (10 > 0+5), n2 reporting
 
   EXPECT_DOUBLE_EQ(global_gauge("fleet.nodes_reporting"), 1.0);

@@ -1,6 +1,7 @@
 // Helpers shared by the test binaries: per-process scratch directories that
 // are removed when the binary exits, traces large enough for the file
-// reader's mmap path, and a bit-exact phase-profile comparison.
+// reader's mmap path, a bit-exact phase-profile comparison, and one-sample
+// fleet ingestion.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,10 +11,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/estimator.hpp"
+#include "core/fleet.hpp"
 #include "pmc/events.hpp"
 #include "trace/mapped.hpp"
 #include "trace/phase_profile.hpp"
@@ -105,6 +109,20 @@ inline void expect_profiles_bit_identical(const std::vector<trace::PhaseProfile>
     EXPECT_EQ(a[i].counter_rates, b[i].counter_rates);
     EXPECT_EQ(a[i].runs_merged, b[i].runs_merged);
   }
+}
+
+/// Feed one map-keyed sample for an interned node at fleet time `now_s` the
+/// way serving programs feed a fleet: convert it with the fleet layout's
+/// to_dense_guarded and ingest a one-sample batch. Returns the node's
+/// estimate after the sample.
+inline double ingest_one(core::FleetEstimator& fleet, core::NodeId node,
+                         const core::CounterSample& sample, double now_s) {
+  core::NodeSample reading;
+  reading.node = node;
+  reading.now_s = now_s;
+  fleet.layout().to_dense_guarded(sample, reading.sample);
+  fleet.ingest_batch(std::span<const core::NodeSample>(&reading, 1));
+  return fleet.node_estimate(reading.node).value();
 }
 
 }  // namespace pwx::test

@@ -58,11 +58,13 @@ Trace make_small_trace() {
 
 TEST(Trace, MetricDefinitionAndLookup) {
   Trace t;
-  const auto idx = t.define_metric({"power", "W", MetricMode::AsyncAverage});
-  EXPECT_EQ(t.metric_index("power"), idx);
+  EXPECT_EQ(t.define_metric({"power", "W", MetricMode::AsyncAverage}), 0u);
+  EXPECT_EQ(t.define_metric({"core_voltage", "V", MetricMode::AsyncInstant}), 1u);
   EXPECT_TRUE(t.has_metric("power"));
+  EXPECT_TRUE(t.has_metric("core_voltage"));
   EXPECT_FALSE(t.has_metric("nope"));
-  EXPECT_THROW(t.metric_index("nope"), InvalidArgument);
+  ASSERT_EQ(t.metrics().size(), 2u);
+  EXPECT_EQ(t.metrics()[1].name, "core_voltage");
 }
 
 TEST(Trace, DuplicateMetricNameRejected) {

@@ -510,6 +510,42 @@ TEST(TraceExport, AttributionSubtractsDirectChildrenFromSelfTime) {
   EXPECT_NE(table.str().find("self"), std::string::npos);
 }
 
+TEST(TraceExport, AttributionRejectsOverflowingSums) {
+  // Every duration is finite, so the parser accepts each line; only their
+  // sums overflow. The error must name the span whose sum did.
+  const auto line = [](const std::string& span, const std::string& parent,
+                       const std::string& name, const std::string& dur) {
+    const std::string parent_field =
+        parent.empty() ? "" : "\"parent\":\"" + parent + "\",";
+    return "{\"event\":\"span\",\"trace\":\"1\",\"span\":\"" + span + "\"," +
+           parent_field + "\"name\":\"" + name + "\",\"start_s\":0,\"dur_s\":" + dur +
+           "}\n";
+  };
+  const auto error_of = [](const std::string& jsonl) -> std::string {
+    const std::vector<obs::SpanRecord> records = obs::parse_span_jsonl(jsonl);
+    try {
+      obs::attribute_latency(records);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "attribution accepted " << jsonl;
+    return {};
+  };
+
+  // Two 1e308 s roots of one name: the per-name total overflows.
+  const std::string roots = line("1", "", "x", "1e308") + line("2", "", "x", "1e308");
+  EXPECT_NE(error_of(roots).find("span 'x'"), std::string::npos) << error_of(roots);
+  // The same two spans under a parent listed first fail at the parent,
+  // whose children's durations overflow before the second child is read.
+  const std::string nested = line("1", "", "p", "1e308") + line("2", "1", "x", "1e308") +
+                             line("3", "1", "x", "1e308");
+  EXPECT_NE(error_of(nested).find("span 'p'"), std::string::npos) << error_of(nested);
+  // Finite per-name totals whose self times overflow together: the error
+  // names the span at which the table's self-time sum overflows.
+  const std::string split = line("1", "", "a", "1.5e308") + line("2", "", "b", "0.5e308");
+  EXPECT_NE(error_of(split).find("span 'b'"), std::string::npos) << error_of(split);
+}
+
 // -------------------------------------------------------------- exemplars
 
 TEST(Tracing, HistogramExemplarLinksBucketToTrace) {

@@ -113,32 +113,6 @@ TEST(Registry, SyntheticKernelsAreSteadierThanSpec) {
   EXPECT_LE(max_roco, min_spec + 0.02);
 }
 
-TEST(Character, BlendedAveragesWithWeights) {
-  Workload w;
-  w.name = "two_phase";
-  PhaseCharacter a;
-  a.name = "a";
-  a.weight = 1.0;
-  a.base_cpi = 1.0;
-  a.l1d_ld_mpki = 10.0;
-  PhaseCharacter b = a;
-  b.name = "b";
-  b.weight = 3.0;
-  b.base_cpi = 2.0;
-  b.l1d_ld_mpki = 2.0;
-  w.phases = {a, b};
-  const PhaseCharacter blended = w.blended();
-  EXPECT_NEAR(blended.base_cpi, (1.0 * 1.0 + 2.0 * 3.0) / 4.0, 1e-12);
-  EXPECT_NEAR(blended.l1d_ld_mpki, (10.0 + 2.0 * 3.0) / 4.0, 1e-12);
-}
-
-TEST(Character, BlendedOfSinglePhaseIsIdentity) {
-  const auto compute = find_workload("compute");
-  ASSERT_TRUE(compute.has_value());
-  const PhaseCharacter blended = compute->blended();
-  EXPECT_DOUBLE_EQ(blended.base_cpi, compute->phases[0].base_cpi);
-}
-
 TEST(Character, ValidationCatchesBrokenCharacters) {
   PhaseCharacter p;
   p.base_cpi = -1.0;
