@@ -47,10 +47,9 @@ void BM_OlsFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const la::Matrix x = random_design(n, 8, 2);
   const std::vector<double> y = random_target(n, 3);
-  regress::OlsOptions opt;
-  opt.cov_type = static_cast<regress::CovarianceType>(state.range(1));
+  const auto cov_type = static_cast<regress::CovarianceType>(state.range(1));
   for (auto _ : state) {
-    const auto fit = regress::fit_ols(x, y, opt);
+    const auto fit = regress::fit_ols(x, y, cov_type);
     benchmark::DoNotOptimize(fit.r_squared);
   }
 }

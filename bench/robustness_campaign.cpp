@@ -139,7 +139,7 @@ int main() {
   // per-opportunity probabilities compound into a meaningful per-run fault
   // rate without flagging essentially every run.
   acquire::CampaignConfig config = acquire::standard_campaign_config({2.4});
-  config.resilience.max_attempts = 4;
+  config.max_attempts = 4;
   const fault::FaultPlan plan = fault::FaultPlan::escalating(0xC7A05, 0.1);
   config.fault_plan = &plan;
 
@@ -228,7 +228,7 @@ int main() {
     const double watts = estimator.estimate_guarded(*sample);
     samples += 1;
     all_valid = all_valid && std::isfinite(watts) && watts >= 0.0 &&
-                watts <= estimator.guards().max_watts;
+                watts <= core::kMaxWatts;
     degraded += estimator.health() != core::HealthState::Ok ? 1 : 0;
   }
   std::printf("  %zu samples, %zu with degraded health, %zu injected faults\n",

@@ -233,7 +233,7 @@ ScenarioResult run_scenario(std::uint64_t fault_seed) {
         const double watts = estimator.estimate_guarded(sample_from_row(row));
         result.all_estimates_valid =
             result.all_estimates_valid && std::isfinite(watts) &&
-            watts >= 0.0 && watts <= estimator.guards().max_watts;
+            watts >= 0.0 && watts <= core::kMaxWatts;
         result.generation_monotone =
             result.generation_monotone && estimator.generation() >= last_generation;
         last_generation = estimator.generation();

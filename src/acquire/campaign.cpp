@@ -178,10 +178,7 @@ UnitOutcome acquire_configuration(const sim::Engine& engine,
       pmc::schedule_events(config.events, config.budget);
   PWX_CHECK(!groups.empty(), "event schedule is empty");
 
-  const std::size_t max_attempts =
-      config.resilience.policy == FailurePolicy::Retry
-          ? std::max<std::size_t>(config.resilience.max_attempts, 1)
-          : 1;
+  const std::size_t max_attempts = std::max<std::size_t>(config.max_attempts, 1);
 
   // One run per event group; each run only records its group's presets.
   // First attempts use the exact seed sequence fault-free campaigns have
@@ -294,10 +291,6 @@ Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config) {
     }
     if (outcome.quarantined) {
       quality.configurations_quarantined += 1;
-      if (config.resilience.policy == FailurePolicy::Abort) {
-        throw Error(outcome.error, ErrorCode::DataQuality)
-            .with_context("campaign aborted (policy=abort)");
-      }
       PWX_LOG_WARN("campaign: quarantined ", units[i].workload->name, " f=",
                    units[i].frequency_ghz, " t=", units[i].threads, ": ",
                    outcome.error);

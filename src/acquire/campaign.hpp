@@ -14,7 +14,7 @@
 // Acquisition is failure-aware: every run's phase profiles are validated
 // (phase set, finite/positive power/voltage/time, sane counter rates), and a
 // run that fails — or that a configured fault::FaultPlan flags — is
-// re-executed with a derived seed under the campaign's FailurePolicy. A
+// re-executed with a derived seed, up to the campaign's max_attempts. A
 // configuration whose runs keep failing is quarantined rather than merged,
 // and everything that happened is surfaced in the Dataset's DataQuality.
 #pragma once
@@ -34,20 +34,6 @@ struct FaultPlan;
 
 namespace pwx::acquire {
 
-/// What to do when a run fails validation or is flagged by fault injection.
-enum class FailurePolicy {
-  Retry,  ///< re-execute with a derived seed, quarantine after max_attempts
-  Skip,   ///< quarantine the configuration immediately (no re-execution)
-  Abort,  ///< throw out of run_campaign on the first permanent failure
-};
-
-/// Campaign-level failure handling knobs.
-struct CampaignResilience {
-  FailurePolicy policy = FailurePolicy::Retry;
-  /// Total executions allowed per event-group run (first try + retries).
-  std::size_t max_attempts = 3;
-};
-
 /// What to acquire.
 struct CampaignConfig {
   std::vector<workloads::Workload> workloads;
@@ -61,7 +47,11 @@ struct CampaignConfig {
   double interval_s = 0.25;            ///< metric sampling interval
   double duration_scale = 0.4;         ///< scales workloads' nominal durations
   std::uint64_t seed = 0xACD1;         ///< campaign-level seed
-  CampaignResilience resilience;       ///< failure handling
+  /// Total executions allowed per event-group run (first try + retries);
+  /// a run that fails validation or is flagged by fault injection is
+  /// re-executed with a derived seed, and its configuration is quarantined
+  /// once the attempts are spent. 1 quarantines without re-execution.
+  std::size_t max_attempts = 3;
   /// Optional fault schedule (not owned; must outlive the campaign). When
   /// set, every run is perturbed per the plan before post-processing —
   /// the chaos-testing hook bench/robustness_campaign drives.
@@ -71,7 +61,7 @@ struct CampaignConfig {
 /// Execute a campaign on an engine. The returned Dataset carries a
 /// DataQuality report (Dataset::quality) describing rejected runs, retries,
 /// quarantined configurations, injected faults, and sanitization drops.
-/// Throws only under FailurePolicy::Abort (or on invalid configuration).
+/// Throws only on invalid configuration.
 Dataset run_campaign(const sim::Engine& engine, const CampaignConfig& config);
 
 /// Ingestion knobs for ingest_trace_files: `verify_checksum = false`

@@ -11,29 +11,18 @@ namespace pwx::core {
 ModelLayout::ModelLayout(const PowerModel& model) {
   const FeatureSpec& spec = model.spec();
   const regress::OlsResult& fit = model.fit();
-  const std::size_t expected =
-      spec.column_count() + (fit.has_intercept ? 1 : 0);
+  const std::size_t expected = spec.column_count() + 1;
   PWX_REQUIRE(fit.beta.size() == expected, "model fit has ", fit.beta.size(),
               " coefficients, spec expects ", expected);
 
   events_ = spec.events;
   per_cycle_ = spec.normalization == RateNormalization::PerCycle;
 
-  // Flatten the coefficient vector: [δ?][α_n ...][β?][γ?].
-  std::size_t c = fit.has_intercept ? 1 : 0;
-  intercept_ = fit.has_intercept ? fit.beta[0] : 0.0;
-  coef_.resize(events_.size());
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    coef_[i] = fit.beta[c++];
-  }
-  has_dyn_ = spec.include_dynamic_base;
-  if (has_dyn_) {
-    dyn_coef_ = fit.beta[c++];
-  }
-  has_static_ = spec.include_static_v;
-  if (has_static_) {
-    static_coef_ = fit.beta[c++];
-  }
+  // Flatten the coefficient vector: [δ][α_n ...][β][γ].
+  intercept_ = fit.beta[0];
+  coef_.assign(fit.beta.begin() + 1, fit.beta.end() - 2);
+  dyn_coef_ = fit.beta[expected - 2];
+  static_coef_ = fit.beta[expected - 1];
 }
 
 DenseSample ModelLayout::make_sample() const {
@@ -85,12 +74,8 @@ double ModelLayout::predict(const DenseSample& sample) const {
     const double per = per_cycle_ ? rate / (f * 1e9) : rate / 1e9;
     acc += coef_[i] * (per * v2f);
   }
-  if (has_dyn_) {
-    acc += dyn_coef_ * v2f;
-  }
-  if (has_static_) {
-    acc += static_coef_ * v;
-  }
+  acc += dyn_coef_ * v2f;
+  acc += static_coef_ * v;
   return acc;
 }
 

@@ -78,18 +78,14 @@ public:
   double intercept() const { return intercept_; }
   double dyn_coef() const { return dyn_coef_; }
   double static_coef() const { return static_coef_; }
-  bool has_dyn() const { return has_dyn_; }
-  bool has_static() const { return has_static_; }
   bool per_cycle() const { return per_cycle_; }
 
 private:
   std::vector<pmc::Preset> events_;
   std::vector<double> coef_;      ///< α_n in slot order
-  double intercept_ = 0.0;        ///< δ·Z (0 when the fit has no intercept)
+  double intercept_ = 0.0;        ///< δ·Z
   double dyn_coef_ = 0.0;         ///< β (V²f column)
   double static_coef_ = 0.0;      ///< γ (V column)
-  bool has_dyn_ = false;
-  bool has_static_ = false;
   bool per_cycle_ = true;         ///< RateNormalization::PerCycle
 };
 

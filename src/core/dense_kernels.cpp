@@ -158,12 +158,8 @@ void predict_lanes_scalar(const BatchArgs& args) {
       const double per = args.per_cycle ? rate / (f * 1e9) : rate / 1e9;
       acc += args.coef[s] * (per * v2f);
     }
-    if (args.has_dyn) {
-      acc += args.dyn_coef * v2f;
-    }
-    if (args.has_static) {
-      acc += args.static_coef * v;
-    }
+    acc += args.dyn_coef * v2f;
+    acc += args.static_coef * v;
     // try_predict's verdict: input validity was captured at append time
     // (lane_valid), so only the output check remains here.
     args.valid[k] = (args.lane_valid[k] != 0 && std::isfinite(acc)) ? 1 : 0;
@@ -263,8 +259,6 @@ void predict_batch_impl(const ModelLayout& layout, const SampleBatch& batch,
   args.intercept = layout.intercept();
   args.dyn_coef = layout.dyn_coef();
   args.static_coef = layout.static_coef();
-  args.has_dyn = layout.has_dyn();
-  args.has_static = layout.has_static();
   args.per_cycle = layout.per_cycle();
   if (clamp != nullptr) {
     args.clamp = true;

@@ -175,8 +175,6 @@ struct BatchArgs {
   double intercept = 0.0;
   double dyn_coef = 0.0;
   double static_coef = 0.0;
-  bool has_dyn = false;
-  bool has_static = false;
   bool per_cycle = false;
   bool clamp = false;  ///< clamp stored outputs to [clamp_min, clamp_max]
   double clamp_min = 0.0;

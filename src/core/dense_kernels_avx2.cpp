@@ -67,12 +67,8 @@ inline void predict_block(const BatchArgs& args, std::size_t i,
     acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(args.coef[s]),
                                            _mm256_mul_pd(per, v2f)));
   }
-  if (args.has_dyn) {
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(args.dyn_coef), v2f));
-  }
-  if (args.has_static) {
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(args.static_coef), v));
-  }
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(args.dyn_coef), v2f));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(args.static_coef), v));
   const __m256d ok = finite(acc, inf);
   if (args.clamp) {
     // std::clamp via compare+blend: lanes where acc < min take min, then

@@ -52,14 +52,14 @@ double smooth_step(double smoothing, double raw, GuardedState& state) {
 
 }  // namespace
 
-double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
-                        bool valid, double raw, GuardedState& state) {
+double guarded_fold_raw(double smoothing, bool valid, double raw,
+                        GuardedState& state) {
   const bool telemetry = obs::enabled();
   const HealthState before = state.health;
   if (valid) {
     state.consecutive_invalid = 0;
     state.health = HealthState::Ok;
-    const double clamped = std::clamp(raw, guards.min_watts, guards.max_watts);
+    const double clamped = std::clamp(raw, kMinWatts, kMaxWatts);
     const double out = smooth_step(smoothing, clamped, state);
     state.last_good = out;
     if (telemetry) {
@@ -81,10 +81,10 @@ double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
   }
   // Invalid sample: hold the last good estimate with a bounded staleness.
   state.consecutive_invalid += 1;
-  state.health = state.consecutive_invalid > guards.max_consecutive_invalid
+  state.health = state.consecutive_invalid > kMaxConsecutiveInvalid
                      ? HealthState::Failed
                      : HealthState::Degraded;
-  const double held = state.last_good.value_or(guards.min_watts);
+  const double held = state.last_good.value_or(kMinWatts);
   // Black-box dump on the health *transition* (not every held estimate):
   // the flight ring at this moment holds the spans and metric deltas that
   // led into the degradation. Transition-only keeps the hot path clean.
@@ -102,15 +102,13 @@ double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
       m.health.set_unguarded(static_cast<double>(state.health));
     }
   }
-  return std::clamp(held, guards.min_watts, guards.max_watts);
+  return std::clamp(held, kMinWatts, kMaxWatts);
 }
 
 double guarded_estimate_step(const ModelLayout& layout, double smoothing,
-                             const EstimatorGuards& guards,
                              const DenseSample& sample, GuardedState& state) {
   const std::optional<double> raw = layout.try_predict(sample);
-  return guarded_fold_raw(smoothing, guards, raw.has_value(),
-                          raw.value_or(0.0), state);
+  return guarded_fold_raw(smoothing, raw.has_value(), raw.value_or(0.0), state);
 }
 
 void note_batch_lanes(std::size_t samples, std::size_t invalid) {
@@ -127,7 +125,6 @@ void note_batch_lanes(std::size_t samples, std::size_t invalid) {
 }
 
 void guarded_estimate_batch(const ModelLayout& layout, double smoothing,
-                            const EstimatorGuards& guards,
                             const SampleBatch& batch, GuardedState& state,
                             std::span<double> out,
                             std::span<HealthState> health_out) {
@@ -144,7 +141,7 @@ void guarded_estimate_batch(const ModelLayout& layout, double smoothing,
     // The batch was built against a layout a hot swap replaced: every lane
     // is invalid, exactly as per-sample conversion would conclude.
     for (std::size_t k = 0; k < lanes; ++k) {
-      out[k] = guarded_fold_raw(smoothing, guards, false, 0.0, state);
+      out[k] = guarded_fold_raw(smoothing, false, 0.0, state);
       if (!health_out.empty()) {
         health_out[k] = state.health;
       }
@@ -161,8 +158,7 @@ void guarded_estimate_batch(const ModelLayout& layout, double smoothing,
   valids.resize(lanes);
   const bool fused_clamp = smoothing <= 0.0 && !obs::enabled();
   if (fused_clamp) {
-    predict_batch_clamped(layout, batch, guards.min_watts, guards.max_watts,
-                          out, valids);
+    predict_batch_clamped(layout, batch, kMinWatts, kMaxWatts, out, valids);
   } else {
     predict_batch_guarded(layout, batch, out, valids);
   }
@@ -190,7 +186,7 @@ void guarded_estimate_batch(const ModelLayout& layout, double smoothing,
   for (std::size_t k = 0; k < lanes; ++k) {
     const bool valid = valids[k] != 0;
     invalid += valid ? 0 : 1;
-    out[k] = guarded_fold_raw(smoothing, guards, valid, out[k], state);
+    out[k] = guarded_fold_raw(smoothing, valid, out[k], state);
     if (!health_out.empty()) {
       health_out[k] = state.health;
     }
@@ -198,23 +194,17 @@ void guarded_estimate_batch(const ModelLayout& layout, double smoothing,
   note_batch_lanes(lanes, invalid);
 }
 
-OnlineEstimator::OnlineEstimator(PowerModel model, double smoothing,
-                                 EstimatorGuards guards)
+OnlineEstimator::OnlineEstimator(PowerModel model, double smoothing)
     : current_(std::make_shared<const PublishedModel>(std::move(model), 1)),
-      smoothing_(smoothing), guards_(guards),
-      scratch_(current_->layout.make_sample()) {
+      smoothing_(smoothing), scratch_(current_->layout.make_sample()) {
   PWX_REQUIRE(smoothing_ >= 0.0 && smoothing_ < 1.0, "smoothing must be in [0,1)");
-  PWX_REQUIRE(guards_.min_watts <= guards_.max_watts,
-              "estimator guard range is inverted");
 }
 
 OnlineEstimator::OnlineEstimator(std::shared_ptr<LayoutEpoch> epoch,
-                                 double smoothing, EstimatorGuards guards)
-    : epoch_(std::move(epoch)), smoothing_(smoothing), guards_(guards) {
+                                 double smoothing)
+    : epoch_(std::move(epoch)), smoothing_(smoothing) {
   PWX_REQUIRE(epoch_ != nullptr, "estimator needs a non-null epoch");
   PWX_REQUIRE(smoothing_ >= 0.0 && smoothing_ < 1.0, "smoothing must be in [0,1)");
-  PWX_REQUIRE(guards_.min_watts <= guards_.max_watts,
-              "estimator guard range is inverted");
   current_ = epoch_->current();
   scratch_ = current_->layout.make_sample();
 }
@@ -245,22 +235,20 @@ double OnlineEstimator::estimate(const CounterSample& sample) {
 double OnlineEstimator::estimate_guarded(const CounterSample& sample) {
   maybe_adopt();
   current_->layout.to_dense_guarded(sample, scratch_);
-  return guarded_estimate_step(current_->layout, smoothing_, guards_, scratch_,
-                               state_);
+  return guarded_estimate_step(current_->layout, smoothing_, scratch_, state_);
 }
 
 double OnlineEstimator::estimate_guarded(const DenseSample& sample) {
   maybe_adopt();
-  return guarded_estimate_step(current_->layout, smoothing_, guards_, sample,
-                               state_);
+  return guarded_estimate_step(current_->layout, smoothing_, sample, state_);
 }
 
 void OnlineEstimator::estimate_batch_guarded(const SampleBatch& batch,
                                              std::span<double> out,
                                              std::span<HealthState> health_out) {
   maybe_adopt();
-  guarded_estimate_batch(current_->layout, smoothing_, guards_, batch, state_,
-                         out, health_out);
+  guarded_estimate_batch(current_->layout, smoothing_, batch, state_, out,
+                         health_out);
 }
 
 void OnlineEstimator::estimate_batch_guarded(
@@ -274,8 +262,8 @@ void OnlineEstimator::estimate_batch_guarded(
     current_->layout.to_dense_guarded(sample, scratch_);
     scratch.append(scratch_);
   }
-  guarded_estimate_batch(current_->layout, smoothing_, guards_, scratch, state_,
-                         out, health_out);
+  guarded_estimate_batch(current_->layout, smoothing_, scratch, state_, out,
+                         health_out);
 }
 
 void OnlineEstimator::reset() { state_.reset(); }

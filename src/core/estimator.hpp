@@ -61,14 +61,14 @@ public:
   virtual std::optional<CounterSample> read() = 0;
 };
 
-/// Output guards of the estimator's hardened path (estimate_guarded).
-struct EstimatorGuards {
-  double min_watts = 0.0;      ///< estimates clamped to [min, max]
-  double max_watts = 2000.0;   ///< generous bound for a 2-socket node
-  /// Consecutive invalid samples tolerated while holding the last good
-  /// estimate (DEGRADED); one more and the estimator reports FAILED.
-  std::size_t max_consecutive_invalid = 5;
-};
+/// Output guards of the hardened estimation path (estimate_guarded, the
+/// fleet): estimates are clamped to [kMinWatts, kMaxWatts], a generous range
+/// for a 2-socket node.
+inline constexpr double kMinWatts = 0.0;
+inline constexpr double kMaxWatts = 2000.0;
+/// Consecutive invalid samples tolerated while holding the last good
+/// estimate (DEGRADED); one more and the stream reports FAILED.
+inline constexpr std::size_t kMaxConsecutiveInvalid = 5;
 
 /// Per-stream state of the guarded estimation path: smoothing accumulator,
 /// held last-good estimate, and degradation bookkeeping. One per estimate
@@ -85,14 +85,13 @@ struct GuardedState {
 };
 
 /// One step of the guarded estimation state machine on a dense sample:
-/// never throws on bad data, never emits NaN/Inf or a value outside the
-/// guard range; invalid samples hold the last good estimate and degrade
-/// `state.health` (FAILED after guards.max_consecutive_invalid misses in a
+/// never throws on bad data, never emits NaN/Inf or a value outside
+/// [kMinWatts, kMaxWatts]; invalid samples hold the last good estimate and
+/// degrade `state.health` (FAILED after kMaxConsecutiveInvalid misses in a
 /// row), a valid sample restores OK. Shared by OnlineEstimator and
 /// FleetEstimator so every guarded path has identical semantics and
 /// telemetry.
 double guarded_estimate_step(const ModelLayout& layout, double smoothing,
-                             const EstimatorGuards& guards,
                              const DenseSample& sample, GuardedState& state);
 
 /// The guard/clamp/degradation lane of guarded_estimate_step on a
@@ -102,8 +101,8 @@ double guarded_estimate_step(const ModelLayout& layout, double smoothing,
 /// (guarded_estimate_batch, the fleet's fused ingest) fold through it, so
 /// outputs, state transitions, telemetry counters, and flight-recorder
 /// triggers are identical however the prediction was computed.
-double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
-                        bool valid, double raw, GuardedState& state);
+double guarded_fold_raw(double smoothing, bool valid, double raw,
+                        GuardedState& state);
 
 /// Batched guarded estimation: one vector predict over the batch, then the
 /// guarded state machine replayed per lane in lane order. Outputs, the
@@ -117,7 +116,6 @@ double guarded_fold_raw(double smoothing, const EstimatorGuards& guards,
 /// Also feeds the estimate.batch.samples / estimate.batch.lanes_invalid
 /// counters that serving monitors derive estimates/sec from.
 void guarded_estimate_batch(const ModelLayout& layout, double smoothing,
-                            const EstimatorGuards& guards,
                             const SampleBatch& batch, GuardedState& state,
                             std::span<double> out,
                             std::span<HealthState> health_out = {});
@@ -133,8 +131,7 @@ public:
   /// `smoothing` in [0,1): exponential smoothing factor applied to the
   /// estimate stream (0 = none). The model is pinned: this estimator never
   /// changes models.
-  explicit OnlineEstimator(PowerModel model, double smoothing = 0.0,
-                           EstimatorGuards guards = {});
+  explicit OnlineEstimator(PowerModel model, double smoothing = 0.0);
 
   /// Epoch-bound estimator: serves the epoch's current publication and
   /// adopts every later publish() at the next estimate call (lock-free
@@ -142,17 +139,17 @@ public:
   /// Smoothing state and the guarded health machine survive a swap, so the
   /// estimate stream stays continuous across retrains.
   explicit OnlineEstimator(std::shared_ptr<LayoutEpoch> epoch,
-                           double smoothing = 0.0, EstimatorGuards guards = {});
+                           double smoothing = 0.0);
 
   /// Estimate power for one sample. Strict: throws InvalidArgument when the
   /// sample is degenerate (non-positive elapsed time, missing events, ...).
   double estimate(const CounterSample& sample);
 
   /// Hardened path: never throws on bad data, never emits NaN/Inf or a
-  /// value outside the guard range. Invalid samples (non-finite or
+  /// value outside [kMinWatts, kMaxWatts]. Invalid samples (non-finite or
   /// non-positive elapsed/frequency/voltage, missing or non-finite event
   /// counts, or a non-finite model output) hold the last good estimate and
-  /// degrade health(); after guards.max_consecutive_invalid misses in a row
+  /// degrade health(); after kMaxConsecutiveInvalid misses in a row
   /// the estimator reports FAILED (output still held and clamped). A valid
   /// sample restores health to OK.
   double estimate_guarded(const CounterSample& sample);
@@ -200,7 +197,6 @@ public:
   std::shared_ptr<const PublishedModel> publication() const { return current_; }
   /// Generation of the currently served publication (1 when model-pinned).
   std::uint64_t generation() const { return current_->generation; }
-  const EstimatorGuards& guards() const { return guards_; }
 
   /// Reset the smoothing and degradation state.
   void reset();
@@ -214,7 +210,6 @@ private:
   std::shared_ptr<LayoutEpoch> epoch_;             ///< null when model-pinned
   std::shared_ptr<const PublishedModel> current_;  ///< never null
   double smoothing_;
-  EstimatorGuards guards_;
   GuardedState state_;
   DenseSample scratch_;  ///< conversion buffer: map overloads allocate nothing
 };

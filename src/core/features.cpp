@@ -28,12 +28,8 @@ void fill_row(la::Matrix& x, std::size_t r, const acquire::DataRow& row,
     }
     x(r, c++) = rate * v2f;
   }
-  if (spec.include_dynamic_base) {
-    x(r, c++) = v2f;
-  }
-  if (spec.include_static_v) {
-    x(r, c++) = v;
-  }
+  x(r, c++) = v2f;
+  x(r, c) = v;
 }
 
 }  // namespace
@@ -52,12 +48,8 @@ std::vector<std::string> feature_names(const FeatureSpec& spec) {
   for (pmc::Preset preset : spec.events) {
     names.push_back("E(" + std::string(pmc::preset_name(preset)) + ")*V2f");
   }
-  if (spec.include_dynamic_base) {
-    names.emplace_back("V2f");
-  }
-  if (spec.include_static_v) {
-    names.emplace_back("V");
-  }
+  names.emplace_back("V2f");
+  names.emplace_back("V");
   return names;
 }
 

@@ -31,16 +31,13 @@ enum class RateNormalization {
   PerSecond,  ///< E_n = events / elapsed — the ablation baseline
 };
 
-/// Which columns the design matrix carries.
+/// Which columns the design matrix carries: one E_n·V²f column per event,
+/// then the β·V²f and γ·V columns.
 struct FeatureSpec {
   std::vector<pmc::Preset> events;
   RateNormalization normalization = RateNormalization::PerCycle;
-  bool include_dynamic_base = true;  ///< the β·V²f column
-  bool include_static_v = true;      ///< the γ·V column
 
-  std::size_t column_count() const {
-    return events.size() + (include_dynamic_base ? 1 : 0) + (include_static_v ? 1 : 0);
-  }
+  std::size_t column_count() const { return events.size() + 2; }
 };
 
 /// Design matrix for a dataset under a spec (no intercept column; the OLS

@@ -248,7 +248,7 @@ void FleetEstimator::ingest_locked(Shard& shard, std::uint32_t slot,
   const double old_estimate = state.last_estimate;
 
   const double estimate =
-      guarded_fold_raw(smoothing_, guards_, valid, raw, state.guard);
+      guarded_fold_raw(smoothing_, valid, raw, state.guard);
   state.last_estimate = estimate;
 
   const bool now_included = state.guard.health != HealthState::Failed;

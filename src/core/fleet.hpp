@@ -276,7 +276,6 @@ private:
   PowerModel model_;
   ModelLayout layout_;  ///< compiled from model_; read-only after construction
   double smoothing_;
-  EstimatorGuards guards_;  ///< per-node guard policy (defaults, as before)
   double staleness_horizon_s_;
   FleetOptions options_;
 

@@ -31,8 +31,8 @@ private:
   regress::OlsResult fit_;
 };
 
-/// Train Equation 1 on a dataset. Defaults follow the paper: intercept (δZ),
-/// HC3 heteroscedasticity-consistent standard errors.
+/// Train Equation 1 on a dataset; the fit's intercept is δ·Z. The default
+/// follows the paper: HC3 heteroscedasticity-consistent standard errors.
 PowerModel train_model(const acquire::Dataset& dataset, const FeatureSpec& spec,
                        regress::CovarianceType cov = regress::CovarianceType::HC3);
 

@@ -19,23 +19,23 @@ namespace pwx::core {
 namespace {
 
 const char* cov_name(regress::CovarianceType cov) {
-  switch (cov) {
-    case regress::CovarianceType::NonRobust: return "nonrobust";
-    case regress::CovarianceType::HC0: return "HC0";
-    case regress::CovarianceType::HC1: return "HC1";
-    case regress::CovarianceType::HC2: return "HC2";
-    case regress::CovarianceType::HC3: return "HC3";
-  }
-  return "nonrobust";
+  return cov == regress::CovarianceType::HC3 ? "HC3" : "nonrobust";
 }
 
 regress::CovarianceType cov_from_name(const std::string& name) {
   if (name == "nonrobust") return regress::CovarianceType::NonRobust;
-  if (name == "HC0") return regress::CovarianceType::HC0;
-  if (name == "HC1") return regress::CovarianceType::HC1;
-  if (name == "HC2") return regress::CovarianceType::HC2;
   if (name == "HC3") return regress::CovarianceType::HC3;
-  throw IoError("unknown covariance type '" + name + "' in model file");
+  throw IoError("unsupported cov_type '" + name +
+                "' in model file (only nonrobust and HC3 are read)");
+}
+
+/// Version 1 files carry both optional-term flags; the library only
+/// represents Equation 1 with all four terms, so both must be true.
+void require_true(const Json& root, const char* key) {
+  if (!root.at(key).as_bool()) {
+    throw IoError(std::string("unsupported ") + key +
+                  ": false in model file (Equation 1 always carries it)");
+  }
 }
 
 }  // namespace
@@ -53,8 +53,8 @@ std::string model_to_json(const PowerModel& model) {
   root["normalization"] =
       model.spec().normalization == RateNormalization::PerCycle ? "per_cycle"
                                                                 : "per_second";
-  root["include_dynamic_base"] = model.spec().include_dynamic_base;
-  root["include_static_v"] = model.spec().include_static_v;
+  root["include_dynamic_base"] = true;
+  root["include_static_v"] = true;
 
   Json::Array beta;
   Json::Array se;
@@ -157,8 +157,8 @@ PowerModel model_from_json(const std::string& text) {
     } else {
       throw IoError("unknown normalization '" + normalization + "' in model file");
     }
-    spec.include_dynamic_base = root.at("include_dynamic_base").as_bool();
-    spec.include_static_v = root.at("include_static_v").as_bool();
+    require_true(root, "include_dynamic_base");
+    require_true(root, "include_static_v");
 
     regress::OlsResult fit;
     for (const Json& value : root.at("coefficients").as_array()) {
@@ -184,7 +184,6 @@ PowerModel model_from_json(const std::string& text) {
     if (fit.standard_error.size() != fit.beta.size()) {
       throw IoError("model file standard error count does not match coefficients");
     }
-    fit.has_intercept = true;
     fit.cov_type = cov_from_name(root.at("cov_type").as_string());
     fit.r_squared = root.at("r_squared").as_number();
     fit.adj_r_squared = root.at("adj_r_squared").as_number();

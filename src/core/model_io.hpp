@@ -16,8 +16,10 @@ namespace pwx::core {
 std::string model_to_json(const PowerModel& model);
 void save_model(const PowerModel& model, const std::string& path);
 
-/// Deserialize. Throws pwx::IoError on malformed input. The loaded model
-/// predicts identically; inference-only fields (residuals, leverage) are not
+/// Deserialize. Throws pwx::IoError on malformed input, and on a file the
+/// library cannot represent (either optional-term flag false, or a cov_type
+/// other than nonrobust/HC3), naming the key. The loaded model predicts
+/// identically; inference-only fields (residuals, leverage) are not
 /// round-tripped.
 PowerModel model_from_json(const std::string& json);
 PowerModel load_model(const std::string& path);

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -83,21 +82,12 @@ class HealthScope {
 
 }  // namespace
 
-RobustCounterSource::RobustCounterSource(CounterSource& inner,
-                                         RobustSourceConfig config)
-    : inner_(inner), config_(config) {
-  PWX_REQUIRE(config_.start_attempts > 0, "start_attempts must be positive");
-  PWX_REQUIRE(config_.read_attempts > 0, "read_attempts must be positive");
-  PWX_REQUIRE(config_.counter_wrap > 0.0, "counter_wrap must be positive");
-}
-
 std::vector<pmc::Preset> RobustCounterSource::available_events() const {
   return inner_.available_events();
 }
 
 void RobustCounterSource::start(const std::vector<pmc::Preset>& events) {
   const HealthScope health_scope(health_);
-  double backoff = config_.start_backoff_s;
   for (std::size_t attempt = 1;; ++attempt) {
     try {
       inner_.start(events);
@@ -108,7 +98,7 @@ void RobustCounterSource::start(const std::vector<pmc::Preset>& events) {
       last_good_.reset();
       return;
     } catch (const Error& e) {
-      if (attempt >= config_.start_attempts) {
+      if (attempt >= kStartAttempts) {
         health_ = HealthState::Failed;
         throw e.with_context("RobustCounterSource: start failed after " +
                              std::to_string(attempt) + " attempts");
@@ -117,10 +107,6 @@ void RobustCounterSource::start(const std::vector<pmc::Preset>& events) {
       robust_metrics().start_retries.add(1);
       PWX_LOG_WARN("RobustCounterSource: start attempt ", attempt, " failed (",
                    e.what(), "), retrying");
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff *= 2.0;
-      }
     }
   }
 }
@@ -136,8 +122,8 @@ std::optional<CounterSample> RobustCounterSource::sanitize(CounterSample sample)
     }
     // A delta more negative than half the counter width is a wrap, not a
     // genuine negative count: the counter passed its maximum mid-interval.
-    if (count < -0.5 * config_.counter_wrap) {
-      count += config_.counter_wrap;
+    if (count < -0.5 * kCounterWrap) {
+      count += kCounterWrap;
       stats_.overflow_corrections += 1;
       robust_metrics().overflow_corrections.add(1);
     }
@@ -159,7 +145,7 @@ void RobustCounterSource::note_good() {
   exhausted_in_a_row_ = 0;
   held_in_a_row_ = 0;
   if (health_ == HealthState::Degraded &&
-      ++clean_streak_ >= config_.recover_streak) {
+      ++clean_streak_ >= kRecoverStreak) {
     health_ = HealthState::Ok;
     clean_streak_ = 0;
   }
@@ -170,7 +156,7 @@ std::optional<CounterSample> RobustCounterSource::read() {
   if (health_ == HealthState::Failed) {
     return std::nullopt;
   }
-  for (std::size_t attempt = 0; attempt < config_.read_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kReadAttempts; ++attempt) {
     std::optional<CounterSample> raw;
     const double begin = monotonic_seconds();
     try {
@@ -182,7 +168,7 @@ std::optional<CounterSample> RobustCounterSource::read() {
       PWX_LOG_DEBUG("RobustCounterSource: read threw (", e.what(), ")");
       continue;
     }
-    if (monotonic_seconds() - begin > config_.read_timeout_s) {
+    if (monotonic_seconds() - begin > kReadTimeoutS) {
       stats_.watchdog_timeouts += 1;
       robust_metrics().watchdog_timeouts.add(1);
       note_fault();  // stalled reads degrade health, but the data may be good
@@ -210,7 +196,7 @@ std::optional<CounterSample> RobustCounterSource::read() {
   note_fault();
   exhausted_in_a_row_ += 1;
   if (exhausted_in_a_row_ >= 2 || !last_good_.has_value() ||
-      held_in_a_row_ >= config_.max_held_samples) {
+      held_in_a_row_ >= kMaxHeldSamples) {
     health_ = HealthState::Failed;
     PWX_LOG_WARN("RobustCounterSource: read retry budget exhausted, FAILED");
     return std::nullopt;

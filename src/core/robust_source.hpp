@@ -7,18 +7,18 @@
 // class so downstream consumers (OnlineEstimator, FleetEstimator) only ever
 // see structurally valid samples:
 //
-//  - start(): bounded retry with exponential backoff; rethrows with context
-//    (and health FAILED) only after the attempt budget is exhausted.
-//  - read(): per-call retry budget; a watchdog clock flags reads that exceed
-//    the configured deadline; negative deltas larger than half the counter
-//    width are corrected as overflow wraps; NaN/Inf or residual-negative
-//    samples are discarded and re-read.
-//  - health: OK -> DEGRADED on any fault, DEGRADED -> OK after a streak of
-//    clean reads, DEGRADED -> FAILED when a read exhausts its retry budget
-//    twice in a row (FAILED is terminal: read() returns nullopt). While
-//    DEGRADED with the budget exhausted once, the last good sample is
-//    re-served (held) so the estimate stream stays alive, bounded by
-//    max_held_samples.
+//  - start(): retried at once, up to kStartAttempts tries in all; rethrows
+//    with context (and health FAILED) only after the last one fails.
+//  - read(): up to kReadAttempts underlying reads per call; a watchdog clock
+//    flags reads slower than kReadTimeoutS; negative deltas larger than half
+//    the counter width (kCounterWrap) are corrected as overflow wraps;
+//    NaN/Inf or residual-negative samples are discarded and re-read.
+//  - health: OK -> DEGRADED on any fault, DEGRADED -> OK after
+//    kRecoverStreak clean reads, DEGRADED -> FAILED when a read exhausts its
+//    retry budget twice in a row (FAILED is terminal: read() returns
+//    nullopt). While DEGRADED with the budget exhausted once, the last good
+//    sample is re-served (held) so the estimate stream stays alive, at most
+//    kMaxHeldSamples times in a row.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +31,13 @@
 
 namespace pwx::core {
 
-/// Tunables of the hardening layer.
-struct RobustSourceConfig {
-  std::size_t start_attempts = 4;     ///< total start() tries before giving up
-  double start_backoff_s = 0.0;       ///< sleep before retry (doubles per try)
-  std::size_t read_attempts = 4;      ///< reads tried per read() call
-  double read_timeout_s = 1.0;        ///< watchdog deadline per underlying read
-  double counter_wrap = 281474976710656.0;  ///< 2^48: Haswell counter width
-  std::size_t recover_streak = 3;     ///< clean reads to go DEGRADED -> OK
-  std::size_t max_held_samples = 5;   ///< last-good re-serves before FAILED
-};
+// Budgets of the hardening layer.
+inline constexpr std::size_t kStartAttempts = 4;   ///< total start() tries
+inline constexpr std::size_t kReadAttempts = 4;    ///< reads tried per read() call
+inline constexpr double kReadTimeoutS = 1.0;       ///< watchdog deadline per read
+inline constexpr double kCounterWrap = 281474976710656.0;  ///< 2^48: Haswell width
+inline constexpr std::size_t kRecoverStreak = 3;   ///< clean reads, DEGRADED -> OK
+inline constexpr std::size_t kMaxHeldSamples = 5;  ///< last-good re-serves in a row
 
 /// Observable record of what the hardening layer absorbed.
 struct RobustSourceStats {
@@ -56,7 +53,7 @@ struct RobustSourceStats {
 class RobustCounterSource final : public CounterSource {
 public:
   /// Does not own `inner`; it must outlive this object.
-  explicit RobustCounterSource(CounterSource& inner, RobustSourceConfig config = {});
+  explicit RobustCounterSource(CounterSource& inner) : inner_(inner) {}
 
   std::vector<pmc::Preset> available_events() const override;
   void start(const std::vector<pmc::Preset>& events) override;
@@ -64,7 +61,6 @@ public:
 
   HealthState health() const { return health_; }
   const RobustSourceStats& stats() const { return stats_; }
-  const RobustSourceConfig& config() const { return config_; }
 
 private:
   /// Validate and repair one raw sample; nullopt when unusable.
@@ -73,7 +69,6 @@ private:
   void note_good();
 
   CounterSource& inner_;
-  RobustSourceConfig config_;
   HealthState health_ = HealthState::Ok;
   RobustSourceStats stats_;
   std::size_t clean_streak_ = 0;

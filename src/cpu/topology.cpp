@@ -21,27 +21,15 @@ MachineSpec haswell_ep_2690v3() {
 }
 
 std::vector<std::size_t> active_cores_per_socket(const MachineSpec& spec,
-                                                 std::size_t threads,
-                                                 Pinning pinning) {
+                                                 std::size_t threads) {
   PWX_REQUIRE(threads <= spec.total_cores(), "thread count ", threads,
               " exceeds core count ", spec.total_cores());
   std::vector<std::size_t> per_socket(spec.sockets, 0);
-  switch (pinning) {
-    case Pinning::Compact: {
-      std::size_t remaining = threads;
-      for (std::size_t s = 0; s < spec.sockets && remaining > 0; ++s) {
-        const std::size_t here = std::min(remaining, spec.cores_per_socket);
-        per_socket[s] = here;
-        remaining -= here;
-      }
-      break;
-    }
-    case Pinning::Scatter: {
-      for (std::size_t t = 0; t < threads; ++t) {
-        per_socket[t % spec.sockets] += 1;
-      }
-      break;
-    }
+  std::size_t remaining = threads;
+  for (std::size_t s = 0; s < spec.sockets && remaining > 0; ++s) {
+    const std::size_t here = std::min(remaining, spec.cores_per_socket);
+    per_socket[s] = here;
+    remaining -= here;
   }
   return per_socket;
 }

@@ -31,15 +31,9 @@ struct MachineSpec {
 /// The paper's platform: dual-socket E5-2690 v3, HT and Turbo off.
 MachineSpec haswell_ep_2690v3();
 
-/// Thread placement policies for multi-threaded runs.
-enum class Pinning {
-  Compact,  ///< fill socket 0 before socket 1 (OMP_PLACES=cores, close)
-  Scatter,  ///< round-robin across sockets (spread)
-};
-
-/// Number of active cores on each socket for `threads` total threads.
+/// Number of active cores on each socket for `threads` total threads under
+/// compact pinning: socket 0 fills before socket 1 (OMP_PLACES=cores, close).
 std::vector<std::size_t> active_cores_per_socket(const MachineSpec& spec,
-                                                 std::size_t threads,
-                                                 Pinning pinning = Pinning::Compact);
+                                                 std::size_t threads);
 
 }  // namespace pwx::cpu

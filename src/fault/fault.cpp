@@ -69,7 +69,7 @@ FaultPlan FaultPlan::single(FaultKind kind, double probability, std::uint64_t se
               "fault probability must be in [0,1], got ", probability);
   FaultPlan plan;
   plan.seed = seed;
-  plan.specs.push_back({kind, probability, magnitude, ""});
+  plan.specs.push_back({kind, probability, magnitude});
   return plan;
 }
 
@@ -79,26 +79,26 @@ FaultPlan FaultPlan::escalating(std::uint64_t seed, double intensity) {
   FaultPlan plan;
   plan.seed = seed;
   // Per-interval counter faults (many opportunities per run -> low base).
-  plan.specs.push_back({FaultKind::DropSample, p(0.01), 1.0, ""});
-  plan.specs.push_back({FaultKind::DuplicateSample, p(0.01), 1.0, ""});
-  plan.specs.push_back({FaultKind::StuckCounter, p(0.01), 1.0, ""});
-  plan.specs.push_back({FaultKind::OverflowWrap, p(0.005), 1.0, ""});
-  plan.specs.push_back({FaultKind::NanDelta, p(0.005), 1.0, ""});
-  plan.specs.push_back({FaultKind::NegativeDelta, p(0.005), 1.0, ""});
+  plan.specs.push_back({FaultKind::DropSample, p(0.01), 1.0});
+  plan.specs.push_back({FaultKind::DuplicateSample, p(0.01), 1.0});
+  plan.specs.push_back({FaultKind::StuckCounter, p(0.01), 1.0});
+  plan.specs.push_back({FaultKind::OverflowWrap, p(0.005), 1.0});
+  plan.specs.push_back({FaultKind::NanDelta, p(0.005), 1.0});
+  plan.specs.push_back({FaultKind::NegativeDelta, p(0.005), 1.0});
   // Per-run faults.
-  plan.specs.push_back({FaultKind::TruncateRun, p(0.02), 0.5, ""});
-  plan.specs.push_back({FaultKind::TruncateTrace, p(0.01), 0.5, ""});
-  plan.specs.push_back({FaultKind::CorruptTraceByte, p(0.01), 1.0, ""});
+  plan.specs.push_back({FaultKind::TruncateRun, p(0.02), 0.5});
+  plan.specs.push_back({FaultKind::TruncateTrace, p(0.01), 0.5});
+  plan.specs.push_back({FaultKind::CorruptTraceByte, p(0.01), 1.0});
   // Sensor faults (per interval).
-  plan.specs.push_back({FaultKind::PowerDropout, p(0.008), 1.0, ""});
-  plan.specs.push_back({FaultKind::PowerSpike, p(0.008), 8.0, ""});
+  plan.specs.push_back({FaultKind::PowerDropout, p(0.008), 1.0});
+  plan.specs.push_back({FaultKind::PowerSpike, p(0.008), 8.0});
   // Source-lifecycle faults (per start/read attempt).
-  plan.specs.push_back({FaultKind::StartFailure, p(0.2), 1.0, ""});
-  plan.specs.push_back({FaultKind::ReadFailure, p(0.05), 1.0, ""});
+  plan.specs.push_back({FaultKind::StartFailure, p(0.2), 1.0});
+  plan.specs.push_back({FaultKind::ReadFailure, p(0.05), 1.0});
   // Model-refresh faults (per refresh attempt).
-  plan.specs.push_back({FaultKind::StaleLayoutPublish, p(0.05), 1.0, ""});
-  plan.specs.push_back({FaultKind::TruncatedCandidate, p(0.05), 1.0, ""});
-  plan.specs.push_back({FaultKind::ValidationTimeout, p(0.05), 1.0, ""});
+  plan.specs.push_back({FaultKind::StaleLayoutPublish, p(0.05), 1.0});
+  plan.specs.push_back({FaultKind::TruncatedCandidate, p(0.05), 1.0});
+  plan.specs.push_back({FaultKind::ValidationTimeout, p(0.05), 1.0});
   return plan;
 }
 
@@ -120,22 +120,18 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
   }
 }
 
-const FaultSpec* FaultInjector::find_spec(FaultKind kind, std::string_view site) const {
+const FaultSpec* FaultInjector::find_spec(FaultKind kind) const {
   for (const FaultSpec& spec : plan_.specs) {
-    if (spec.kind != kind) {
-      continue;
+    if (spec.kind == kind) {
+      return &spec;
     }
-    if (!spec.site_filter.empty() && site.find(spec.site_filter) == std::string_view::npos) {
-      continue;
-    }
-    return &spec;
   }
   return nullptr;
 }
 
 bool FaultInjector::fires(FaultKind kind, std::string_view site,
                           std::uint64_t index) const {
-  const FaultSpec* spec = find_spec(kind, site);
+  const FaultSpec* spec = find_spec(kind);
   if (spec == nullptr || spec->probability <= 0.0) {
     return false;
   }
@@ -147,8 +143,8 @@ double FaultInjector::draw(FaultKind kind, std::string_view site,
   return key_uniform(plan_.seed, kind, site, index, /*salt=*/1);
 }
 
-double FaultInjector::magnitude(FaultKind kind, std::string_view site) const {
-  const FaultSpec* spec = find_spec(kind, site);
+double FaultInjector::magnitude(FaultKind kind) const {
+  const FaultSpec* spec = find_spec(kind);
   return spec != nullptr ? spec->magnitude : 1.0;
 }
 

@@ -4,9 +4,9 @@
 // misbehaves: PAPI/perf reads glitch, multiplexed runs die half-way, trace
 // files truncate, and power sensors drop samples or spike. This subsystem
 // makes that whole failure class *reproducible*: a FaultPlan names which
-// fault kinds can fire (with per-kind probability, magnitude, and an
-// optional site filter), and a FaultInjector turns the plan into pure,
-// stateless decisions keyed on (plan seed, site string, occurrence index).
+// fault kinds can fire (with per-kind probability and magnitude), and a
+// FaultInjector turns the plan into pure, stateless decisions keyed on
+// (plan seed, site string, occurrence index).
 // The same plan therefore produces byte-identical fault schedules no matter
 // how many threads execute the instrumented code or in which order — the
 // property the chaos-campaign bench asserts.
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -59,9 +58,6 @@ struct FaultSpec {
   FaultKind kind = FaultKind::DropSample;
   double probability = 0.0;  ///< chance of firing per opportunity, in [0,1]
   double magnitude = 1.0;    ///< kind-specific scale (spike factor, ...)
-  /// When non-empty, the spec only applies to sites whose key contains this
-  /// substring (site keys look like "campaign/<workload>/f2.4/t24/g3/a0").
-  std::string site_filter;
 };
 
 /// A complete seeded fault schedule.
@@ -78,7 +74,7 @@ struct FaultPlan {
   /// escalation used by bench/robustness_campaign).
   static FaultPlan escalating(std::uint64_t seed, double intensity = 1.0);
 
-  /// Highest probability configured for `kind` at any site (0 = disarmed).
+  /// Highest probability configured for `kind` (0 = disarmed).
   double armed_probability(FaultKind kind) const;
 };
 
@@ -97,12 +93,12 @@ public:
   double draw(FaultKind kind, std::string_view site, std::uint64_t index) const;
 
   /// Magnitude configured for `kind` (first matching spec; 1.0 if none).
-  double magnitude(FaultKind kind, std::string_view site) const;
+  double magnitude(FaultKind kind) const;
 
   const FaultPlan& plan() const { return plan_; }
 
 private:
-  const FaultSpec* find_spec(FaultKind kind, std::string_view site) const;
+  const FaultSpec* find_spec(FaultKind kind) const;
 
   FaultPlan plan_;
 };

@@ -71,7 +71,7 @@ RunFaultReport apply_run_faults(const FaultInjector& injector, const std::string
       note(FaultKind::PowerDropout, true);
     }
     if (injector.fires(FaultKind::PowerSpike, site, i)) {
-      interval.measured_power_watts *= injector.magnitude(FaultKind::PowerSpike, site);
+      interval.measured_power_watts *= injector.magnitude(FaultKind::PowerSpike);
       note(FaultKind::PowerSpike, true);
     }
   }

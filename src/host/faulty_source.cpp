@@ -4,19 +4,21 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "core/robust_source.hpp"
 
 namespace pwx::host {
 
+using core::kCounterWrap;
 using fault::FaultKind;
 
 namespace {
-/// Haswell counters are 48 bits wide (matches RobustSourceConfig::counter_wrap).
-constexpr double kCounterWrap = 281474976710656.0;  // 2^48
+/// Site key of every fault decision this source draws.
+constexpr std::string_view kSite = "counter_source";
 }  // namespace
 
 FaultyCounterSource::FaultyCounterSource(core::CounterSource& inner,
-                                         fault::FaultPlan plan, std::string site)
-    : inner_(inner), injector_(std::move(plan)), site_(std::move(site)) {}
+                                         fault::FaultPlan plan)
+    : inner_(inner), injector_(std::move(plan)) {}
 
 std::vector<pmc::Preset> FaultyCounterSource::available_events() const {
   return inner_.available_events();
@@ -28,7 +30,7 @@ void FaultyCounterSource::note(FaultKind kind) {
 
 void FaultyCounterSource::start(const std::vector<pmc::Preset>& events) {
   const std::uint64_t attempt = start_attempts_++;
-  if (injector_.fires(FaultKind::StartFailure, site_, attempt)) {
+  if (injector_.fires(FaultKind::StartFailure, kSite, attempt)) {
     note(FaultKind::StartFailure);
     throw Error("injected transient start failure (attempt " +
                     std::to_string(attempt) + ")",
@@ -46,7 +48,7 @@ void FaultyCounterSource::corrupt(core::CounterSample& sample, std::uint64_t ind
       return nullptr;
     }
     const std::size_t target = static_cast<std::size_t>(
-        injector_.draw(kind, site_, index) * static_cast<double>(sample.counts.size()));
+        injector_.draw(kind, kSite, index) * static_cast<double>(sample.counts.size()));
     auto it = sample.counts.begin();
     std::advance(it, static_cast<std::ptrdiff_t>(
                          std::min(target, sample.counts.size() - 1)));
@@ -54,10 +56,10 @@ void FaultyCounterSource::corrupt(core::CounterSample& sample, std::uint64_t ind
   };
 
   if (previous_.has_value() && !sample.counts.empty() &&
-      injector_.fires(FaultKind::StuckCounter, site_, index)) {
+      injector_.fires(FaultKind::StuckCounter, kSite, index)) {
     // One counter repeats the previous interval's reading.
     const std::size_t target = static_cast<std::size_t>(
-        injector_.draw(FaultKind::StuckCounter, site_, index) *
+        injector_.draw(FaultKind::StuckCounter, kSite, index) *
         static_cast<double>(sample.counts.size()));
     auto it = sample.counts.begin();
     std::advance(it, static_cast<std::ptrdiff_t>(
@@ -68,31 +70,31 @@ void FaultyCounterSource::corrupt(core::CounterSample& sample, std::uint64_t ind
       note(FaultKind::StuckCounter);
     }
   }
-  if (injector_.fires(FaultKind::OverflowWrap, site_, index)) {
+  if (injector_.fires(FaultKind::OverflowWrap, kSite, index)) {
     if (double* value = pick(FaultKind::OverflowWrap)) {
       *value -= kCounterWrap;
       note(FaultKind::OverflowWrap);
     }
   }
-  if (injector_.fires(FaultKind::NanDelta, site_, index)) {
+  if (injector_.fires(FaultKind::NanDelta, kSite, index)) {
     if (double* value = pick(FaultKind::NanDelta)) {
       *value = std::numeric_limits<double>::quiet_NaN();
       note(FaultKind::NanDelta);
     }
   }
-  if (injector_.fires(FaultKind::NegativeDelta, site_, index)) {
+  if (injector_.fires(FaultKind::NegativeDelta, kSite, index)) {
     if (double* value = pick(FaultKind::NegativeDelta)) {
       *value = -std::abs(*value) * 0.01 - 1.0;
       note(FaultKind::NegativeDelta);
     }
   }
   // Sensor-channel faults: the voltage readout stands in for the power rail.
-  if (injector_.fires(FaultKind::PowerDropout, site_, index)) {
+  if (injector_.fires(FaultKind::PowerDropout, kSite, index)) {
     sample.voltage = 0.0;
     note(FaultKind::PowerDropout);
   }
-  if (injector_.fires(FaultKind::PowerSpike, site_, index)) {
-    sample.voltage *= injector_.magnitude(FaultKind::PowerSpike, site_);
+  if (injector_.fires(FaultKind::PowerSpike, kSite, index)) {
+    sample.voltage *= injector_.magnitude(FaultKind::PowerSpike);
     note(FaultKind::PowerSpike);
   }
 }
@@ -104,7 +106,7 @@ std::optional<core::CounterSample> FaultyCounterSource::read() {
   }
   for (;;) {
     const std::uint64_t index = read_index_++;
-    if (injector_.fires(FaultKind::ReadFailure, site_, index)) {
+    if (injector_.fires(FaultKind::ReadFailure, kSite, index)) {
       note(FaultKind::ReadFailure);
       throw Error("injected transient read failure", ErrorCode::Unavailable);
     }
@@ -112,12 +114,12 @@ std::optional<core::CounterSample> FaultyCounterSource::read() {
     if (!sample.has_value()) {
       return std::nullopt;
     }
-    if (injector_.fires(FaultKind::DropSample, site_, index)) {
+    if (injector_.fires(FaultKind::DropSample, kSite, index)) {
       note(FaultKind::DropSample);
       continue;  // the sample is lost; deliver the next one
     }
     corrupt(*sample, index);
-    if (injector_.fires(FaultKind::DuplicateSample, site_, index)) {
+    if (injector_.fires(FaultKind::DuplicateSample, kSite, index)) {
       note(FaultKind::DuplicateSample);
       pending_duplicate_ = true;
     }

@@ -27,11 +27,9 @@ namespace pwx::host {
 
 class FaultyCounterSource final : public core::CounterSource {
 public:
-  /// Does not own `inner`; it must outlive this object. `site` keys the
-  /// injector's decisions (two sources with different sites draw
-  /// independent schedules from one plan).
-  FaultyCounterSource(core::CounterSource& inner, fault::FaultPlan plan,
-                      std::string site = "counter_source");
+  /// Does not own `inner`; it must outlive this object. The injector's
+  /// decisions are keyed on the site "counter_source".
+  FaultyCounterSource(core::CounterSource& inner, fault::FaultPlan plan);
 
   std::vector<pmc::Preset> available_events() const override;
   void start(const std::vector<pmc::Preset>& events) override;
@@ -47,7 +45,6 @@ private:
 
   core::CounterSource& inner_;
   fault::FaultInjector injector_;
-  std::string site_;
   std::uint64_t start_attempts_ = 0;
   std::uint64_t read_index_ = 0;
   std::optional<core::CounterSample> previous_;  ///< for stuck/duplicate faults

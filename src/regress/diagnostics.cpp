@@ -19,9 +19,7 @@ HeteroscedasticityTest breusch_pagan(const la::Matrix& x,
   for (std::size_t i = 0; i < n; ++i) {
     e2[i] = residuals[i] * residuals[i];
   }
-  OlsOptions opt;
-  opt.add_intercept = true;
-  const OlsResult aux = fit_ols(x, e2, opt);
+  const OlsResult aux = fit_ols(x, e2);
 
   HeteroscedasticityTest out;
   out.df = static_cast<double>(x.cols());

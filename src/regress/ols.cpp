@@ -27,10 +27,10 @@ la::Matrix with_intercept(const la::Matrix& x) {
 }  // namespace
 
 OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
-                  const OlsOptions& options) {
+                  CovarianceType cov_type) {
   PWX_REQUIRE(x_in.rows() == y.size(), "fit_ols: X has ", x_in.rows(),
               " rows but y has ", y.size());
-  const la::Matrix x = options.add_intercept ? with_intercept(x_in) : x_in;
+  const la::Matrix x = with_intercept(x_in);
   const std::size_t n = x.rows();
   const std::size_t k = x.cols();
   PWX_REQUIRE(n > k, "fit_ols needs more observations (", n, ") than parameters (", k,
@@ -45,8 +45,7 @@ OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
   OlsResult res;
   res.n_observations = n;
   res.n_parameters = k;
-  res.has_intercept = options.add_intercept;
-  res.cov_type = options.cov_type;
+  res.cov_type = cov_type;
   res.beta = qr.solve(y);
   res.fitted = x.multiply(res.beta);
   res.residuals.resize(n);
@@ -56,23 +55,15 @@ OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
     ss_res += res.residuals[i] * res.residuals[i];
   }
 
-  // R²: centered when there's an intercept, uncentered otherwise
-  // (statsmodels convention).
+  // R², centered (the fit has an intercept).
   double ss_tot = 0.0;
-  if (options.add_intercept) {
-    const double ybar = stats::mean(y);
-    for (double yi : y) {
-      ss_tot += (yi - ybar) * (yi - ybar);
-    }
-  } else {
-    for (double yi : y) {
-      ss_tot += yi * yi;
-    }
+  const double ybar = stats::mean(y);
+  for (double yi : y) {
+    ss_tot += (yi - ybar) * (yi - ybar);
   }
   res.r_squared = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
   const double df_resid = static_cast<double>(n - k);
-  const double df_tot =
-      options.add_intercept ? static_cast<double>(n - 1) : static_cast<double>(n);
+  const double df_tot = static_cast<double>(n - 1);
   res.adj_r_squared = 1.0 - (1.0 - res.r_squared) * df_tot / df_resid;
   res.sigma2 = ss_res / df_resid;
 
@@ -91,54 +82,33 @@ OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
   const la::Matrix r_inv = qr.r_inverse();
   const la::Matrix xtx_inv = r_inv * r_inv.transposed();
 
-  switch (options.cov_type) {
-    case CovarianceType::NonRobust: {
-      res.covariance = xtx_inv;
-      res.covariance *= res.sigma2;
-      break;
-    }
-    case CovarianceType::HC0:
-    case CovarianceType::HC1:
-    case CovarianceType::HC2:
-    case CovarianceType::HC3: {
-      // Sandwich: (XᵀX)⁻¹ Xᵀ diag(w) X (XᵀX)⁻¹ with per-row weights w_i.
-      std::vector<double> w(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double e2 = res.residuals[i] * res.residuals[i];
-        switch (options.cov_type) {
-          case CovarianceType::HC0: w[i] = e2; break;
-          case CovarianceType::HC1: w[i] = e2 * static_cast<double>(n) / df_resid; break;
-          case CovarianceType::HC2: w[i] = e2 / (1.0 - res.leverage[i]); break;
-          case CovarianceType::HC3: {
-            const double denom = 1.0 - res.leverage[i];
-            w[i] = e2 / (denom * denom);
-            break;
-          }
-          default: break;
-        }
-      }
-      // meat = Xᵀ diag(w) X.
-      la::Matrix meat(k, k);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto row = x.row(i);
-        for (std::size_t a = 0; a < k; ++a) {
-          const double wa = w[i] * row[a];
-          if (wa == 0.0) {
-            continue;
-          }
-          for (std::size_t b = a; b < k; ++b) {
-            meat(a, b) += wa * row[b];
-          }
-        }
-      }
+  if (cov_type == CovarianceType::NonRobust) {
+    res.covariance = xtx_inv;
+    res.covariance *= res.sigma2;
+  } else {
+    // HC3 sandwich: (XᵀX)⁻¹ Xᵀ diag(w) X (XᵀX)⁻¹ with w_i = e_i²/(1−h_ii)².
+    // meat = Xᵀ diag(w) X.
+    la::Matrix meat(k, k);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double denom = 1.0 - res.leverage[i];
+      const double w = res.residuals[i] * res.residuals[i] / (denom * denom);
+      const auto row = x.row(i);
       for (std::size_t a = 0; a < k; ++a) {
-        for (std::size_t b = 0; b < a; ++b) {
-          meat(a, b) = meat(b, a);
+        const double wa = w * row[a];
+        if (wa == 0.0) {
+          continue;
+        }
+        for (std::size_t b = a; b < k; ++b) {
+          meat(a, b) += wa * row[b];
         }
       }
-      res.covariance = xtx_inv * meat * xtx_inv;
-      break;
     }
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = 0; b < a; ++b) {
+        meat(a, b) = meat(b, a);
+      }
+    }
+    res.covariance = xtx_inv * meat * xtx_inv;
   }
 
   res.standard_error.resize(k);
@@ -152,7 +122,7 @@ OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
   }
 
   // Overall F test (non-robust, against the intercept-only model).
-  if (options.add_intercept && k > 1 && res.r_squared < 1.0) {
+  if (k > 1 && res.r_squared < 1.0) {
     const double df_model = static_cast<double>(k - 1);
     res.f_statistic = (res.r_squared / df_model) / ((1.0 - res.r_squared) / df_resid);
     res.f_p_value = f_distribution_sf(res.f_statistic, df_model, df_resid);
@@ -161,14 +131,13 @@ OlsResult fit_ols(const la::Matrix& x_in, std::span<const double> y,
 }
 
 std::vector<double> OlsResult::predict(const la::Matrix& x) const {
-  const std::size_t expected = has_intercept ? n_parameters - 1 : n_parameters;
+  const std::size_t expected = n_parameters - 1;
   PWX_REQUIRE(x.cols() == expected, "predict: expected ", expected, " columns, got ",
               x.cols());
-  std::vector<double> out(x.rows(), has_intercept ? beta[0] : 0.0);
-  const std::size_t offset = has_intercept ? 1 : 0;
+  std::vector<double> out(x.rows(), beta[0]);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     for (std::size_t c = 0; c < x.cols(); ++c) {
-      out[r] += beta[c + offset] * x(r, c);
+      out[r] += beta[c + 1] * x(r, c);
     }
   }
   return out;
@@ -176,14 +145,7 @@ std::vector<double> OlsResult::predict(const la::Matrix& x) const {
 
 std::string OlsResult::summary(const std::vector<std::string>& names) const {
   std::ostringstream os;
-  const char* cov_name = "nonrobust";
-  switch (cov_type) {
-    case CovarianceType::HC0: cov_name = "HC0"; break;
-    case CovarianceType::HC1: cov_name = "HC1"; break;
-    case CovarianceType::HC2: cov_name = "HC2"; break;
-    case CovarianceType::HC3: cov_name = "HC3"; break;
-    default: break;
-  }
+  const char* cov_name = cov_type == CovarianceType::HC3 ? "HC3" : "nonrobust";
   os << "OLS Regression Results\n";
   os << "  observations: " << n_observations << "  parameters: " << n_parameters
      << "  cov: " << cov_name << '\n';
@@ -195,11 +157,9 @@ std::string OlsResult::summary(const std::vector<std::string>& names) const {
   }
   os << "  coefficients:\n";
   for (std::size_t j = 0; j < beta.size(); ++j) {
-    std::string name;
-    if (has_intercept && j == 0) {
-      name = "const";
-    } else {
-      const std::size_t idx = has_intercept ? j - 1 : j;
+    std::string name = "const";
+    if (j > 0) {
+      const std::size_t idx = j - 1;
       name = idx < names.size() ? names[idx] : "x" + std::to_string(idx);
     }
     os << "    " << name << ": " << format_double(beta[j], 6) << "  (se "

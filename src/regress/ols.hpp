@@ -1,9 +1,10 @@
-// Ordinary least squares with heteroscedasticity-consistent covariance
-// estimators (HC0–HC3), mirroring python3 statsmodels' `OLS(...).fit(
-// cov_type="HC3")` which the paper uses for Equation 1.
+// Ordinary least squares with an intercept and either the classical or the
+// HC3 heteroscedasticity-consistent covariance, mirroring python3
+// statsmodels' `OLS(...).fit(cov_type="HC3")` which the paper uses for
+// Equation 1.
 //
-// The fit goes through a Householder QR of the design matrix; the hat
-// diagonal h_ii needed by HC2/HC3 comes from the thin Q factor
+// The fit goes through a Householder QR of the intercept-augmented design;
+// the hat diagonal h_ii needed by HC3 comes from the thin Q factor
 // (h_ii = Σ_j Q_ij²), and (XᵀX)⁻¹ = R⁻¹ R⁻ᵀ.
 #pragma once
 
@@ -18,21 +19,12 @@ namespace pwx::regress {
 /// Covariance estimator choice.
 enum class CovarianceType {
   NonRobust,  ///< classical sigma² (XᵀX)⁻¹
-  HC0,        ///< White: weights e_i²
-  HC1,        ///< HC0 scaled by n/(n-k)
-  HC2,        ///< weights e_i² / (1 - h_ii)
-  HC3,        ///< weights e_i² / (1 - h_ii)²  — the paper's choice
-};
-
-/// Options controlling the fit.
-struct OlsOptions {
-  bool add_intercept = true;
-  CovarianceType cov_type = CovarianceType::NonRobust;
+  HC3,        ///< sandwich with weights e_i² / (1 - h_ii)²  — the paper's choice
 };
 
 /// Full result of an OLS fit.
 struct OlsResult {
-  std::vector<double> beta;          ///< coefficients (intercept first if added)
+  std::vector<double> beta;          ///< coefficients, intercept first
   std::vector<double> standard_error;///< per-coefficient SE under cov_type
   std::vector<double> t_statistic;   ///< beta / SE
   std::vector<double> p_value;       ///< two-sided Student-t p-values
@@ -47,20 +39,19 @@ struct OlsResult {
   double f_p_value = 1.0;
   std::size_t n_observations = 0;
   std::size_t n_parameters = 0;      ///< columns incl. intercept
-  bool has_intercept = false;
   CovarianceType cov_type = CovarianceType::NonRobust;
 
   /// Predict for a new design matrix with the same column layout as the fit
-  /// input (intercept is handled internally when the fit added one).
+  /// input (without the intercept column, which the fit added).
   std::vector<double> predict(const la::Matrix& x) const;
 
   /// Human-readable summary (statsmodels-flavoured), for examples/benches.
   std::string summary(const std::vector<std::string>& names = {}) const;
 };
 
-/// Fit y ~ X (plus intercept when requested). Requires n > k and full column
-/// rank; throws pwx::NumericalError otherwise.
+/// Fit y ~ 1 + X. Requires n > k + 1 and full column rank; throws
+/// pwx::NumericalError otherwise.
 OlsResult fit_ols(const la::Matrix& x, std::span<const double> y,
-                  const OlsOptions& options = {});
+                  CovarianceType cov_type = CovarianceType::NonRobust);
 
 }  // namespace pwx::regress

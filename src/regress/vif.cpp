@@ -23,11 +23,8 @@ double vif_for_column(const la::Matrix& x, std::size_t j) {
   const la::Matrix design = x.select_columns(others);
   const std::vector<double> target = x.col(j);
 
-  OlsOptions opt;
-  opt.add_intercept = true;
-  opt.cov_type = CovarianceType::NonRobust;
   try {
-    const OlsResult aux = fit_ols(design, target, opt);
+    const OlsResult aux = fit_ols(design, target);
     if (aux.r_squared >= 1.0) {
       return std::numeric_limits<double>::infinity();
     }

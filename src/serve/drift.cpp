@@ -38,11 +38,6 @@ DriftMonitor::DriftMonitor(DriftConfig config) : config_(config) {
   PWX_REQUIRE(config_.trigger_windows > 0,
               "drift trigger_windows must be positive");
   PWX_REQUIRE(config_.max_mape_pct > 0.0, "drift MAPE threshold must be positive");
-  PWX_REQUIRE(config_.max_abs_bias_watts > 0.0,
-              "drift bias threshold must be positive");
-  PWX_REQUIRE(config_.max_invalid_fraction >= 0.0 &&
-                  config_.max_invalid_fraction <= 1.0,
-              "drift invalid-fraction threshold must be in [0,1]");
 }
 
 std::optional<WindowStats> DriftMonitor::observe(double estimate_watts,
@@ -107,8 +102,8 @@ std::optional<WindowStats> DriftMonitor::finish_window() {
                                static_cast<double>(health_events_)
                          : 0.0;
   stats.breached = stats.mape_pct > config_.max_mape_pct ||
-                   std::fabs(stats.bias_watts) > config_.max_abs_bias_watts ||
-                   stats.invalid_fraction > config_.max_invalid_fraction;
+                   std::fabs(stats.bias_watts) > kMaxAbsBiasWatts ||
+                   stats.invalid_fraction > kMaxInvalidFraction;
 
   residuals_ = 0;
   usable_residuals_ = 0;

@@ -24,12 +24,16 @@
 
 namespace pwx::serve {
 
+/// A window also breaches when |mean signed error| exceeds this ...
+inline constexpr double kMaxAbsBiasWatts = 20.0;
+/// ... or when more than this fraction of its guarded-path health events
+/// were invalid samples.
+inline constexpr double kMaxInvalidFraction = 0.25;
+
 /// Drift thresholds and hysteresis.
 struct DriftConfig {
   std::size_t window_size = 64;        ///< residual observations per window
   double max_mape_pct = 10.0;          ///< per-window MAPE breach threshold
-  double max_abs_bias_watts = 20.0;    ///< per-window |mean signed error| breach
-  double max_invalid_fraction = 0.25;  ///< guarded-path invalid-rate breach
   /// Consecutive breaching windows required to raise the retrain trigger
   /// (the hysteresis: one bad window never flaps).
   std::size_t trigger_windows = 3;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "core/model.hpp"
@@ -18,6 +19,12 @@
 namespace pwx::serve {
 
 namespace {
+
+/// Validation watchdog: the gates must finish within this many seconds of
+/// the refresh's start.
+constexpr double kValidationDeadlineS = 60.0;
+/// Fault-injection site of the refresh path.
+constexpr std::string_view kRefreshFaultSite = "serve/refresh";
 
 struct RefreshMetrics {
   obs::Counter& attempts = obs::registry().counter(
@@ -244,7 +251,7 @@ RefreshReport refresh_model_impl(core::LayoutEpoch& epoch,
   // and gate (a torn hand-off). The plausibility gate must catch it.
   if (config.injector != nullptr &&
       config.injector->fires(fault::FaultKind::TruncatedCandidate,
-                             config.fault_site, config.attempt) &&
+                             kRefreshFaultSite, config.attempt) &&
       !candidate.fit().beta.empty()) {
     regress::OlsResult torn = candidate.fit();
     torn.beta.pop_back();
@@ -306,10 +313,10 @@ RefreshReport refresh_model_impl(core::LayoutEpoch& epoch,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     const bool watchdog_fired =
-        validation_elapsed_s > config.validation_deadline_s ||
+        validation_elapsed_s > kValidationDeadlineS ||
         (config.injector != nullptr &&
          config.injector->fires(fault::FaultKind::ValidationTimeout,
-                                config.fault_site, config.attempt));
+                                kRefreshFaultSite, config.attempt));
     if (watchdog_fired) {
       return finish(RefreshStatus::RejectedTimeout,
                     "validation watchdog expired");
@@ -343,7 +350,7 @@ RefreshReport refresh_model_impl(core::LayoutEpoch& epoch,
   std::uint64_t expected = report.incumbent_generation;
   if (config.injector != nullptr &&
       config.injector->fires(fault::FaultKind::StaleLayoutPublish,
-                             config.fault_site, config.attempt)) {
+                             kRefreshFaultSite, config.attempt)) {
     expected = expected > 1 ? expected - 1 : expected + 1;
   }
   const std::optional<std::uint64_t> published =

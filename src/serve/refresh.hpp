@@ -25,7 +25,7 @@
 //
 // Fault hooks (fault::FaultPlan) cover the refresh path itself:
 // TruncatedCandidate corrupts the fitted coefficients before the gates,
-// ValidationTimeout expires the validation watchdog, StaleLayoutPublish
+// ValidationTimeout expires the validation watchdog (60 s), StaleLayoutPublish
 // makes the refresher publish against a generation it never observed.
 #pragma once
 
@@ -89,14 +89,11 @@ struct RefreshConfig {
   double max_holdout_mape_pct = 15.0;
   /// ... and <= incumbent holdout MAPE + this margin (percentage points).
   double max_mape_regression_pct = 1.0;
-  /// Validation watchdog: gate evaluation must finish within this budget.
-  double validation_deadline_s = 60.0;
 
-  /// Optional refresh-path fault injection (not owned; may be null).
+  /// Optional refresh-path fault injection (not owned; may be null). Its
+  /// decisions are keyed on the site "serve/refresh" with `attempt` as the
+  /// occurrence index, so a plan can fire on, say, exactly the third refresh.
   const fault::FaultInjector* injector = nullptr;
-  /// Site key for fault decisions; `attempt` is the occurrence index, so a
-  /// plan can fire on, say, exactly the third refresh.
-  std::string fault_site = "serve/refresh";
   std::uint64_t attempt = 0;
 };
 

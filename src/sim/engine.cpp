@@ -9,6 +9,16 @@ namespace pwx::sim {
 
 namespace {
 
+/// Coefficient of variation of the content-dependent dynamic-power factor.
+/// The factor is drawn from a hash of (workload, frequency, threads) — the
+/// same configuration always burns the same extra/less power (fixed input
+/// data), different configurations differ, and no counter reflects it.
+constexpr double kContentVariationCv = 0.02;
+/// Sigma (watts, per socket) of the configuration-dependent baseline shift
+/// (fans, VR state, background services on the measured rail). Drawn from
+/// the same configuration hash; dominates *relative* error at idle power.
+constexpr double kBaselineOffsetSigmaWatts = 3.2;
+
 /// Background OS activity on a core with no workload thread: timer ticks and
 /// kernel housekeeping. Roughly 0.3 % duty cycle of idle-like work.
 workloads::PhaseCharacter os_background() {
@@ -199,7 +209,7 @@ RunResult Engine::run(const workloads::Workload& workload,
 
   Rng rng(config.seed);
   const std::vector<std::size_t> threads_per_socket =
-      cpu::active_cores_per_socket(spec_, config.threads, config.pinning);
+      cpu::active_cores_per_socket(spec_, config.threads);
   const workloads::PhaseCharacter background = os_background();
 
   // Content-dependent dynamic-power factor: seeded by the configuration key
@@ -212,12 +222,8 @@ RunResult Engine::run(const workloads::Workload& workload,
   config_key ^= static_cast<std::uint64_t>(config.frequency_ghz * 1e4);
   config_key = config_key * 0x100000001b3ULL + config.threads;
   Rng content_rng(config_key);
-  const double dynamic_scale =
-      config.content_variation_cv > 0.0
-          ? content_rng.lognormal_mean_cv(1.0, config.content_variation_cv)
-          : 1.0;
-  const double baseline_offset =
-      content_rng.normal(0.0, config.baseline_offset_sigma_watts);
+  const double dynamic_scale = content_rng.lognormal_mean_cv(1.0, kContentVariationCv);
+  const double baseline_offset = content_rng.normal(0.0, kBaselineOffsetSigmaWatts);
 
   double total_weight = 0.0;
   for (const auto& phase : workload.phases) {

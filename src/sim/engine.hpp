@@ -29,19 +29,9 @@ namespace pwx::sim {
 struct RunConfig {
   double frequency_ghz = 2.4;
   std::size_t threads = 24;
-  cpu::Pinning pinning = cpu::Pinning::Compact;
   double interval_s = 0.2;      ///< trace/metric sampling interval
   double duration_scale = 1.0;  ///< scales the workload's nominal duration
   std::uint64_t seed = 1;
-  /// Coefficient of variation of the content-dependent dynamic-power factor.
-  /// The factor is drawn from a hash of (workload, frequency, threads) — the
-  /// same configuration always burns the same extra/less power (fixed input
-  /// data), different configurations differ, and no counter reflects it.
-  double content_variation_cv = 0.02;
-  /// Sigma (watts, per socket) of the configuration-dependent baseline shift
-  /// (fans, VR state, background services on the measured rail). Drawn from
-  /// the same configuration hash; dominates *relative* error at idle power.
-  double baseline_offset_sigma_watts = 3.2;
 };
 
 /// One sampled interval of a run.

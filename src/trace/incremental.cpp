@@ -60,8 +60,7 @@ bool IncrementalCampaign::poll() {
     if (!entry.is_regular_file()) {
       continue;
     }
-    if (!options_.extension.empty() &&
-        entry.path().extension() != options_.extension) {
+    if (entry.path().extension() != ".otf2l") {
       continue;
     }
     on_disk.emplace(entry.path().string(),

@@ -5,12 +5,13 @@
 // frequency, thread-count, counter-group) run, over hours.
 // profile_trace_files reduces a *finished* directory in one shot;
 // IncrementalCampaign is the streaming counterpart: each poll() scans the
-// directory, ingests only files that are new or whose (size, mtime) changed,
-// caches their per-file profiles, and republishes the merged table. The reduction runs through the
-// same merge_first_appearance stage over files in path-sorted order, so the
-// published table is bit-identical to a cold profile_trace_files batch over
-// the directory's sorted file list — a test asserts exactly that, and the
-// per-poll work is O(changed files), witnessed by stats()/obs counters.
+// directory's `.otf2l` files, ingests only those that are new or whose
+// (size, mtime) changed, caches their per-file profiles, and republishes the
+// merged table. The reduction runs through the same merge_first_appearance
+// stage over files in path-sorted order, so the published table is
+// bit-identical to a cold profile_trace_files batch over the directory's
+// sorted file list — a test asserts exactly that, and the per-poll work is
+// O(changed files), witnessed by stats()/obs counters.
 //
 // No wall-clock dependence: polling cadence belongs to the caller (the
 // pwx-ingestd tool sleeps between polls; tests call poll() directly), and
@@ -31,8 +32,6 @@ namespace pwx::trace {
 struct IncrementalCampaignOptions {
   /// false defers checksum footers (MapOptions), as in ProfileCampaignOptions.
   bool verify_checksum = true;
-  /// Only files with this extension are picked up ("" accepts everything).
-  std::string extension = ".otf2l";
   /// Monotonic nanosecond clock for the republish-latency stopwatch.
   /// Defaults to std::chrono::steady_clock; tests inject a fake.
   std::function<std::uint64_t()> now_ns;

@@ -330,12 +330,11 @@ INSTANTIATE_TEST_SUITE_P(SmoothingSweep, GuardedBatchFold,
 TEST(GuardedBatch, AllInvalidBatchDegradesThenFails) {
   const ModelLayout layout(test_model());
   OnlineEstimator estimator(test_model());
-  const EstimatorGuards guards;  // defaults
   SampleBatch batch;
   batch.reset(layout);
   DenseSample bad = layout.make_sample();
   Rng rng(21);
-  const std::size_t n = guards.max_consecutive_invalid + 4;
+  const std::size_t n = kMaxConsecutiveInvalid + 4;
   for (std::size_t k = 0; k < n; ++k) {
     layout.to_dense_guarded(varied_sample(rng), bad);
     bad.elapsed_s = -1.0;
@@ -460,9 +459,9 @@ TEST(KernelDigest, ForcedScalarAndAvx2AgreeUnderFaultPlanChaos) {
   // the exact same damaged sample stream.
   fault::FaultPlan plan;
   plan.seed = 0xD16E57;
-  plan.specs.push_back({fault::FaultKind::NanDelta, 0.1, 1.0, ""});
-  plan.specs.push_back({fault::FaultKind::NegativeDelta, 0.1, 1.0, ""});
-  plan.specs.push_back({fault::FaultKind::DropSample, 0.1, 1.0, ""});
+  plan.specs.push_back({fault::FaultKind::NanDelta, 0.1, 1.0});
+  plan.specs.push_back({fault::FaultKind::NegativeDelta, 0.1, 1.0});
+  plan.specs.push_back({fault::FaultKind::DropSample, 0.1, 1.0});
   const fault::FaultInjector injector(plan);
   std::vector<std::uint64_t> digests;
   for (BatchKernel kernel : {BatchKernel::Scalar, BatchKernel::Avx2}) {

@@ -81,14 +81,6 @@ TEST(Features, ColumnLayoutMatchesEquationOne) {
   EXPECT_NEAR(x(0, 3), row.avg_voltage, 1e-12);
 }
 
-TEST(Features, OptionalColumnsCanBeDropped) {
-  const Dataset ds = exact_dataset(8);
-  FeatureSpec spec = exact_spec();
-  spec.include_dynamic_base = false;
-  spec.include_static_v = false;
-  EXPECT_EQ(build_features(ds, spec).cols(), 2u);
-}
-
 TEST(Features, PerSecondNormalizationDiffers) {
   const Dataset ds = exact_dataset(8);
   FeatureSpec per_cycle = exact_spec();
@@ -608,6 +600,31 @@ TEST(ModelIo, MalformedInputRejected) {
   expect_rejected("version", "99", "unsupported model file version 99 (only 1 is read)");
   // An unknown normalization is not served as per-second.
   expect_rejected("normalization", "\"bogus\"", "'bogus'");
+  // Only the classical and HC3 covariances are represented.
+  expect_rejected("cov_type", "\"HC1\"", "cov_type");
+  // Equation 1 always carries β·V²f and γ·V: a file without one of them is
+  // refused by name, even with one coefficient and standard error fewer so
+  // that the counts match its spec.
+  for (const std::string flag : {"include_static_v", "include_dynamic_base"}) {
+    std::string edited = json;
+    const std::string key = "\"" + flag + "\": true";
+    const std::size_t at = edited.find(key);
+    ASSERT_NE(at, std::string::npos) << flag;
+    edited.replace(at, key.size(), "\"" + flag + "\": false");
+    for (const std::string array : {"coefficients", "standard_errors"}) {
+      const std::size_t open = edited.find("\"" + array + "\": [");
+      ASSERT_NE(open, std::string::npos) << array;
+      const std::size_t close = edited.find(']', open);
+      const std::size_t last = edited.rfind(',', close);
+      edited.erase(last, close - last);  // the last element
+    }
+    try {
+      model_from_json(edited);
+      ADD_FAILURE() << flag << ": false accepted";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ModelIo, CoefficientCountValidated) {

@@ -25,25 +25,18 @@ TEST(Topology, HaswellEpSpecMatchesPaperPlatform) {
 
 TEST(Topology, CompactPinningFillsSocketZeroFirst) {
   const MachineSpec spec = haswell_ep_2690v3();
-  const auto p8 = active_cores_per_socket(spec, 8, Pinning::Compact);
+  const auto p8 = active_cores_per_socket(spec, 8);
   EXPECT_EQ(p8[0], 8u);
   EXPECT_EQ(p8[1], 0u);
-  const auto p12 = active_cores_per_socket(spec, 12, Pinning::Compact);
+  const auto p12 = active_cores_per_socket(spec, 12);
   EXPECT_EQ(p12[0], 12u);
   EXPECT_EQ(p12[1], 0u);
-  const auto p13 = active_cores_per_socket(spec, 13, Pinning::Compact);
+  const auto p13 = active_cores_per_socket(spec, 13);
   EXPECT_EQ(p13[0], 12u);
   EXPECT_EQ(p13[1], 1u);
-  const auto p24 = active_cores_per_socket(spec, 24, Pinning::Compact);
+  const auto p24 = active_cores_per_socket(spec, 24);
   EXPECT_EQ(p24[0], 12u);
   EXPECT_EQ(p24[1], 12u);
-}
-
-TEST(Topology, ScatterPinningRoundRobins) {
-  const MachineSpec spec = haswell_ep_2690v3();
-  const auto p5 = active_cores_per_socket(spec, 5, Pinning::Scatter);
-  EXPECT_EQ(p5[0], 3u);
-  EXPECT_EQ(p5[1], 2u);
 }
 
 TEST(Topology, TooManyThreadsRejected) {

@@ -231,14 +231,13 @@ TEST(EpochSoak, ReadersNeverSeeNaNWhileSwapsRace) {
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       OnlineEstimator estimator(epoch);
-      const EstimatorGuards& guards = estimator.guards();
       Rng rng(100 + r);
       std::uint64_t last_generation = 0;
       for (std::size_t i = 0; i < kEstimatesPerReader; ++i) {
         const double watts = estimator.estimate_guarded(union_sample(rng));
         const std::uint64_t generation = estimator.generation();
-        if (!std::isfinite(watts) || watts < guards.min_watts ||
-            watts > guards.max_watts || generation < last_generation) {
+        if (!std::isfinite(watts) || watts < kMinWatts || watts > kMaxWatts ||
+            generation < last_generation) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
         last_generation = generation;

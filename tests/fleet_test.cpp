@@ -195,7 +195,7 @@ TEST_P(FleetBatchEquivalence, BatchBitIdenticalToSerialIngest) {
   FleetEstimator batched(test_model(), smoothing, horizon, options);
 
   // Independent reference: one guarded OnlineEstimator per node (same
-  // model, smoothing and default guards), fed the same dense samples one at
+  // model, smoothing and guards), fed the same dense samples one at
   // a time in batch order — the scalar try_predict plus the guarded fold.
   const std::size_t node_count = 40;
   std::vector<NodeId> ids;

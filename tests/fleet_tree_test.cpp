@@ -390,7 +390,6 @@ PowerModel golden_model() {
   spec.events = kEventsA;
   regress::OlsResult fit;
   fit.beta = {6.0, 11.5, 4.25, 17.75, 8.0, 12.0};  // δ, α×3, β, γ
-  fit.has_intercept = true;
   return PowerModel(spec, fit);
 }
 

@@ -429,17 +429,18 @@ double global_gauge(std::string_view name) {
 }
 
 TEST_F(ObsTest, GuardedEstimatorCountsClampsAndTransitions) {
-  core::EstimatorGuards guards;
-  guards.min_watts = 0.0;
-  guards.max_watts = 10.0;  // well below the model output: every estimate clamps
-  core::OnlineEstimator estimator(tiny_model(), 0.0, guards);
+  core::OnlineEstimator estimator(tiny_model());
+  // 100 events per cycle: a raw estimate near 4 kW, above kMaxWatts, so
+  // every valid estimate clamps.
+  core::CounterSample hot = tiny_sample();
+  hot.counts[pmc::Preset::PRF_DM] = 2.0e11;
 
-  estimator.estimate_guarded(tiny_sample());  // Ok -> Ok, clamped
+  EXPECT_EQ(estimator.estimate_guarded(hot), core::kMaxWatts);  // Ok -> Ok, clamped
   core::CounterSample bad = tiny_sample();
   bad.elapsed_s = -1.0;
   estimator.estimate_guarded(bad);            // Ok -> Degraded
   estimator.estimate_guarded(bad);            // Degraded -> Degraded
-  estimator.estimate_guarded(tiny_sample());  // Degraded -> Ok, clamped
+  estimator.estimate_guarded(hot);            // Degraded -> Ok, clamped
 
   EXPECT_EQ(global_counter("estimator.estimates"), 4u);
   EXPECT_EQ(global_counter("estimator.invalid_samples"), 2u);
@@ -485,7 +486,7 @@ TEST_F(ObsTest, SeededFaultCampaignSurfacesInMetrics) {
   acquire::CampaignConfig config = acquire::standard_campaign_config({2.4});
   config.workloads = {workloads::roco2_suite()[2], workloads::roco2_suite()[3]};
   config.scalable_thread_counts = {4};
-  config.resilience.max_attempts = 4;
+  config.max_attempts = 4;
   const fault::FaultPlan plan = fault::FaultPlan::escalating(0xC7A05, 0.4);
   config.fault_plan = &plan;
 

@@ -82,7 +82,7 @@ TEST(Ols, ExactFitRecoversCoefficients) {
   for (std::size_t i = 0; i < 6; ++i) {
     y[i] = 7.0 - 2.0 * x(i, 0) + 0.5 * x(i, 1);
   }
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   EXPECT_NEAR(res.beta[0], 7.0, 1e-10);
   EXPECT_NEAR(res.beta[1], -2.0, 1e-10);
   EXPECT_NEAR(res.beta[2], 0.5, 1e-10);
@@ -97,7 +97,7 @@ TEST(Ols, MatchesNormalEquationsOnNoisyData) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = 1.0 + 2.0 * x(i, 0) - x(i, 1) + 0.3 * x(i, 2) + rng.normal(0, 0.5);
   }
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
 
   // Independent path: solve (XᵀX) b = Xᵀy with the intercept column added.
   la::Matrix xi(n, 4);
@@ -123,7 +123,7 @@ TEST(Ols, RSquaredAndAdjustedRelationship) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = x(i, 0) + rng.normal(0, 1.0);
   }
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   EXPECT_GT(res.r_squared, 0.0);
   EXPECT_LT(res.r_squared, 1.0);
   // Adj R² = 1 - (1-R²)(n-1)/(n-k).
@@ -137,7 +137,7 @@ TEST(Ols, ResidualsSumToZeroWithIntercept) {
   la::Matrix x = random_design(30, 2, rng);
   std::vector<double> y(30);
   for (auto& v : y) v = rng.normal(5, 2);
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   double sum = 0;
   for (double e : res.residuals) sum += e;
   EXPECT_NEAR(sum, 0.0, 1e-9);
@@ -148,7 +148,7 @@ TEST(Ols, LeverageSumsToParameterCount) {
   la::Matrix x = random_design(25, 3, rng);
   std::vector<double> y(25);
   for (auto& v : y) v = rng.normal();
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   double trace = 0;
   for (double h : res.leverage) {
     trace += h;
@@ -166,7 +166,7 @@ TEST(Ols, StandardErrorsMatchClassicalFormula) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = 2.0 * x(i, 0) + rng.normal(0, 1.0);
   }
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   // Independent: sigma² (XᵀX)⁻¹ via Cholesky.
   la::Matrix xi(n, 3);
   for (std::size_t i = 0; i < n; ++i) {
@@ -188,51 +188,9 @@ TEST(Ols, PValueSmallForStrongEffectLargeForNoise) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = 5.0 * x(i, 0) + rng.normal(0, 1.0);  // column 1 is pure noise
   }
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   EXPECT_LT(res.p_value[1], 1e-10);
   EXPECT_GT(res.p_value[2], 0.01);
-}
-
-TEST(Ols, Hc0ToHc3Ordering) {
-  // Under heteroscedasticity with high-leverage points, the HC estimators
-  // are ordered HC0 <= HC1, HC2 <= HC3 on the diagonal.
-  Rng rng(107);
-  const std::size_t n = 40;
-  la::Matrix x(n, 1);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x(i, 0) = static_cast<double>(i) / n * 10.0;
-    y[i] = 1.0 + 0.5 * x(i, 0) + rng.normal(0, 0.1 + 0.3 * x(i, 0));
-  }
-  OlsOptions o;
-  o.cov_type = CovarianceType::HC0;
-  const double se0 = fit_ols(x, y, o).standard_error[1];
-  o.cov_type = CovarianceType::HC1;
-  const double se1 = fit_ols(x, y, o).standard_error[1];
-  o.cov_type = CovarianceType::HC2;
-  const double se2 = fit_ols(x, y, o).standard_error[1];
-  o.cov_type = CovarianceType::HC3;
-  const double se3 = fit_ols(x, y, o).standard_error[1];
-  EXPECT_LT(se0, se1);
-  EXPECT_LT(se0, se2);
-  EXPECT_LT(se2, se3);
-}
-
-TEST(Ols, Hc1IsHc0TimesDofCorrection) {
-  Rng rng(108);
-  const std::size_t n = 30;
-  la::Matrix x = random_design(n, 2, rng);
-  std::vector<double> y(n);
-  for (auto& v : y) v = rng.normal();
-  OlsOptions o;
-  o.cov_type = CovarianceType::HC0;
-  const OlsResult r0 = fit_ols(x, y, o);
-  o.cov_type = CovarianceType::HC1;
-  const OlsResult r1 = fit_ols(x, y, o);
-  const double factor = static_cast<double>(n) / (n - 3.0);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(r1.covariance(j, j), factor * r0.covariance(j, j), 1e-12);
-  }
 }
 
 TEST(Ols, RobustSeConvergeToClassicalUnderHomoscedasticity) {
@@ -244,12 +202,65 @@ TEST(Ols, RobustSeConvergeToClassicalUnderHomoscedasticity) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = 3.0 * x(i, 0) + rng.normal(0, 1.0);
   }
-  OlsOptions classical;
-  OlsOptions robust;
-  robust.cov_type = CovarianceType::HC3;
-  const double se_c = fit_ols(x, y, classical).standard_error[1];
-  const double se_r = fit_ols(x, y, robust).standard_error[1];
+  const double se_c = fit_ols(x, y, CovarianceType::NonRobust).standard_error[1];
+  const double se_r = fit_ols(x, y, CovarianceType::HC3).standard_error[1];
   EXPECT_NEAR(se_r / se_c, 1.0, 0.05);
+}
+
+TEST(Ols, Hc3MatchesSandwichFormula) {
+  // Intercept plus one regressor, with one high-leverage row (x = 20,
+  // h ≈ 0.91) and errors that grow with x. The reference is HC3 written out
+  // from the closed-form 2×2 inverse, independent of the QR path:
+  //   (XᵀX)⁻¹ Xᵀ diag(eᵢ²/(1−hᵢᵢ)²) X (XᵀX)⁻¹.
+  const std::vector<double> xs{0, 1, 2, 3, 4, 5, 6, 20};
+  const std::vector<double> noise{0.3, -0.2, 0.5, -0.7, 0.4, -0.9, 1.1, -2.5};
+  const std::size_t n = xs.size();
+  la::Matrix x(n, 1);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = xs[i];
+    y[i] = 1.0 + 0.5 * xs[i] + noise[i] * (0.2 + 0.1 * xs[i]);
+  }
+
+  double sx = 0, sxx = 0, sy = 0, sxy = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sx += xs[i];
+    sxx += xs[i] * xs[i];
+    sy += y[i];
+    sxy += xs[i] * y[i];
+  }
+  const double det = static_cast<double>(n) * sxx - sx * sx;
+  // (XᵀX)⁻¹ = [[a, b], [b, d]].
+  const double a = sxx / det;
+  const double b = -sx / det;
+  const double d = static_cast<double>(n) / det;
+  const double b0 = a * sy + b * sxy;
+  const double b1 = b * sy + d * sxy;
+  double m00 = 0, m01 = 0, m11 = 0;  // meat Xᵀ diag(w) X
+  for (std::size_t i = 0; i < n; ++i) {
+    const double e = y[i] - b0 - b1 * xs[i];
+    const double h = a + 2.0 * b * xs[i] + d * xs[i] * xs[i];
+    const double w = e * e / ((1.0 - h) * (1.0 - h));
+    m00 += w;
+    m01 += w * xs[i];
+    m11 += w * xs[i] * xs[i];
+  }
+  // (XᵀX)⁻¹ M (XᵀX)⁻¹, entry by entry.
+  const double l00 = a * m00 + b * m01, l01 = a * m01 + b * m11;
+  const double l10 = b * m00 + d * m01, l11 = b * m01 + d * m11;
+  const double expected[2][2] = {{l00 * a + l01 * b, l00 * b + l01 * d},
+                                 {l10 * a + l11 * b, l10 * b + l11 * d}};
+
+  const OlsResult res = fit_ols(x, y, CovarianceType::HC3);
+  EXPECT_NEAR(res.beta[0], b0, 1e-10 * std::fabs(b0));
+  EXPECT_NEAR(res.beta[1], b1, 1e-10 * std::fabs(b1));
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_NEAR(res.covariance(r, c), expected[r][c],
+                  1e-10 * std::fabs(expected[r][c]))
+          << "entry (" << r << "," << c << ")";
+    }
+  }
 }
 
 TEST(Ols, CoefficientCovarianceIsSymmetric) {
@@ -257,9 +268,7 @@ TEST(Ols, CoefficientCovarianceIsSymmetric) {
   la::Matrix x = random_design(25, 3, rng);
   std::vector<double> y(25);
   for (auto& v : y) v = rng.normal();
-  OlsOptions o;
-  o.cov_type = CovarianceType::HC3;
-  const OlsResult res = fit_ols(x, y, o);
+  const OlsResult res = fit_ols(x, y, CovarianceType::HC3);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 4; ++j) {
       EXPECT_NEAR(res.covariance(i, j), res.covariance(j, i), 1e-12);
@@ -267,20 +276,10 @@ TEST(Ols, CoefficientCovarianceIsSymmetric) {
   }
 }
 
-TEST(Ols, NoInterceptOption) {
-  la::Matrix x{{1}, {2}, {3}, {4}};
-  std::vector<double> y{2, 4, 6, 8};
-  OlsOptions o;
-  o.add_intercept = false;
-  const OlsResult res = fit_ols(x, y, o);
-  ASSERT_EQ(res.beta.size(), 1u);
-  EXPECT_NEAR(res.beta[0], 2.0, 1e-12);
-}
-
 TEST(Ols, PredictAppliesIntercept) {
   la::Matrix x{{0.0}, {1.0}, {2.0}, {3.0}};
   std::vector<double> y{1, 3, 5, 7};  // y = 1 + 2x
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   la::Matrix nx{{10.0}};
   EXPECT_NEAR(res.predict(nx)[0], 21.0, 1e-9);
 }
@@ -292,7 +291,7 @@ TEST(Ols, RankDeficientDesignThrows) {
     x(i, 1) = 2.0 * x(i, 0);
   }
   std::vector<double> y(10, 1.0);
-  EXPECT_THROW(fit_ols(x, y, {}), NumericalError);
+  EXPECT_THROW(fit_ols(x, y), NumericalError);
 }
 
 TEST(Ols, ZeroVarianceColumnThrows) {
@@ -304,7 +303,7 @@ TEST(Ols, ZeroVarianceColumnThrows) {
     x(i, 1) = 3.0;  // zero variance
   }
   std::vector<double> y(10, 1.0);
-  EXPECT_THROW(fit_ols(x, y, {}), NumericalError);
+  EXPECT_THROW(fit_ols(x, y), NumericalError);
 }
 
 TEST(Ols, IdenticalColumnsThrow) {
@@ -314,7 +313,7 @@ TEST(Ols, IdenticalColumnsThrow) {
     x(i, 1) = x(i, 0);  // exact duplicate
   }
   std::vector<double> y(12, 2.0);
-  EXPECT_THROW(fit_ols(x, y, {}), NumericalError);
+  EXPECT_THROW(fit_ols(x, y), NumericalError);
 }
 
 TEST(Ols, TooFewObservationsThrow) {
@@ -323,15 +322,13 @@ TEST(Ols, TooFewObservationsThrow) {
   x(1, 1) = 1;
   x(2, 2) = 1;
   std::vector<double> y(3, 1.0);
-  EXPECT_THROW(fit_ols(x, y, {}), InvalidArgument);  // n must exceed k+1
+  EXPECT_THROW(fit_ols(x, y), InvalidArgument);  // n must exceed k+1
 }
 
 TEST(Ols, SummaryMentionsCovTypeAndNames) {
   la::Matrix x{{0.0}, {1.0}, {2.0}, {3.0}, {4.0}};
   std::vector<double> y{1, 3, 5, 7, 9.1};
-  OlsOptions o;
-  o.cov_type = CovarianceType::HC3;
-  const OlsResult res = fit_ols(x, y, o);
+  const OlsResult res = fit_ols(x, y, CovarianceType::HC3);
   const std::string s = res.summary({"slope"});
   EXPECT_NE(s.find("HC3"), std::string::npos);
   EXPECT_NE(s.find("slope"), std::string::npos);
@@ -346,7 +343,7 @@ TEST(Ols, FStatisticSignificantForRealEffect) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = 3.0 * x(i, 0) + rng.normal(0, 0.5);
   }
-  const OlsResult res = fit_ols(x, y, {});
+  const OlsResult res = fit_ols(x, y);
   EXPECT_GT(res.f_statistic, 10.0);
   EXPECT_LT(res.f_p_value, 1e-6);
 }
@@ -418,7 +415,7 @@ TEST(Diagnostics, BreuschPaganDetectsHeteroscedasticity) {
     x(i, 0) = rng.uniform(0, 10);
     y[i] = 2.0 * x(i, 0) + rng.normal(0, 0.2 + 0.5 * x(i, 0));
   }
-  const OlsResult fit = fit_ols(x, y, {});
+  const OlsResult fit = fit_ols(x, y);
   const auto test = breusch_pagan(x, fit.residuals);
   EXPECT_LT(test.p_value, 0.01);
 }
@@ -432,7 +429,7 @@ TEST(Diagnostics, BreuschPaganAcceptsHomoscedastic) {
     x(i, 0) = rng.uniform(0, 10);
     y[i] = 2.0 * x(i, 0) + rng.normal(0, 1.0);
   }
-  const OlsResult fit = fit_ols(x, y, {});
+  const OlsResult fit = fit_ols(x, y);
   const auto test = breusch_pagan(x, fit.residuals);
   EXPECT_GT(test.p_value, 0.01);
 }

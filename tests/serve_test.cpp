@@ -141,7 +141,6 @@ TEST(DriftMonitor, AcknowledgeStartsRearmGracePeriod) {
 TEST(DriftMonitor, InvalidFractionBreachesWithoutReferencePower) {
   DriftConfig config;
   config.window_size = 8;
-  config.max_invalid_fraction = 0.25;
   config.trigger_windows = 1;
   DriftMonitor monitor(config);
 
@@ -160,7 +159,6 @@ TEST(DriftMonitor, InvalidFractionBreachesWithoutReferencePower) {
 TEST(DriftMonitor, NonFiniteObservationsCountAsInvalid) {
   DriftConfig config;
   config.window_size = 4;
-  config.max_invalid_fraction = 0.2;
   config.trigger_windows = 1;
   DriftMonitor monitor(config);
   monitor.observe(std::nan(""), 100.0);

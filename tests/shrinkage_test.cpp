@@ -32,7 +32,7 @@ TEST(Ridge, ZeroPenaltyMatchesOls) {
     y[i] = 5.0 + 2.0 * x(i, 0) - x(i, 1) + rng.normal(0, 0.3);
   }
   const RidgeResult ridge = fit_ridge(x, y, 0.0);
-  const OlsResult ols = fit_ols(x, y, {});
+  const OlsResult ols = fit_ols(x, y);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(ridge.beta[j], ols.beta[j], 1e-6) << j;
   }
@@ -142,7 +142,7 @@ TEST(Lasso, TinyPenaltyApproachesOls) {
     y[i] = 1.0 + 2.0 * x(i, 0) - 3.0 * x(i, 1) + 0.5 * x(i, 2) + rng.normal(0, 0.2);
   }
   const LassoResult lasso = fit_lasso(x, y, 1e-6);
-  const OlsResult ols = fit_ols(x, y, {});
+  const OlsResult ols = fit_ols(x, y);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(lasso.beta[j], ols.beta[j], 1e-3) << j;
   }

@@ -56,6 +56,8 @@
 #include "core/model.hpp"
 #include "fleet/delta.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace pwx;
@@ -306,9 +308,13 @@ int main(int argc, char** argv) {
     };
     if (arg == "--leaf") {
       leaf_mode = true;
-      leaf_index = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      if (!cli::parse_count(next(), leaf_index)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--leaves") {
-      leaf_count = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      if (!cli::parse_count(next(), leaf_count)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--flat") {
       flat_mode = true;
     } else if (arg == "--aggregate") {
@@ -316,13 +322,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--shards") {
-      shards = std::strtoul(next(), nullptr, 10);
+      if (!cli::parse_count(next(), shards)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--nodes") {
-      node_count = std::strtoul(next(), nullptr, 10);
+      if (!cli::parse_count(next(), node_count)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--rounds") {
-      rounds = std::strtoul(next(), nullptr, 10);
+      if (!cli::parse_count(next(), rounds)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--interval-s") {
-      interval_s = std::strtod(next(), nullptr);
+      if (!cli::parse_real(next(), interval_s)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--spool") {
       spool = next();
     } else {

@@ -80,6 +80,8 @@
 #include "trace/incremental.hpp"
 #include "workloads/registry.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace pwx;
@@ -309,17 +311,27 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-verify") == 0) {
       options.verify_checksum = false;
     } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-      interval_s = std::strtod(argv[++i], nullptr);
+      if (!cli::parse_real(argv[++i], interval_s)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--polls") == 0 && i + 1 < argc) {
-      max_polls = std::strtoull(argv[++i], nullptr, 10);
+      if (!cli::parse_count(argv[++i], max_polls)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--refresh-window") == 0 && i + 1 < argc) {
-      drift.window_size = std::strtoull(argv[++i], nullptr, 10);
+      if (!cli::parse_count(argv[++i], drift.window_size)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--refresh-mape") == 0 && i + 1 < argc) {
-      drift.max_mape_pct = std::strtod(argv[++i], nullptr);
+      if (!cli::parse_real(argv[++i], drift.max_mape_pct)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-sample") == 0 && i + 1 < argc) {
-      trace_sample = std::strtoull(argv[++i], nullptr, 10);
+      if (!cli::parse_count(argv[++i], trace_sample)) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--flight-recorder") == 0 && i + 1 < argc) {
       flight_path = argv[++i];
     } else if (directory == nullptr && argv[i][0] != '-') {

@@ -66,6 +66,8 @@
 #include "sim/engine.hpp"
 #include "workloads/registry.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 int usage(const char* argv0) {
@@ -293,11 +295,17 @@ int main(int argc, char** argv) {
     if (arg == "--workload") {
       workload_name = next();
     } else if (arg == "--threads") {
-      threads = std::strtoul(next(), nullptr, 10);
+      if (!cli::parse_count(next(), threads)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--samples") {
-      max_samples = std::strtoul(next(), nullptr, 10);
+      if (!cli::parse_count(next(), max_samples)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--interval-s") {
-      interval_s = std::strtod(next(), nullptr);
+      if (!cli::parse_real(next(), interval_s)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--format") {
       const std::string v = next();
       if (v == "jsonl") {
@@ -310,9 +318,15 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--faults") {
-      fault_seed = std::strtoull(next(), nullptr, 0);
+      std::uint64_t seed = 0;
+      if (!cli::parse_count(next(), seed, /*base=*/0)) {
+        return usage(argv[0]);
+      }
+      fault_seed = seed;
     } else if (arg == "--intensity") {
-      intensity = std::strtod(next(), nullptr);
+      if (!cli::parse_real(next(), intensity)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--no-robust") {
       robust = false;
     } else if (arg == "--log-json") {
@@ -324,7 +338,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--aggregate") {
       aggregate_file = next();
     } else if (arg == "--fleet") {
-      fleet_nodes = std::strtoul(next(), nullptr, 10);
+      if (!cli::parse_count(next(), fleet_nodes)) {
+        return usage(argv[0]);
+      }
     } else {
       return usage(argv[0]);
     }

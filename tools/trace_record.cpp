@@ -11,7 +11,6 @@
 // Events default to the six counters a standard selection run picks; any
 // PAPI preset names (with or without the PAPI_ prefix) are accepted.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,18 +21,36 @@
 #include "trace/serialize.hpp"
 #include "workloads/registry.hpp"
 
+#include "cli.hpp"
+
+namespace {
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
+               "[EVENT ...]\n  workloads: ",
+               argv0);
+  for (const auto& w : pwx::workloads::all_workloads()) {
+    std::fprintf(stderr, "%s ", w.name.c_str());
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace pwx;
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <workload> <out.otf2l> [freq_ghz] [threads] "
-                 "[EVENT ...]\n  workloads: ",
-                 argv[0]);
-    for (const auto& w : workloads::all_workloads()) {
-      std::fprintf(stderr, "%s ", w.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
+    return usage(argv[0]);
+  }
+  sim::RunConfig rc;
+  rc.frequency_ghz = 2.4;
+  rc.threads = 24;
+  rc.interval_s = 0.1;
+  if ((argc > 3 && !cli::parse_real(argv[3], rc.frequency_ghz)) ||
+      (argc > 4 && !cli::parse_count(argv[4], rc.threads))) {
+    return usage(argv[0]);
   }
   try {
     const auto workload = workloads::find_workload(argv[1]);
@@ -41,11 +58,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown workload '%s'\n", argv[1]);
       return 1;
     }
-    sim::RunConfig rc;
-    rc.frequency_ghz = argc > 3 ? std::strtod(argv[3], nullptr) : 2.4;
-    rc.threads = argc > 4 ? std::strtoul(argv[4], nullptr, 10) : 24;
-    rc.interval_s = 0.1;
-
     std::vector<pmc::Preset> events;
     for (int i = 5; i < argc; ++i) {
       const auto preset = pmc::preset_from_name(argv[i]);
