@@ -73,15 +73,21 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::lognormal_mean_cv(double mean, double cv) {
-  PWX_REQUIRE(mean > 0.0 && cv >= 0.0, "lognormal needs mean > 0, cv >= 0, got mean=",
-              mean, " cv=", cv);
-  if (cv == 0.0) {
+double Rng::lognormal_mean_cv(double mean, double cv) { return LognormalCv(cv)(mean, *this); }
+
+LognormalCv::LognormalCv(double cv) : cv_(cv) {
+  PWX_REQUIRE(cv >= 0.0, "lognormal needs cv >= 0, got cv=", cv);
+  const double sigma2 = std::log(1.0 + cv * cv);
+  half_sigma2_ = 0.5 * sigma2;
+  sigma_ = std::sqrt(sigma2);
+}
+
+double LognormalCv::operator()(double mean, Rng& rng) const {
+  PWX_REQUIRE(mean > 0.0, "lognormal needs mean > 0, got mean=", mean, " cv=", cv_);
+  if (cv_ == 0.0) {
     return mean;
   }
-  const double sigma2 = std::log(1.0 + cv * cv);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(mu + std::sqrt(sigma2) * normal());
+  return std::exp((std::log(mean) - half_sigma2_) + sigma_ * rng.normal());
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {

@@ -47,6 +47,7 @@ public:
 
   /// Log-normal such that the *mean* of the distribution is `mean` and the
   /// coefficient of variation is `cv`. Handy for strictly positive noise.
+  /// One draw of LognormalCv(cv).
   double lognormal_mean_cv(double mean, double cv);
 
   /// Fisher–Yates shuffle of indices [0, n).
@@ -56,6 +57,23 @@ private:
   std::array<std::uint64_t, 4> s_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// The log-normal family of one coefficient of variation: ½σ² and σ depend
+/// on `cv` alone, so a caller drawing many values at one cv computes them
+/// once here instead of once per draw.
+class LognormalCv {
+public:
+  /// Requires cv >= 0. At cv = 0 every draw is its mean and uses no randomness.
+  explicit LognormalCv(double cv);
+
+  /// One draw with distribution mean `mean` (> 0), taking one normal from `rng`.
+  double operator()(double mean, Rng& rng) const;
+
+private:
+  double cv_;
+  double half_sigma2_ = 0.0;  ///< ½σ², with σ² = log(1 + cv²)
+  double sigma_ = 0.0;
 };
 
 }  // namespace pwx

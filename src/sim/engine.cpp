@@ -87,10 +87,11 @@ pmc::ActivityCounts generate_core_activity(const workloads::PhaseCharacter& c,
   // variation on real hardware (interrupts, placement, DVFS transients).
   const double intensity =
       rng.lognormal_mean_cv(1.0, std::max(0.012, c.variability_cv));
-  // Independent per-counter jitter on top (sampling alignment, OS noise).
-  const double jitter_cv = std::max(0.008, 0.3 * c.variability_cv);
+  // Independent per-counter jitter on top (sampling alignment, OS noise):
+  // its 27 draws share one family, so σ is computed once per call.
+  const LognormalCv jitter_noise(std::max(0.008, 0.3 * c.variability_cv));
   auto jitter = [&](double value) {
-    return value <= 0.0 ? 0.0 : rng.lognormal_mean_cv(value, jitter_cv);
+    return value <= 0.0 ? 0.0 : jitter_noise(value, rng);
   };
 
   const double hz = frequency_ghz * 1e9;

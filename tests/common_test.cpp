@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -138,8 +139,14 @@ TEST(Rng, LognormalMeanMatchesRequestedMean) {
 }
 
 TEST(Rng, LognormalZeroCvIsExact) {
+  // The mean comes back and no normal is drawn: the generator's next normal
+  // is a fresh same-seed generator's first.
   Rng rng(13);
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(3.5, 0.0), 3.5);
+  EXPECT_EQ(rng.normal(), Rng(13).normal());
+  Rng family_rng(13);
+  EXPECT_DOUBLE_EQ(LognormalCv(0.0)(3.5, family_rng), 3.5);
+  EXPECT_EQ(family_rng.normal(), Rng(13).normal());
 }
 
 TEST(Rng, LognormalIsAlwaysPositive) {
@@ -150,9 +157,21 @@ TEST(Rng, LognormalIsAlwaysPositive) {
 }
 
 TEST(Rng, LognormalRejectsBadArguments) {
+  // A NaN is the one mean not > 0 that the simulator's jitter can pass on.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   Rng rng(17);
   EXPECT_THROW(rng.lognormal_mean_cv(0.0, 0.1), InvalidArgument);
+  EXPECT_THROW(rng.lognormal_mean_cv(nan, 0.1), InvalidArgument);
+  EXPECT_THROW(rng.lognormal_mean_cv(nan, 0.0), InvalidArgument);
   EXPECT_THROW(rng.lognormal_mean_cv(1.0, -0.1), InvalidArgument);
+  // The family checks its cv once and every draw's mean.
+  EXPECT_THROW(LognormalCv(-0.1), InvalidArgument);
+  const LognormalCv family(0.1);
+  EXPECT_THROW(family(0.0, rng), InvalidArgument);
+  EXPECT_THROW(family(nan, rng), InvalidArgument);
+  EXPECT_GT(family(1.0, rng), 0.0);
+  EXPECT_THROW(family(nan, rng), InvalidArgument);
+  EXPECT_THROW(LognormalCv(0.0)(nan, rng), InvalidArgument);
 }
 
 TEST(Rng, PermutationIsAPermutation) {

@@ -1,8 +1,13 @@
 // Tests for the execution simulator.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
 #include <type_traits>
 
 #include "common/error.hpp"
@@ -283,6 +288,94 @@ TEST(Engine, IdleWorkloadHasLowCycleActivity) {
   const auto& counts = run.intervals[0].counts;
   // Unhalted fraction ~2%: cycles far below 24 cores * f * interval.
   EXPECT_LT(counts.cycles, 0.1 * 24 * 2.4e9 * 0.25);
+}
+
+// ---------------------------------------------------------------- golden digest
+
+/// FNV-1a over the bytes of each value added, in order.
+class Digest {
+public:
+  template <typename T>
+  void add(const T& value) {
+    static_assert(std::is_arithmetic_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+    }
+  }
+
+  void add(const std::string& text) {
+    add(text.size());
+    for (const char ch : text) {
+      add(ch);
+    }
+  }
+
+  /// Every member of ActivityCounts is a double, so the array view covers
+  /// them all; a new member fails this cast until the golden is re-captured.
+  void add(const pmc::ActivityCounts& counts) {
+    for (const double value : std::bit_cast<std::array<double, 36>>(counts)) {
+      add(value);
+    }
+  }
+
+  std::uint64_t value() const { return hash_; }
+
+private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// The simulator's bit-identity pin: every field of every interval of a few
+// short runs, and a few hundred direct per-core draws, hash to one value.
+// The runs cover the bandwidth cap (memory_read at 24 threads, slowdown < 1),
+// a two-phase workload at both ends of the DVFS range, and idle cores running
+// the OS background. Any change to the RNG stream or to the arithmetic that
+// turns draws into counts, power or voltage moves the digest; so does a libm
+// whose exp, log or sincos rounds differently (as for
+// bench/repro_transcript.txt).
+TEST(Engine, GoldenDigestPinsEverySimulatedStatistic) {
+  const Engine engine = Engine::haswell_ep();
+  Digest digest;
+  const auto add_run = [&](const char* name, double f, std::size_t threads,
+                           std::uint64_t seed) {
+    const RunResult run = engine.run(wl(name), quick_config(f, threads, seed));
+    for (const IntervalRecord& iv : run.intervals) {
+      digest.add(iv.t_begin_s);
+      digest.add(iv.t_end_s);
+      digest.add(iv.phase);
+      digest.add(iv.counts);
+      digest.add(iv.measured_power_watts);
+      digest.add(iv.true_power_watts);
+      digest.add(iv.measured_voltage);
+      digest.add(iv.active_threads);
+    }
+    digest.add(run.wall_time_s);
+  };
+  add_run("memory_read", 2.4, 1, 11);
+  add_run("memory_read", 2.4, 24, 12);
+  add_run("md", 1.2, 8, 13);
+  add_run("md", 2.6, 8, 14);
+  add_run("idle", 2.4, 24, 15);
+
+  // Direct draws over every registry phase and a zero-variability one (the
+  // cv floors), with and without the bandwidth slowdown and co-runners.
+  std::vector<workloads::PhaseCharacter> phases(1);
+  phases[0].variability_cv = 0.0;
+  for (const workloads::Workload& w : workloads::all_workloads()) {
+    phases.insert(phases.end(), w.phases.begin(), w.phases.end());
+  }
+  Rng rng(16);
+  for (const workloads::PhaseCharacter& phase : phases) {
+    for (const double f : {1.2, 2.6}) {
+      for (const double slowdown : {1.0, 0.35}) {
+        for (const std::size_t coactive : {1u, 12u, 24u}) {
+          digest.add(generate_core_activity(phase, f, 2.5, 0.2, slowdown, coactive, rng));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x250aa97416ea43ffULL);
 }
 
 class EngineFrequencySweep : public ::testing::TestWithParam<double> {};

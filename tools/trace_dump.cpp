@@ -21,7 +21,6 @@
 // so what this tool prints is what the modeling pipeline consumes.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -39,9 +38,19 @@
 #include "trace/phase_profile.hpp"
 #include "trace/view.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace pwx;
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <trace.otf2l> "
+               "[--events [N] | --csv | --json | --profile | --stat]\n",
+               argv0);
+  return 2;
+}
 
 const char* mode_name(trace::MetricMode mode) {
   return mode == trace::MetricMode::AsyncAverage   ? "async-avg"
@@ -206,15 +215,16 @@ int main(int argc, char** argv) {
     }
   }
   if (path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: %s <trace.otf2l> "
-                 "[--events [N] | --csv | --json | --profile | --stat]\n",
-                 argv[0]);
-    return 2;
+    return usage(argv[0]);
   }
   const auto mode = [&](const char* flag) {
     return !mode_args.empty() && std::strcmp(mode_args[0], flag) == 0;
   };
+  std::size_t event_limit = 50;
+  if (mode("--events") && mode_args.size() >= 2 &&
+      !pwx::cli::parse_count(mode_args[1], event_limit)) {
+    return usage(argv[0]);
+  }
   try {
     const auto file = pwx::trace::MappedTraceFile::open(path);
     const pwx::trace::TraceView& t = file.view();
@@ -222,9 +232,7 @@ int main(int argc, char** argv) {
       return print_stat(file);
     }
     if (mode("--events")) {
-      const std::size_t limit =
-          mode_args.size() >= 2 ? std::strtoul(mode_args[1], nullptr, 10) : 50;
-      return print_events(t, limit);
+      return print_events(t, event_limit);
     }
     if (mode("--csv")) {
       return print_csv(t);
